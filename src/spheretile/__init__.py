@@ -12,7 +12,8 @@ edge to edge.  Submodules:
   codes up to label-preserving isomorphism.
 * ``generators``: explicit construction of the tiling families (prisms,
   earth-map chains, pentagonal-fusion variants, the football).
-* ``realization``: numerical embedding on the sphere and geometric checks.
+* ``realization``: numerical embedding on the sphere, geometric checks and
+  ``verify_tiling``, the from-scratch verifier behind ``spheretile verify``.
 * ``serialization``: JSON interchange, OBJ and SVG export.
 """
 
@@ -32,7 +33,6 @@ from .generators import (
     earth_map,
     football,
     prism,
-    snub_dodecahedron,
     snub_fusion,
     triangular_fusion,
 )
@@ -45,6 +45,7 @@ from .realization import (
     prism_params,
     sporadic_solution,
     verify_geometric,
+    verify_tiling,
 )
 from .serialization import parse_tiling, serialize_tiling
 
@@ -67,7 +68,6 @@ __all__ = [
     "earth_map",
     "football",
     "prism",
-    "snub_dodecahedron",
     "snub_fusion",
     "triangular_fusion",
     "Embedding",
@@ -78,6 +78,7 @@ __all__ = [
     "prism_params",
     "sporadic_solution",
     "verify_geometric",
+    "verify_tiling",
     "parse_tiling",
     "serialize_tiling",
 ]

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
-import numpy as np
-
-from .trig import AngleSolution, NonexistenceEvidence, solve_closure, vertex_label
-from .complexes import TilingComplex, TilingError, verify_combinatorial
+from .trig import NonexistenceEvidence, vertex_label
+from .complexes import TilingError
 from .combinatorics import (
     ClassificationReport,
     FamilyOutcome,
@@ -27,7 +24,7 @@ from .generators import earth_map, football, fusion_classification, prism, snub_
 from . import realization as rz
 from .serialization import (
     SchemaError,
-    _angles_payload,
+    angles_payload,
     export_obj,
     export_svg,
     parse_tiling,
@@ -86,7 +83,7 @@ def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
                     "realized": sorted(list(v) for v in out.avc.realized),
                     "warnings": list(out.avc.warnings),
                 },
-                "solutions": [_angles_payload(s) for s in solutions],
+                "solutions": [angles_payload(s) for s in solutions],
                 "notes": list(out.notes),
             }
         elif isinstance(out, NonexistenceEvidence):
@@ -197,63 +194,6 @@ def cmd_generate(
 # -- verify --------------------------------------------------------------------
 
 
-def _measured_solution(t: TilingComplex, embedding) -> AngleSolution:
-    """Angle solution read off the coordinates themselves.
-
-    One corner per label and one edge fix the candidate values; the
-    verifier then checks every other corner and edge against them, which
-    is exactly internal consistency of the document.
-    """
-    pos = embedding.positions
-    values = {}
-    for face in t.faces:
-        for i, lab in enumerate(face.labels):
-            if lab in values:
-                continue
-            k = face.size
-            p_prev = pos[face.vertices[(i - 1) % k]]
-            p_cur = pos[face.vertices[i]]
-            p_next = pos[face.vertices[(i + 1) % k]]
-            values[lab] = rz._corner_angle(p_prev, p_cur, p_next)
-    u, v = t.undirected_edges()[0]
-    cos_x = max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))
-    return AngleSolution(
-        m=t.gonality,
-        alpha=values.get("alpha", 0.0),
-        beta=values.get("beta", 0.0),
-        gamma=values.get("gamma", 0.0),
-        cos_x=cos_x,
-    )
-
-
-def _census_solution(t: TilingComplex) -> tuple[Optional[AngleSolution], str]:
-    """Infer the angle solution from the vertex-type census.
-
-    Two independent census rows pin the angles via the closure equation.
-    A rank-one census only happens for the prism census {alpha.beta.gamma}
-    (a one-parameter family), where any representative radius verifies.
-    """
-    rows = sorted(t.census().keys())
-    m = t.gonality
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            try:
-                roots = solve_closure(m, [rows[i], rows[j]])
-            except ValueError:
-                continue
-            for root in roots:
-                if verify_combinatorial(t, root, tol=1e-6).ok:
-                    return root, f"solved from census rows {rows[i]} and {rows[j]}"
-            if roots:
-                return roots[0], f"solved from census rows {rows[i]} and {rows[j]}"
-    if rows == [(1, 1, 1)]:
-        return (
-            rz.prism_solution(m, rz.prism_default_radius(m)),
-            "census is the one-parameter prism type; using a representative radius",
-        )
-    return None, "census does not determine the angles and no angles field is present"
-
-
 def cmd_verify(path: str, tol: Optional[float] = None) -> int:
     try:
         with open(path) as fh:
@@ -273,19 +213,13 @@ def cmd_verify(path: str, tol: Optional[float] = None) -> int:
         return EXIT_FAIL
 
     embedding = doc.embedding_for(t) if doc.coordinates is not None else None
-    if doc.angles is not None:
-        solution, origin = doc.angles, "from the document's angles field"
-    elif embedding is not None:
-        solution, origin = _measured_solution(t, embedding), "measured from coordinates"
-    else:
-        solution, origin = _census_solution(t)
-        if solution is None:
-            print(f"FAIL {origin}")
-            return EXIT_FAIL
-    print(f"angles {origin}: {solution.describe()}")
+    result = rz.verify_tiling(t, embedding, doc.angles, tol=tol)
+    if result.solution is None:
+        print(f"FAIL {result.angle_source}")
+        return EXIT_FAIL
+    print(f"angles {result.angle_source}: {result.solution.describe()}")
 
-    comb_tol = tol if tol is not None else 1e-9
-    report = verify_combinatorial(t, solution, tol=comb_tol)
+    report = result.combinatorial
     print(
         f"combinatorial: {'ok' if report.ok else 'FAIL'} "
         f"(V={report.vertex_count}, E={report.edge_count}, F={report.face_count}, "
@@ -293,11 +227,9 @@ def cmd_verify(path: str, tol: Optional[float] = None) -> int:
     )
     for msg in report.failures:
         print(f"  FAIL {msg}")
-    failed = not report.ok
 
-    if embedding is not None:
-        geo_tol = tol if tol is not None else 1e-6
-        geo = rz.verify_geometric(t, embedding, solution, tol=geo_tol)
+    geo = result.geometric
+    if geo is not None:
         print(
             f"geometric: {'ok' if geo.ok else 'FAIL'} "
             f"(edge spread {geo.edge_spread:.3e}, worst corner "
@@ -305,9 +237,8 @@ def cmd_verify(path: str, tol: Optional[float] = None) -> int:
         )
         for msg in geo.failures:
             print(f"  FAIL {msg}")
-        failed = failed or not geo.ok
 
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_OK if result.ok else EXIT_FAIL
 
 
 # -- matchings -----------------------------------------------------------------

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
-import numpy as np
 from scipy.optimize import linprog
 
 from . import trig
@@ -24,8 +23,6 @@ from .trig import (
     TWO_PI,
     AngleSolution,
     NonexistenceEvidence,
-    mgon_lower_bound,
-    solve_closure,
     certify_no_root,
     vertex_label,
 )
@@ -87,31 +84,15 @@ def _candidate_degree3() -> list[VertexType]:
 
 def _feasible_in_box(m: int, v: VertexType, margin: float = 1e-9) -> bool:
     """Linear-programming feasibility of a*alpha + b*beta + c*gamma = 2*pi
-    inside the open admissibility box, with a small interior margin.
-
-    The box: alpha in ((1-2/m)*pi, pi), 0 < gamma < beta < pi, gamma <
-    alpha, beta + gamma > pi, alpha + beta + gamma <= 2*pi.
+    inside the open admissibility box (:func:`trig._box_rows`), with a
+    small interior margin on its strict sides.
     """
-    # Variables (alpha, beta, gamma); inequalities as A_ub x <= b_ub.
-    a_ub = [
-        [-1.0, 0.0, 0.0],   # alpha > lower bound
-        [1.0, 0.0, 0.0],    # alpha < pi
-        [0.0, -1.0, 1.0],   # gamma < beta
-        [0.0, 0.0, -1.0],   # gamma > 0
-        [0.0, 1.0, 0.0],    # beta < pi
-        [-1.0, 0.0, 1.0],   # gamma < alpha
-        [0.0, -1.0, -1.0],  # beta + gamma > pi
-        [1.0, 1.0, 1.0],    # angle sum <= 2*pi
-    ]
+    # Each box row reads coeffs . x + const > 0 (>= 0 when not strict);
+    # as A_ub x <= b_ub that is -coeffs . x <= const (- margin when strict).
+    rows = trig._box_rows(m)
+    a_ub = [[-c for c in coeffs] for _tag, coeffs, _const, _strict in rows]
     b_ub = [
-        -(mgon_lower_bound(m) + margin),
-        math.pi - margin,
-        -margin,
-        -margin,
-        math.pi - margin,
-        -margin,
-        -(math.pi + margin),
-        TWO_PI,
+        const - margin if strict else const for _tag, _coeffs, const, strict in rows
     ]
     res = linprog(
         c=[0.0, 0.0, 0.0],
@@ -383,13 +364,13 @@ def _entry_alpha2beta(m: int, seed: VertexType, tol: float) -> ClassificationEnt
 
 
 def _entry_alphabeta2(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    from .generators import dodecahedron_matchings, snub_dodecahedron, triangular_fusion
+    from .generators import dodecahedron_matchings, triangular_fusion
     from .realization import sporadic_solution
 
     s = sporadic_solution("snub-fusion")
     avc = enumerate_avc(s, tol=tol)
     first_matching = dodecahedron_matchings()[0]
-    sample = triangular_fusion(snub_dodecahedron(), first_matching)
+    sample = triangular_fusion(first_matching)
     avc = avc.with_realized(_census_keys(sample))
     side_notes = (
         "beta = 2*gamma at this solution",

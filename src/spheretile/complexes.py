@@ -1,11 +1,12 @@
 """Half-edge complexes for labeled spherical tilings.
 
 A tiling is stored as a closed, oriented half-edge mesh whose faces are
-either regular m-gons (every corner labeled ``alpha``), rhombi (corners
-alternating ``beta``, ``gamma``) or, as a construction intermediate only,
-equilateral triangles (corners all ``gamma``).  Building from a face list
-validates the edge-to-edge property, the manifold condition, sphericity
-(Euler characteristic 2 plus connectivity) and the label discipline.
+regular m-gons (every corner labeled ``alpha``) or rhombi (corners
+alternating ``beta``, ``gamma``).  Building from a face list validates the
+label discipline, then hands the bare vertex cycles to
+:func:`validate_sphere`, the one home of the surface checks: the
+edge-to-edge property, the manifold condition and sphericity (Euler
+characteristic 2 plus connectivity).
 
 Corner labels live on half-edges: the label of a half-edge is the corner
 at its origin vertex inside its face.  That makes the rhombus alternation
@@ -15,14 +16,13 @@ to the labels it must serialize.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .trig import TWO_PI, ANGLE_NAMES, AngleSolution
 
-KINDS = ("mgon", "rhombus", "triangle")
+KINDS = ("mgon", "rhombus")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 _LABEL_CODE = {name: i for i, name in enumerate(ANGLE_NAMES)}
 
@@ -85,7 +85,7 @@ class TilingComplex:
         twin: list[int],
         face_of: list[int],
         face_start: list[int],
-        out_edges: dict[int, list[int]],
+        out_edges: list[list[int]],
     ):
         self.faces = faces
         self.vertex_names = vertex_names
@@ -130,9 +130,6 @@ class TilingComplex:
 
     def degree(self, v: int) -> int:
         return len(self._out_edges[v])
-
-    def corner_labels_at(self, v: int) -> list[str]:
-        return [self._label[h] for h in self._out_edges[v]]
 
     def face_specs(self) -> list[tuple[str, list[int], list[str]]]:
         """Face list with internal vertex ids, suitable for re-building."""
@@ -296,8 +293,6 @@ def _check_face(kind: str, vertices: Sequence[Hashable], labels: Sequence[str]) 
         raise BadLabels(
             f"{kind} face has {len(vertices)} vertices but {len(labels)} labels"
         )
-    if len(set(vertices)) != len(vertices):
-        raise NotEdgeToEdge(f"{kind} face visits a vertex twice: {tuple(vertices)!r}")
     for lab in labels:
         if lab not in ANGLE_NAMES:
             raise BadLabels(f"unknown corner label {lab!r}")
@@ -306,7 +301,7 @@ def _check_face(kind: str, vertices: Sequence[Hashable], labels: Sequence[str]) 
             raise BadLabels("m-gon face needs at least 3 vertices")
         if any(lab != "alpha" for lab in labels):
             raise BadLabels(f"m-gon corners must all be alpha, got {tuple(labels)!r}")
-    elif kind == "rhombus":
+    else:
         if len(vertices) != 4:
             raise BadLabels("rhombus face needs exactly 4 vertices")
         l0, l1, l2, l3 = labels
@@ -314,57 +309,67 @@ def _check_face(kind: str, vertices: Sequence[Hashable], labels: Sequence[str]) 
             raise BadLabels(
                 f"rhombus corners must alternate beta/gamma, got {tuple(labels)!r}"
             )
-    else:
-        if len(vertices) != 3:
-            raise BadLabels("triangle face needs exactly 3 vertices")
-        if any(lab != "gamma" for lab in labels):
-            raise BadLabels(
-                f"triangle corners carry the provisional gamma label, got {tuple(labels)!r}"
-            )
 
 
-def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
-    """Validate a face list and assemble the half-edge complex.
+class SphereSurface(NamedTuple):
+    """Half-edge arrays of a validated sphere, as built by :func:`validate_sphere`.
 
-    Each spec is (kind, cyclic vertex list, cyclic label list) with the
-    label at position i sitting at the corner of vertex i.  Raises
-    NotEdgeToEdge, NotSphere, BadLabels or DegreeTooLow as appropriate.
+    Vertices are numbered 0..V-1 in order of first appearance and
+    ``vertex_names`` maps them back.  Half-edge ``face_start[f] + i`` runs
+    from the i-th to the (i+1)-th vertex of cycle f; ``out_edges[v]`` lists
+    the half-edges leaving v in increasing order.
     """
-    specs = list(face_specs)
-    if not specs:
-        raise NotSphere("no faces")
 
+    vertex_names: tuple[Hashable, ...]
+    cycles: list[tuple[int, ...]]
+    origin: list[int]
+    nxt: list[int]
+    twin: list[int]
+    face_of: list[int]
+    face_start: list[int]
+    out_edges: list[list[int]]
+
+
+def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
+    """Check that face cycles close up into an oriented 2-sphere.
+
+    Each cycle lists one face's vertices (arbitrary hashable names) in
+    order; faces sharing an edge must run along it in opposite directions.
+    Raises NotEdgeToEdge when a cycle repeats a vertex or a directed edge
+    is duplicated or unpaired, DegreeTooLow when a vertex meets fewer than
+    three faces, and NotSphere for a pinched vertex link, a disconnected
+    complex or an Euler characteristic other than 2.
+    """
     vertex_ids: dict[Hashable, int] = {}
-    faces: list[Face] = []
-    for kind, vertices, labels in specs:
-        _check_face(kind, vertices, labels)
+    numbered: list[tuple[int, ...]] = []
+    for cycle in cycles:
+        if len(set(cycle)) != len(cycle):
+            raise NotEdgeToEdge(f"face visits a vertex twice: {tuple(cycle)!r}")
+        if len(cycle) < 3:
+            raise NotEdgeToEdge(f"face has fewer than 3 vertices: {tuple(cycle)!r}")
         ids = []
-        for name in vertices:
+        for name in cycle:
             if name not in vertex_ids:
                 vertex_ids[name] = len(vertex_ids)
             ids.append(vertex_ids[name])
-        faces.append(Face(kind, tuple(ids), tuple(labels)))
-
-    mgon_sizes = {f.size for f in faces if f.kind == "mgon"}
-    if len(mgon_sizes) > 1:
-        raise BadLabels(
-            f"all m-gon faces must be congruent, got sizes {sorted(mgon_sizes)}"
-        )
+        numbered.append(tuple(ids))
+    if not numbered:
+        raise NotSphere("no faces")
+    names = tuple(vertex_ids)
 
     origin: list[int] = []
-    label: list[str] = []
     nxt: list[int] = []
     face_of: list[int] = []
     face_start: list[int] = []
     directed: dict[tuple[int, int], int] = {}
 
-    for fi, face in enumerate(faces):
-        k = face.size
+    for fi, cycle in enumerate(numbered):
+        k = len(cycle)
         base = len(origin)
         face_start.append(base)
         for i in range(k):
-            u = face.vertices[i]
-            v = face.vertices[(i + 1) % k]
+            u = cycle[i]
+            v = cycle[(i + 1) % k]
             key = (u, v)
             if key in directed:
                 raise NotEdgeToEdge(
@@ -373,7 +378,6 @@ def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
                 )
             directed[key] = base + i
             origin.append(u)
-            label.append(face.labels[i])
             nxt.append(base + (i + 1) % k)
             face_of.append(fi)
 
@@ -384,19 +388,17 @@ def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
             raise NotEdgeToEdge(f"edge {u}-{v} borders only one face")
         twin[h] = partner
 
-    out_edges: dict[int, list[int]] = {v: [] for v in range(len(vertex_ids))}
+    out_edges: list[list[int]] = [[] for _ in names]
     for h, u in enumerate(origin):
         out_edges[u].append(h)
 
-    for v, edges in out_edges.items():
+    for v, edges in enumerate(out_edges):
         if len(edges) < 3:
-            raise DegreeTooLow(
-                f"vertex {_name_of(vertex_ids, v)!r} has degree {len(edges)}"
-            )
+            raise DegreeTooLow(f"vertex {names[v]!r} has degree {len(edges)}")
 
     # Manifold link check: rotating a half-edge about its origin via
     # next(twin(h)) must visit every out-edge of that origin in one cycle.
-    for v, edges in out_edges.items():
+    for v, edges in enumerate(out_edges):
         seen = {edges[0]}
         h = edges[0]
         for _ in range(len(edges) - 1):
@@ -406,47 +408,71 @@ def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
             seen.add(h)
         if len(seen) != len(edges):
             raise NotSphere(
-                f"vertex {_name_of(vertex_ids, v)!r} has a pinched link "
+                f"vertex {names[v]!r} has a pinched link "
                 f"({len(seen)} of {len(edges)} faces in one umbrella)"
             )
 
     # Connectivity over the face-adjacency graph.
-    reached = [False] * len(faces)
+    reached = [False] * len(numbered)
     queue = deque([0])
     reached[0] = True
     count = 1
     while queue:
         fi = queue.popleft()
         base = face_start[fi]
-        for i in range(faces[fi].size):
+        for i in range(len(numbered[fi])):
             g = face_of[twin[base + i]]
             if not reached[g]:
                 reached[g] = True
                 count += 1
                 queue.append(g)
-    if count != len(faces):
-        raise NotSphere(f"complex is disconnected ({count} of {len(faces)} faces reachable)")
+    if count != len(numbered):
+        raise NotSphere(
+            f"complex is disconnected ({count} of {len(numbered)} faces reachable)"
+        )
 
-    v_count = len(vertex_ids)
+    v_count = len(names)
     e_count = len(origin) // 2
-    f_count = len(faces)
+    f_count = len(numbered)
     euler = v_count - e_count + f_count
     if euler != 2:
         raise NotSphere(
             f"Euler characteristic {euler} (V={v_count}, E={e_count}, F={f_count}), expected 2"
         )
 
-    names = tuple(sorted(vertex_ids, key=vertex_ids.get))
-    return TilingComplex(
-        tuple(faces), names, origin, label, nxt, twin, face_of, face_start, out_edges
+    return SphereSurface(
+        names, numbered, origin, nxt, twin, face_of, face_start, out_edges
     )
 
 
-def _name_of(vertex_ids: dict[Hashable, int], internal: int) -> Hashable:
-    for name, idx in vertex_ids.items():
-        if idx == internal:
-            return name
-    return internal
+def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
+    """Validate a face list and assemble the half-edge complex.
+
+    Each spec is (kind, cyclic vertex list, cyclic label list) with the
+    label at position i sitting at the corner of vertex i.  Raises
+    BadLabels for the labeling discipline, then whatever
+    :func:`validate_sphere` raises for the vertex cycles.
+    """
+    specs = list(face_specs)
+    for kind, vertices, labels in specs:
+        _check_face(kind, vertices, labels)
+
+    mgon_sizes = {len(vertices) for kind, vertices, _ in specs if kind == "mgon"}
+    if len(mgon_sizes) > 1:
+        raise BadLabels(
+            f"all m-gon faces must be congruent, got sizes {sorted(mgon_sizes)}"
+        )
+
+    s = validate_sphere(vertices for _kind, vertices, _labels in specs)
+    faces = tuple(
+        Face(kind, ids, tuple(labels))
+        for (kind, _, labels), ids in zip(specs, s.cycles)
+    )
+    label = [lab for face in faces for lab in face.labels]
+    return TilingComplex(
+        faces, s.vertex_names, s.origin, label, s.nxt, s.twin, s.face_of,
+        s.face_start, s.out_edges,
+    )
 
 
 # -- combinatorial verification ----------------------------------------------
@@ -504,9 +530,6 @@ def verify_combinatorial(
     n_alpha, n_beta, n_gamma = t.corner_counts()
     n_mgon = sum(1 for f in t.faces if f.kind == "mgon")
     n_rhombus = sum(1 for f in t.faces if f.kind == "rhombus")
-    n_triangle = sum(1 for f in t.faces if f.kind == "triangle")
-    if n_triangle:
-        failures.append(f"{n_triangle} unfused triangle faces present")
     expected_alpha = sum(f.size for f in t.faces if f.kind == "mgon")
     if n_alpha != expected_alpha:
         failures.append(f"alpha corner count {n_alpha}, expected {expected_alpha}")

@@ -18,6 +18,7 @@ from .complexes import (
     TilingComplex,
     build_from_faces,
     canonical_code,
+    validate_sphere,
 )
 
 Arc = tuple[Hashable, Hashable]
@@ -33,59 +34,25 @@ class FusionConflict(Exception):
 class OrientedPolyhedron:
     """Closed surface given by consistently oriented face cycles.
 
-    Each face is a cyclic tuple of vertex ids.  Every directed arc (u, v)
-    must appear in exactly one face, and its reversal in exactly one other;
-    the constructor validates this and precomputes the usual maps:
-    ``rev``, ``fnext`` (next arc within the face), ``left`` (face index of
-    an arc) and ``sigma`` (rotation of out-arcs about the origin vertex,
-    sigma(a) = fnext(rev(a))).
+    Each face is a cyclic tuple of vertex ids.  The constructor validates
+    the cycles through :func:`validate_sphere` and precomputes the usual
+    arc maps: ``rev``, ``fnext`` (next arc within the face), ``left`` (face
+    index of an arc) and ``sigma`` (rotation of out-arcs about the origin
+    vertex, sigma(a) = fnext(rev(a))).
     """
 
     def __init__(self, faces: Sequence[Sequence[Hashable]]):
         self.faces: tuple[tuple[Hashable, ...], ...] = tuple(
             tuple(f) for f in faces
         )
-        self.fnext: dict[Arc, Arc] = {}
-        self.left: dict[Arc, int] = {}
-        for fi, face in enumerate(self.faces):
-            k = len(face)
-            if k < 3:
-                raise ValueError(f"face {fi} has fewer than 3 vertices")
-            if len(set(face)) != k:
-                raise ValueError(f"face {fi} repeats a vertex: {face!r}")
-            for i in range(k):
-                a = (face[i], face[(i + 1) % k])
-                if a in self.left:
-                    raise ValueError(
-                        f"arc {a!r} appears twice; orientations are inconsistent"
-                    )
-                self.left[a] = fi
-                self.fnext[a] = (face[(i + 1) % k], face[(i + 2) % k])
-        for (u, v) in self.left:
-            if (v, u) not in self.left:
-                raise ValueError(f"arc {(u, v)!r} has no reversal; surface has boundary")
-
-        self.out_arcs: dict[Hashable, list[Arc]] = {}
-        for (u, v) in self.left:
-            self.out_arcs.setdefault(u, []).append((u, v))
-        for u in self.out_arcs:
-            self.out_arcs[u].sort()
-
-        # Manifold check: the sigma orbit of any out-arc must cover all of them.
-        for u, arcs in self.out_arcs.items():
-            orbit = {arcs[0]}
-            a = arcs[0]
-            for _ in range(len(arcs) - 1):
-                a = self.sigma(a)
-                orbit.add(a)
-            if len(orbit) != len(arcs):
-                raise ValueError(f"vertex {u!r} has a pinched link")
-
-        self.vertex_count = len(self.out_arcs)
-        self.edge_count = len(self.left) // 2
-        self.face_count = len(self.faces)
-        if self.vertex_count - self.edge_count + self.face_count != 2:
-            raise ValueError("polyhedron is not a sphere")
+        s = validate_sphere(self.faces)
+        names = s.vertex_names
+        arcs = [(names[u], names[s.origin[n]]) for u, n in zip(s.origin, s.nxt)]
+        self.left: dict[Arc, int] = {a: s.face_of[h] for h, a in enumerate(arcs)}
+        self.fnext: dict[Arc, Arc] = {a: arcs[s.nxt[h]] for h, a in enumerate(arcs)}
+        self.out_arcs: dict[Hashable, list[Arc]] = {
+            names[v]: sorted(arcs[h] for h in out) for v, out in enumerate(s.out_edges)
+        }
 
     @staticmethod
     def rev(a: Arc) -> Arc:
@@ -94,9 +61,6 @@ class OrientedPolyhedron:
     def sigma(self, a: Arc) -> Arc:
         """Next out-arc of origin(a), rotating through the face right of a."""
         return self.fnext[self.rev(a)]
-
-    def arcs(self) -> list[Arc]:
-        return sorted(self.left)
 
     def undirected_edges(self) -> list[Arc]:
         return sorted(a for a in self.left if a < self.rev(a))
@@ -110,26 +74,6 @@ class OrientedPolyhedron:
             orbit.append(a)
             a = self.sigma(a)
         return orbit
-
-    def degree(self, u: Hashable) -> int:
-        return len(self.out_arcs[u])
-
-
-def tetrahedron() -> OrientedPolyhedron:
-    return OrientedPolyhedron([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
-
-
-def cube() -> OrientedPolyhedron:
-    return OrientedPolyhedron(
-        [
-            (0, 1, 2, 3),
-            (0, 4, 5, 1),
-            (1, 5, 6, 2),
-            (2, 6, 7, 3),
-            (3, 7, 4, 0),
-            (7, 6, 5, 4),
-        ]
-    )
 
 
 def icosahedron() -> OrientedPolyhedron:
@@ -181,17 +125,6 @@ def truncate(p: OrientedPolyhedron) -> OrientedPolyhedron:
         orbit = p.vertex_orbit(u)
         faces.append(tuple(reversed(orbit)))
     return OrientedPolyhedron(faces)
-
-
-def snub(p: OrientedPolyhedron) -> OrientedPolyhedron:
-    """Snub construction: one vertex per arc, original faces shrunk and
-    twisted, one triangle per original vertex, two per original edge."""
-    structure = _snub_faces(p)
-    return OrientedPolyhedron(
-        structure["polygons"]
-        + structure["vertex_triangles"]
-        + structure["edge_triangles"]
-    )
 
 
 def _snub_faces(p: OrientedPolyhedron) -> dict:
@@ -336,22 +269,6 @@ def football() -> TilingComplex:
     return build_from_faces(faces)
 
 
-def snub_dodecahedron() -> TilingComplex:
-    """Snub dodecahedron as an intermediate complex.
-
-    The 80 triangles carry the provisional all-gamma labeling; the complex
-    is not itself a dihedral tiling and exists to be fused.
-    """
-    snb = snub(dodecahedron())
-    faces: list = []
-    for face in snb.faces:
-        if len(face) == 5:
-            faces.append(("mgon", face, ("alpha",) * 5))
-        else:
-            faces.append(("triangle", face, ("gamma",) * 3))
-    return build_from_faces(faces)
-
-
 def dodecahedron_matchings() -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings of the dodecahedron graph, by backtracking.
 
@@ -391,9 +308,7 @@ def dodecahedron_matchings() -> list[tuple[tuple[int, int], ...]]:
     return matchings
 
 
-def triangular_fusion(
-    base: TilingComplex, matching: Iterable
-) -> TilingComplex:
+def triangular_fusion(matching: Iterable) -> TilingComplex:
     """Fuse the snub dodecahedron's triangles into rhombi along a matching.
 
     Each dodecahedron edge corresponds to a pair of edge triangles sharing
@@ -403,7 +318,6 @@ def triangular_fusion(
     triangle exactly once, so all 80 triangles pair into 40 rhombi.  The
     fused diagonal's endpoints receive beta, the other corners gamma.
     """
-    _require_snub_shape(base)
     edges_used = _normalize_matching(matching)
 
     dod = dodecahedron()
@@ -460,22 +374,6 @@ def _fuse(
     c1 = arcs1[(p, q)]
     c2 = arcs2[(q, p)]
     return (q, c1, p, c2)
-
-
-def _require_snub_shape(base: TilingComplex) -> None:
-    pentagons = sum(1 for f in base.faces if f.kind == "mgon" and f.size == 5)
-    triangles = sum(1 for f in base.faces if f.kind == "triangle")
-    if (
-        pentagons != 12
-        or triangles != 80
-        or base.vertex_count != 60
-        or base.edge_count != 150
-    ):
-        raise ValueError(
-            "base must be the snub dodecahedron "
-            f"(got {pentagons} pentagons, {triangles} triangles, "
-            f"V={base.vertex_count}, E={base.edge_count})"
-        )
 
 
 def _normalize_matching(matching: Iterable) -> set[frozenset]:
@@ -622,8 +520,7 @@ def fusion_classification() -> dict:
     to the edge opposite another trio's middle, 3 before 2.
     """
     matchings = dodecahedron_matchings()
-    base = snub_dodecahedron()
-    fusions = [triangular_fusion(base, mt) for mt in matchings]
+    fusions = [triangular_fusion(mt) for mt in matchings]
     by_code: dict[tuple, list[int]] = {}
     for idx, fused in enumerate(fusions):
         by_code.setdefault(canonical_code(fused), []).append(idx)

@@ -6,7 +6,9 @@ from its corner angles and edge length, and every further face is placed
 across an already-embedded edge.  Re-visiting a vertex checks the
 propagated position against the stored one, so an inconsistent angle
 solution or a wrong complex surfaces as a closure defect instead of a
-silently distorted picture.
+silently distorted picture.  :func:`verify_tiling` re-checks a tiling
+and its optional placement from scratch, inferring the angles when none
+are given.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
-from . import trig
-from .trig import TWO_PI, AngleSolution, mgon_lower_bound, solve_closure
-from .complexes import TilingComplex, verify_combinatorial
+from .trig import TWO_PI, AngleSolution, solve_closure
+from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
 from .generators import earth_map, prism
 
 #: Global handedness of the face-walking rotation; fixed so that faces
@@ -49,9 +51,6 @@ class Embedding:
     positions: dict[int, np.ndarray]
     seed_face: int = 0
     worst_defect: float = 0.0
-
-    def position_array(self, count: int) -> np.ndarray:
-        return np.array([self.positions[v] for v in range(count)])
 
 
 @dataclass(frozen=True)
@@ -82,26 +81,13 @@ def earth_map_gamma(c: int) -> float:
     """The unique gamma in (0, 2*pi/5) whose block length is exactly c.
 
     c(gamma) decreases continuously from +infinity (gamma -> 0) to 1 at
-    gamma = 2*pi/5, so for any integer c >= 2 bisection brackets the root;
-    iteration stops at machine-width intervals, leaving |c(gamma) - c|
-    well under 1e-10.
+    gamma = 2*pi/5, so for any integer c >= 2 the interval brackets the
+    root.  Brent's method with an absolute tolerance of 1e-15 leaves
+    |c(gamma) - c| well under 1e-10; scipy's default tolerance does not.
     """
     if c < 2:
         raise ValueError(f"earth-map blocks need c >= 2, got {c}")
-    lo, hi = 1e-9, 2.0 * math.pi / 5.0
-    flo = _earth_map_c(lo) - c
-    fhi = _earth_map_c(hi) - c
-    assert flo > 0.0 > fhi, "bisection bracket failed"
-    while hi - lo > 1e-15 * hi:
-        mid = 0.5 * (lo + hi)
-        fmid = _earth_map_c(mid) - c
-        if fmid == 0.0:
-            return mid
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda g: _earth_map_c(g) - c, 1e-9, 2.0 * math.pi / 5.0, xtol=1e-15)
 
 
 def earth_map_solution(c: int) -> AngleSolution:
@@ -264,10 +250,6 @@ def _rotate_tangent(p: np.ndarray, tangent: np.ndarray, angle: float) -> np.ndar
     return math.cos(angle) * tangent + math.sin(angle) * np.cross(p, tangent)
 
 
-def _angle_value(s: AngleSolution, label: str) -> float:
-    return {"alpha": s.alpha, "beta": s.beta, "gamma": s.gamma}[label]
-
-
 def embed_generic(
     t: TilingComplex,
     s: AngleSolution,
@@ -317,7 +299,7 @@ def embed_generic(
         # doubles as a closure check on the angle solution.
         for he in half_edges[1:]:
             corner = t.label_of(he)
-            theta = _angle_value(s, corner)
+            theta = s.angle(corner)
             back = _tangent_toward(p_cur, p_prev)
             forward = _rotate_tangent(p_cur, back, SPIN * theta)
             p_next = _step(p_cur, forward, x)
@@ -476,7 +458,7 @@ def verify_geometric(
             p_cur = pos[face.vertices[i]]
             p_next = pos[face.vertices[(i + 1) % k]]
             angle = _corner_angle(p_prev, p_cur, p_next)
-            expected = _angle_value(s, face.labels[i])
+            expected = s.angle(face.labels[i])
             worst_corner = max(worst_corner, abs(angle - expected))
             if abs(angle - expected) > tol:
                 failures.append(
@@ -562,3 +544,116 @@ def _find_overlaps(
             if hit:
                 overlaps.append((fi, fj))
     return overlaps
+
+
+# -- verification from scratch ------------------------------------------------
+
+
+@dataclass
+class TilingVerification:
+    """Outcome of :func:`verify_tiling`.
+
+    ``angle_source`` says where ``solution`` came from.  When no angles
+    were given and none could be inferred, ``solution`` and both reports
+    are None and ``angle_source`` says why.  ``geometric`` is None
+    whenever no embedding was given.
+    """
+
+    solution: Optional[AngleSolution]
+    angle_source: str
+    combinatorial: Optional[CombinatorialReport] = None
+    geometric: Optional[GeometricReport] = None
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.combinatorial is not None
+            and self.combinatorial.ok
+            and (self.geometric is None or self.geometric.ok)
+        )
+
+
+def verify_tiling(
+    t: TilingComplex,
+    embedding: Optional[Embedding] = None,
+    angles: Optional[AngleSolution] = None,
+    tol: Optional[float] = None,
+) -> TilingVerification:
+    """Re-check a tiling and its optional placement, whatever produced them.
+
+    The angles are taken from ``angles`` when given, else measured from
+    the embedding, else solved from the vertex census.  ``tol`` overrides
+    both the combinatorial tolerance (default 1e-9) and the geometric one
+    (default 1e-6).  Report-based: nothing raises for a broken tiling.
+    """
+    if angles is not None:
+        solution, source = angles, "from the document's angles field"
+    elif embedding is not None:
+        solution, source = _measured_solution(t, embedding), "measured from coordinates"
+    else:
+        solution, source = _census_solution(t)
+        if solution is None:
+            return TilingVerification(None, source)
+
+    comb = verify_combinatorial(t, solution, tol=1e-9 if tol is None else tol)
+    geo = None
+    if embedding is not None:
+        geo = verify_geometric(t, embedding, solution, tol=1e-6 if tol is None else tol)
+    return TilingVerification(solution, source, comb, geo)
+
+
+def _measured_solution(t: TilingComplex, embedding: Embedding) -> AngleSolution:
+    """Angle solution read off the coordinates themselves.
+
+    One corner per label and one edge fix the candidate values; the
+    verifier then checks every other corner and edge against them, which
+    is exactly internal consistency of the document.
+    """
+    pos = embedding.positions
+    values = {}
+    for face in t.faces:
+        for i, lab in enumerate(face.labels):
+            if lab in values:
+                continue
+            k = face.size
+            p_prev = pos[face.vertices[(i - 1) % k]]
+            p_cur = pos[face.vertices[i]]
+            p_next = pos[face.vertices[(i + 1) % k]]
+            values[lab] = _corner_angle(p_prev, p_cur, p_next)
+    u, v = t.undirected_edges()[0]
+    cos_x = max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))
+    return AngleSolution(
+        m=t.gonality,
+        alpha=values.get("alpha", 0.0),
+        beta=values.get("beta", 0.0),
+        gamma=values.get("gamma", 0.0),
+        cos_x=cos_x,
+    )
+
+
+def _census_solution(t: TilingComplex) -> tuple[Optional[AngleSolution], str]:
+    """Infer the angle solution from the vertex-type census.
+
+    Two independent census rows pin the angles via the closure equation.
+    A rank-one census only happens for the prism census {alpha.beta.gamma}
+    (a one-parameter family), where any representative radius verifies.
+    """
+    rows = sorted(t.census().keys())
+    m = t.gonality
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            try:
+                roots = solve_closure(m, [rows[i], rows[j]])
+            except ValueError:
+                continue
+            for root in roots:
+                if verify_combinatorial(t, root, tol=1e-6).ok:
+                    return root, f"solved from census rows {rows[i]} and {rows[j]}"
+            if roots:
+                return roots[0], f"solved from census rows {rows[i]} and {rows[j]}"
+    if rows == [(1, 1, 1)]:
+        return (
+            prism_solution(m, prism_default_radius(m)),
+            "census is the one-parameter prism type; using a representative radius",
+        )
+    return None, "census does not determine the angles and no angles field is present"

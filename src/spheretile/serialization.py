@@ -16,10 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
-from .complexes import TilingComplex, build_from_faces
+from .complexes import KINDS, TilingComplex, build_from_faces
 from .realization import Embedding
-
-FACE_KINDS = ("mgon", "rhombus")
 
 
 class SchemaError(Exception):
@@ -56,7 +54,7 @@ class TilingDocument:
         return Embedding(positions)
 
 
-def _angles_payload(s: AngleSolution) -> dict[str, str]:
+def angles_payload(s: AngleSolution) -> dict[str, str]:
     return {
         "alpha": _f17(s.alpha),
         "beta": _f17(s.beta),
@@ -76,19 +74,14 @@ def serialize_tiling(
     dense.  Coordinates, when an embedding is given, are indexed by the
     same ids.
     """
-    faces = []
-    for face in t.faces:
-        if face.kind not in FACE_KINDS:
-            raise ValueError(
-                f"face kind {face.kind!r} has no document representation"
-            )
-        faces.append(
-            {
-                "kind": face.kind,
-                "vertices": list(face.vertices),
-                "labels": list(face.labels),
-            }
-        )
+    faces = [
+        {
+            "kind": face.kind,
+            "vertices": list(face.vertices),
+            "labels": list(face.labels),
+        }
+        for face in t.faces
+    ]
     payload: dict = {
         "m": t.gonality,
         "vertices": t.vertex_count,
@@ -100,7 +93,7 @@ def serialize_tiling(
             for v in range(t.vertex_count)
         ]
     if angles is not None:
-        payload["angles"] = _angles_payload(angles)
+        payload["angles"] = angles_payload(angles)
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -157,7 +150,7 @@ def parse_tiling(text: str) -> TilingDocument:
         for key in ("kind", "vertices", "labels"):
             _require(key in rf, f"face {i} is missing {key!r}")
         kind = rf["kind"]
-        _require(kind in FACE_KINDS, f"face {i} kind must be one of {FACE_KINDS}")
+        _require(kind in KINDS, f"face {i} kind must be one of {KINDS}")
         verts = rf["vertices"]
         labels = rf["labels"]
         _require(
@@ -259,7 +252,7 @@ def export_obj(t: TilingComplex, e: Embedding) -> str:
 
 # -- SVG ----------------------------------------------------------------------
 
-_SVG_FILL = {"mgon": "#4878a8", "rhombus": "#e8c468", "triangle": "#b0b0b0"}
+_SVG_FILL = {"mgon": "#4878a8", "rhombus": "#e8c468"}
 _VIEW = 1000.0
 
 

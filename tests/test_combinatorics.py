@@ -42,6 +42,15 @@ def test_degree3_seeds_high_m(m):
     assert {tuple(v) for v in enumerate_degree3(m)} == HIGH_M_SEEDS
 
 
+def test_degree3_seeds_in_order_for_every_m():
+    """The LP built from the admissibility box rows keeps every seed list."""
+    assert enumerate_degree3(5) == [
+        (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1), (0, 3, 0), (0, 2, 1),
+    ]
+    for m in range(6, 65):
+        assert enumerate_degree3(m) == [(2, 0, 1), (1, 1, 1), (0, 2, 1)], m
+
+
 def test_degree3_excludes_narrowly_infeasible_types():
     """Types whose angle box contradiction is tiny must still be rejected.
 

@@ -77,11 +77,11 @@ def test_build_rejects_mislabeled_mgon():
 
 
 def test_build_rejects_degree_two_vertices():
-    # Two triangles glued along all three edges: a sphere, but every
+    # Two 3-gons glued along all three edges: a sphere, but every
     # vertex has degree 2, too low for a corner of a tiling.
     specs = [
-        ("triangle", [0, 1, 2], ["gamma"] * 3),
-        ("triangle", [0, 2, 1], ["gamma"] * 3),
+        ("mgon", [0, 1, 2], ["alpha"] * 3),
+        ("mgon", [0, 2, 1], ["alpha"] * 3),
     ]
     with pytest.raises(DegreeTooLow):
         build_from_faces(specs)

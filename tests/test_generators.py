@@ -11,8 +11,9 @@ from spheretile.generators import (
     football,
     fusion_classification,
     icosahedron,
+    OrientedPolyhedron,
+    _snub_faces,
     prism,
-    snub_dodecahedron,
     snub_fusion,
     triangular_fusion,
     truncate,
@@ -85,9 +86,17 @@ def test_snub_fusion_rejects_bad_variant():
 
 
 def test_snub_dodecahedron_intermediate():
-    t = snub_dodecahedron()
-    assert (t.vertex_count, t.edge_count, t.face_count) == (60, 150, 92)
-    assert t.census() == {(1, 0, 4): 60}
+    structure = _snub_faces(dodecahedron())
+    polygons = structure["polygons"]
+    triangles = structure["vertex_triangles"] + structure["edge_triangles"]
+    assert [len(f) for f in polygons] == [5] * 12
+    assert [len(f) for f in triangles] == [3] * 80
+    snub = OrientedPolyhedron(polygons + triangles)
+    assert (len(snub.out_arcs), len(snub.undirected_edges())) == (60, 150)
+    # Every snub vertex meets one pentagon and four triangles.
+    for u in snub.out_arcs:
+        sizes = sorted(len(snub.faces[snub.left[a]]) for a in snub.vertex_orbit(u))
+        assert sizes == [3, 3, 3, 3, 5]
 
 
 def test_polyhedron_seeds():
@@ -143,21 +152,20 @@ def test_matching_enumeration_agrees_with_oracle():
 
 
 def test_fusion_rejects_invalid_matchings():
-    base = snub_dodecahedron()
     good = dodecahedron_matchings()[0]
     with pytest.raises(ValueError, match="10 distinct edges"):
-        triangular_fusion(base, good[:9])
+        triangular_fusion(good[:9])
     overlapping = list(good[:9]) + [good[0]]
     with pytest.raises(ValueError, match="10 distinct edges"):
-        triangular_fusion(base, overlapping)
+        triangular_fusion(overlapping)
     u, v = good[0]
     w = next(b for a, b in good[1:] for b in [b] if a != u and b != u)
     clash = [tuple(sorted((u, w)))] + [p for p in good if u not in p and w not in p]
     if len(clash) == 10:
         with pytest.raises(ValueError, match="covers a vertex twice|not a dodecahedron edge"):
-            triangular_fusion(base, clash)
+            triangular_fusion(clash)
     with pytest.raises(ValueError, match="not a dodecahedron edge"):
-        triangular_fusion(base, [(0, 13)] + list(good[:9]))
+        triangular_fusion([(0, 13)] + list(good[:9]))
 
 
 def test_fusion_classes():
@@ -194,8 +202,7 @@ def test_bullet_and_chain_diagnostics_match_classification():
 
 def test_matchings_in_same_class_fuse_isomorphically():
     info = fusion_classification()
-    base = snub_dodecahedron()
     cls = info["classes"][0]
     rep = cls["representative"]
-    other = triangular_fusion(base, info["matchings"][cls["members"][1]])
+    other = triangular_fusion(info["matchings"][cls["members"][1]])
     assert isomorphic(rep, other)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from spheretile.complexes import build_from_faces
 from spheretile.generators import earth_map, football, prism, snub_fusion
 from spheretile.realization import (
     ClosureDefect,
@@ -21,6 +22,7 @@ from spheretile.realization import (
     prism_solution,
     sporadic_solution,
     verify_geometric,
+    verify_tiling,
 )
 from spheretile.trig import closure_residual, mgon_edge_cos, rhombus_edge_cos
 
@@ -224,3 +226,59 @@ def test_verify_geometric_flags_jitter():
     report = verify_geometric(t, bad, s, tol=1e-6)
     assert not report.ok
     assert any("norm" in msg for msg in report.failures)
+
+
+# -- verification from scratch ---------------------------------------------------
+
+
+def test_verify_tiling_takes_given_angles():
+    t, emb = embed_prism(5, 1.2)
+    s = prism_solution(5, 1.2)
+    result = verify_tiling(t, emb, s)
+    assert result.ok
+    assert result.solution is s
+    assert result.angle_source == "from the document's angles field"
+    assert result.combinatorial.ok and result.geometric.ok
+
+
+def test_verify_tiling_measures_angles_from_coordinates():
+    t, emb = embed_prism(5, 1.2)
+    s = prism_solution(5, 1.2)
+    result = verify_tiling(t, emb)
+    assert result.ok
+    assert result.angle_source == "measured from coordinates"
+    for name in ("alpha", "beta", "gamma", "cos_x"):
+        measured = getattr(result.solution, name)
+        assert measured == pytest.approx(getattr(s, name), abs=1e-9)
+
+
+def test_verify_tiling_solves_angles_from_census_rows():
+    result = verify_tiling(earth_map(3))
+    assert result.ok
+    assert result.geometric is None
+    assert result.angle_source.startswith("solved from census rows")
+    s = earth_map_solution(3)
+    assert result.solution.gamma == pytest.approx(s.gamma, abs=1e-9)
+
+
+def test_verify_tiling_prism_census_uses_representative_radius():
+    result = verify_tiling(prism(7))
+    assert result.ok
+    assert result.angle_source.startswith("census is the one-parameter prism type")
+    assert result.solution == prism_solution(7, prism_default_radius(7))
+
+
+def test_verify_tiling_reports_undetermined_census():
+    # Flipping every other belt rhombus of a hexagonal prism leaves only
+    # the types alpha.beta^2 and alpha.gamma^2, which force beta = gamma.
+    specs = prism(6).face_specs()
+    for i in range(2, len(specs), 2):
+        kind, verts, _ = specs[i]
+        specs[i] = (kind, verts, ["gamma", "beta", "gamma", "beta"])
+    t = build_from_faces(specs)
+    assert sorted(t.census()) == [(1, 0, 2), (1, 2, 0)]
+    result = verify_tiling(t)
+    assert not result.ok
+    assert result.solution is None
+    assert result.combinatorial is None and result.geometric is None
+    assert result.angle_source.startswith("census does not determine the angles")
