@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -41,6 +42,14 @@ GENERATE_FAMILIES = ("prism", "earthmap", "snub1", "snub2", "snub3", "football")
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_classify.add_argument("--out", help="write the report JSON here")
     p_classify.add_argument(
-        "--tol", type=float, default=1e-6, help="vertex-type enumeration tolerance"
+        "--tol", type=tolerance, default=1e-6, help="vertex-type enumeration tolerance"
     )
 
     p_generate = sub.add_parser("generate", help="emit a tiling as JSON/OBJ/SVG")
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a tiling JSON document")
     p_verify.add_argument("--in", dest="path", required=True, help="tiling JSON file")
     p_verify.add_argument(
-        "--tol", type=float, help="override the verification tolerances"
+        "--tol", type=tolerance, help="override the verification tolerances"
     )
 
     p_matchings = sub.add_parser(

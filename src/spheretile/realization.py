@@ -6,7 +6,9 @@ from its corner angles and edge length, and every further face is placed
 across an already-embedded edge.  Re-visiting a vertex checks the
 propagated position against the stored one, so an inconsistent angle
 solution or a wrong complex surfaces as a closure defect instead of a
-silently distorted picture.  :func:`verify_tiling` re-checks a tiling
+silently distorted picture.  :func:`verify_geometric` proves that a
+placement is a tiling by a covering-degree certificate, one small
+determinant matrix per face, and :func:`verify_tiling` re-checks a tiling
 and its optional placement from scratch, inferring the angles when none
 are given.
 """
@@ -375,7 +377,8 @@ def embed_earth_map(c: int) -> tuple[TilingComplex, Embedding]:
 
 @dataclass
 class GeometricReport:
-    """Measured edge lengths, corner angles, vertex sums, area and overlaps."""
+    """Measured edge lengths, corner angles, vertex sums and area, plus the
+    (face, vertex) pairs that break the common convex orientation."""
 
     ok: bool
     failures: list[str]
@@ -386,32 +389,36 @@ class GeometricReport:
     worst_vertex_sum_defect: float
     total_area: float
     area_defect: float
-    overlapping_faces: list[tuple[int, int]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    orientation_failures: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _corner_angle(
-    p_prev: np.ndarray, p_cur: np.ndarray, p_next: np.ndarray
-) -> float:
-    t1 = _tangent_toward(p_cur, p_prev)
-    t2 = _tangent_toward(p_cur, p_next)
+def _angle_between(t1: np.ndarray, t2: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, float(np.dot(t1, t2)))))
 
 
-def _face_sample_points(points: list[np.ndarray], count: int = 16) -> list[np.ndarray]:
-    """Deterministic interior samples: the centroid plus points pulled from
-    the centroid toward each corner."""
-    centroid = _normalize(sum(points))
-    samples = [centroid]
-    k = len(points)
-    fractions = (0.35, 0.65, 0.87)
-    i = 0
-    while len(samples) < count:
-        corner = points[i % k]
-        frac = fractions[(i // k) % len(fractions)]
-        samples.append(_normalize((1.0 - frac) * centroid + frac * corner))
-        i += 1
-    return samples
+def _orientation_failures(
+    t: TilingComplex, pos: dict[int, np.ndarray]
+) -> list[tuple[int, int]]:
+    """(face, vertex) pairs off the common side of one of the face's edges.
+
+    Entry (i, j) of ``cross(Q, roll(Q, -1)) @ Q.T`` is det(q_i, q_i+1, q_j),
+    the side of edge i's great circle that corner j lies on; j at an end of
+    edge i gives 0 and is skipped.  The sign is read from the data, so
+    mirrored placements pass; 1e-12 is far above the rounding error.
+    """
+    dets = []
+    for face in t.faces:
+        q = np.array([pos[v] for v in face.vertices])
+        k = len(q)
+        off_edge = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k >= 2
+        dets.append(np.where(off_edge, np.cross(q, np.roll(q, -1, axis=0)) @ q.T, np.nan))
+    sign = 1.0 if sum(float(np.nansum(d)) for d in dets) > 0.0 else -1.0
+    # NaN entries compare false, so the skipped ones never fail.
+    return [
+        (fi, t.faces[fi].vertices[j])
+        for fi, d in enumerate(dets)
+        for j in np.flatnonzero((sign * d <= 1e-12).any(axis=0))
+    ]
 
 
 def verify_geometric(
@@ -424,8 +431,15 @@ def verify_geometric(
 
     Verifies unit norms, every edge's arc length against the common edge,
     every corner angle against its label, per-vertex angle sums of 2*pi,
-    the total spherical excess of 4*pi, and face interiors staying out of
-    each other.  Report-based: failures are collected, nothing raises.
+    the total spherical excess of 4*pi, and a covering certificate that
+    no face overlaps another.  Report-based: nothing raises.
+
+    The certificate: the complex is a sphere (checked when it was built),
+    no edge arc is 0 or pi, every face is strictly convex with one
+    orientation shared by all faces, and every vertex angle sum lies
+    within pi of 2*pi whatever ``tol`` is.  The placement is then a
+    covering of the sphere by itself of degree 1, hence an embedding.
+    The area check is a second witness: degree d gives area 4*pi*d.
     """
     failures: list[str] = []
     pos = e.positions
@@ -437,9 +451,16 @@ def verify_geometric(
 
     x = s.x
     arcs = []
+    tangent: dict[tuple[int, int], np.ndarray] = {}  # (u, v): unit tangent at u toward v
     for (u, v) in t.undirected_edges():
         d = max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))
         arcs.append(math.acos(d))
+        try:
+            t_uv, t_vu = _tangent_toward(pos[u], pos[v]), _tangent_toward(pos[v], pos[u])
+        except ValueError:
+            failures.append(f"edge {u}-{v} has a zero or pi arc; its corners are not measured")
+        else:
+            tangent[u, v], tangent[v, u] = t_uv, t_vu
     edge_min, edge_max = min(arcs), max(arcs)
     spread = edge_max - edge_min
     if abs(edge_min - x) > tol or abs(edge_max - x) > tol:
@@ -454,23 +475,25 @@ def verify_geometric(
         k = face.size
         measured_sum = 0.0
         for i in range(k):
-            p_prev = pos[face.vertices[(i - 1) % k]]
-            p_cur = pos[face.vertices[i]]
-            p_next = pos[face.vertices[(i + 1) % k]]
-            angle = _corner_angle(p_prev, p_cur, p_next)
+            v_prev, v_cur, v_next = (face.vertices[(i + di) % k] for di in (-1, 0, 1))
+            if (v_cur, v_prev) not in tangent or (v_cur, v_next) not in tangent:
+                continue
+            angle = _angle_between(tangent[v_cur, v_prev], tangent[v_cur, v_next])
             expected = s.angle(face.labels[i])
             worst_corner = max(worst_corner, abs(angle - expected))
             if abs(angle - expected) > tol:
                 failures.append(
-                    f"corner {face.labels[i]} at vertex {face.vertices[i]} measures "
+                    f"corner {face.labels[i]} at vertex {v_cur} measures "
                     f"{angle:.12f}, expected {expected:.12f}"
                 )
-            vertex_sums[face.vertices[i]] += angle
+            vertex_sums[v_cur] += angle
             measured_sum += angle
         face_excess_total += measured_sum - (k - 2) * math.pi
 
+    # The pi bound holds whatever tol is: the certificate needs it to know
+    # that the faces wrap each vertex exactly once.
     worst_vertex_sum = max(abs(total - TWO_PI) for total in vertex_sums.values())
-    if worst_vertex_sum > max(tol, 1e-6):
+    if worst_vertex_sum > max(tol, 1e-6) or worst_vertex_sum >= math.pi:
         failures.append(
             f"worst vertex angle sum is off 2*pi by {worst_vertex_sum:.3e}"
         )
@@ -482,9 +505,13 @@ def verify_geometric(
             f"4*pi by {area_defect:.3e}"
         )
 
-    overlaps = _find_overlaps(t, pos)
-    if overlaps:
-        failures.append(f"{len(overlaps)} face pairs have overlapping interiors")
+    misoriented = _orientation_failures(t, pos)
+    if misoriented:
+        named = ", ".join(f"face {fi} vertex {v}" for fi, v in misoriented[:10])
+        more = ", ..." if len(misoriented) > 10 else ""
+        failures.append(
+            f"{len(misoriented)} (face, vertex) pairs break the convex orientation: {named}{more}"
+        )
 
     return GeometricReport(
         ok=not failures,
@@ -496,54 +523,8 @@ def verify_geometric(
         worst_vertex_sum_defect=worst_vertex_sum,
         total_area=face_excess_total,
         area_defect=area_defect,
-        overlapping_faces=overlaps,
+        orientation_failures=misoriented,
     )
-
-
-def _find_overlaps(
-    t: TilingComplex, pos: dict[int, np.ndarray], margin: float = 1e-6
-) -> list[tuple[int, int]]:
-    """Face pairs whose sampled interiors intrude into each other.
-
-    Every face is convex (spherical polygon with angles below pi), so a
-    point is strictly inside one iff it is on the interior side of each
-    boundary plane by more than the margin.
-    """
-    face_points = []
-    face_planes = []
-    for fi, face in enumerate(t.faces):
-        points = [pos[v] for v in face.vertices]
-        face_points.append(_face_sample_points(points))
-        k = len(points)
-        planes = [np.cross(points[i], points[(i + 1) % k]) for i in range(k)]
-        face_planes.append(planes)
-
-    # The common orientation sign: interior samples of a face against its
-    # own boundary planes.
-    centroid0 = face_points[0][0]
-    sign = 1.0 if min(float(np.dot(pl, centroid0)) for pl in face_planes[0]) > 0 else -1.0
-
-    overlaps = []
-    for fi in range(len(t.faces)):
-        for fj in range(fi + 1, len(t.faces)):
-            hit = False
-            for p in face_points[fj]:
-                if all(
-                    sign * float(np.dot(pl, p)) > margin for pl in face_planes[fi]
-                ):
-                    hit = True
-                    break
-            if not hit:
-                for p in face_points[fi]:
-                    if all(
-                        sign * float(np.dot(pl, p)) > margin
-                        for pl in face_planes[fj]
-                    ):
-                        hit = True
-                        break
-            if hit:
-                overlaps.append((fi, fj))
-    return overlaps
 
 
 # -- verification from scratch ------------------------------------------------
@@ -616,10 +597,12 @@ def _measured_solution(t: TilingComplex, embedding: Embedding) -> AngleSolution:
             if lab in values:
                 continue
             k = face.size
-            p_prev = pos[face.vertices[(i - 1) % k]]
-            p_cur = pos[face.vertices[i]]
-            p_next = pos[face.vertices[(i + 1) % k]]
-            values[lab] = _corner_angle(p_prev, p_cur, p_next)
+            p_prev, p_cur, p_next = (pos[face.vertices[(i + di) % k]] for di in (-1, 0, 1))
+            try:
+                t1, t2 = _tangent_toward(p_cur, p_prev), _tangent_toward(p_cur, p_next)
+                values[lab] = _angle_between(t1, t2)
+            except ValueError:  # a zero or pi edge, which verify_geometric reports
+                continue
     u, v = t.undirected_edges()[0]
     cos_x = max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))
     return AngleSolution(

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
-from .complexes import KINDS, TilingComplex, build_from_faces
+from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
 from .realization import Embedding
 
 
@@ -41,7 +41,11 @@ class TilingDocument:
     angles: Optional[AngleSolution] = None
 
     def build(self) -> TilingComplex:
-        return build_from_faces(self.face_specs)
+        """The validated complex; its m-gons must have the declared ``m`` sides."""
+        t = build_from_faces(self.face_specs)
+        if t.gonality != self.m:
+            raise BadLabels(f"document declares m={self.m}, its m-gons have {t.gonality} sides")
+        return t
 
     def embedding_for(self, t: TilingComplex) -> Embedding:
         """Coordinates keyed by the complex's internal vertex ids."""

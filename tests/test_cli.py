@@ -145,3 +145,54 @@ def test_unknown_arguments_exit_with_usage():
     assert main(["classify", "--m", "5", "--frobnicate"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+
+
+def _generated(tmp_path, capsys, *argv):
+    out = tmp_path / "tiling.json"
+    assert main(["generate", *argv, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    return out, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("form", ["full", "coordinates-only"])
+def test_verify_reports_a_zero_length_edge(tmp_path, capsys, form):
+    out, payload = _generated(tmp_path, capsys, "prism", "--m", "5", "--realize")
+    payload["coordinates"][1] = payload["coordinates"][0]
+    if form == "coordinates-only":
+        del payload["angles"]
+    out.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(out)]) == EXIT_FAIL
+    assert "FAIL edge 0-1 has a zero or pi arc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("form", ["full", "coordinates-only", "bare"])
+def test_verify_rejects_a_wrong_declared_m(tmp_path, capsys, form):
+    out, payload = _generated(tmp_path, capsys, "earthmap", "--c", "3", "--realize")
+    payload["m"] = 7
+    if form != "full":
+        del payload["angles"]
+    if form == "bare":
+        del payload["coordinates"]
+    out.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().out.startswith("FAIL [BadLabels] document declares m=7")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "abc"])
+def test_verify_rejects_a_non_positive_or_non_finite_tol(tmp_path, capsys, tol):
+    out, payload = _generated(tmp_path, capsys, "prism", "--m", "5", "--realize")
+    for face in payload["faces"]:
+        if face["kind"] == "rhombus":
+            face["labels"] = face["labels"][1:] + face["labels"][:1]
+            break
+    out.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(out)]) == EXIT_FAIL
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--tol", tol]) == EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "abc"])
+def test_classify_rejects_a_non_positive_or_non_finite_tol(capsys, tol):
+    assert main(["classify", "--m", "5", "--tol", tol]) == EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err

@@ -165,7 +165,7 @@ def _assert_clean_geometry(t, e, s, tol=1e-6):
     report = verify_geometric(t, e, s, tol=tol)
     assert report.ok, report.failures
     assert report.area_defect < 1e-6
-    assert not report.overlapping_faces
+    assert not report.orientation_failures
 
 
 @pytest.mark.parametrize("m,r", [(3, 0.9), (5, 1.2), (5, 1.35), (8, 1.45)])
@@ -282,3 +282,65 @@ def test_verify_tiling_reports_undetermined_census():
     assert result.solution is None
     assert result.combinatorial is None and result.geometric is None
     assert result.angle_source.startswith("census does not determine the angles")
+
+
+# -- covering certificate ---------------------------------------------------------
+
+
+SHIPPED = ["prism-3", "prism-5", "prism-16", "prism-64", "earthmap-2", "earthmap-8",
+           "earthmap-16", "football", "snub-1", "snub-2", "snub-3"]
+
+
+def _shipped_embedding(name):
+    family, _, size = name.partition("-")
+    if family == "prism":
+        m = int(size)
+        r = prism_default_radius(m)
+        return embed_prism(m, r)
+    if family == "earthmap":
+        return embed_earth_map(int(size))
+    if family == "football":
+        t = football()
+        return t, embed_generic(t, sporadic_solution("football"))
+    t = snub_fusion(int(size))
+    return t, embed_generic(t, sporadic_solution("snub-fusion"))
+
+
+def test_verify_geometric_flags_a_folded_face():
+    t, e = embed_prism(5, 1.2)
+    fi = next(i for i, face in enumerate(t.faces) if face.kind == "rhombus")
+    a, b, c, _ = t.faces[fi].vertices
+    # Mirror b across the great circle through its neighbours a and c: edge
+    # lengths and the corner at b survive, but the face folds over its
+    # diagonal, so det(a, b, c) changes sign.
+    n = np.cross(e.positions[a], e.positions[c])
+    n /= np.linalg.norm(n)
+    positions = dict(e.positions)
+    positions[b] = positions[b] - 2.0 * np.dot(positions[b], n) * n
+    report = verify_geometric(t, type(e)(positions=positions), prism_solution(5, 1.2))
+    assert not report.ok
+    assert (fi, c) in report.orientation_failures
+    assert any("convex orientation" in msg for msg in report.failures)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_random_points_lie_in_exactly_one_face(name):
+    # Independent of the certificate: a degree-1 covering puts every point
+    # of the sphere off the edges strictly inside exactly one face.
+    t, e = _shipped_embedding(name)
+    points = np.random.default_rng(7).normal(size=(2000, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    # The common orientation, read from the first face: its third corner
+    # lies on the inner side of its first edge.
+    sign = np.sign(np.linalg.det(np.array([e.positions[v] for v in t.faces[0].vertices[:3]])))
+    near_edge = np.zeros(len(points), dtype=bool)
+    inside_count = np.zeros(len(points), dtype=int)
+    for face in t.faces:
+        q = np.array([e.positions[v] for v in face.vertices])
+        normals = np.cross(q, np.roll(q, -1, axis=0))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        side = normals @ points.T
+        near_edge |= (np.abs(side) < 1e-9).any(axis=0)
+        inside_count += (sign * side > 0.0).all(axis=0)
+    assert near_edge.sum() < 10
+    assert (inside_count[~near_edge] == 1).all()
