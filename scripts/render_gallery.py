@@ -1,23 +1,23 @@
 """Embed every tiling family and render an SVG gallery (plus optional OBJ).
 
-Each tiling is built, embedded on the unit sphere, checked geometrically,
-and written out; the printed table shows the closure defect, the spread of
-edge lengths, and the area defect against the full sphere.
+Each tiling is built, embedded on the unit sphere by ``embed_generic``,
+checked geometrically, and written out; the printed table shows the closure
+defect, the spread of edge lengths, and the area defect against the full
+sphere.  The exit status is 1 when any tiling fails the geometric check.
 
     python3 scripts/render_gallery.py --out-dir gallery/ --obj
 """
 
 import argparse
 import pathlib
+import sys
 from dataclasses import dataclass
 
-from spheretile.generators import football, snub_fusion
+from spheretile.generators import earth_map, football, prism, snub_fusion
 from spheretile.realization import (
     Embedding,
     earth_map_solution,
-    embed_earth_map,
     embed_generic,
-    embed_prism,
     prism_default_radius,
     prism_solution,
     sporadic_solution,
@@ -36,29 +36,18 @@ class GalleryItem:
 
 
 def build_items(m_values, c_values) -> list[GalleryItem]:
-    items = []
-    for m in m_values:
-        r = prism_default_radius(m)
-        t, e = embed_prism(m, r)
-        items.append(GalleryItem(f"prism_m{m}", t, e, prism_solution(m, r)))
-    for c in c_values:
-        t, e = embed_earth_map(c)
-        items.append(GalleryItem(f"earthmap_c{c}", t, e, earth_map_solution(c)))
+    jobs = [
+        (f"prism_m{m}", prism(m), prism_solution(m, prism_default_radius(m)))
+        for m in m_values
+    ]
+    jobs += [(f"earthmap_c{c}", earth_map(c), earth_map_solution(c)) for c in c_values]
     snub_angles = sporadic_solution("snub-fusion")
-    for variant in (1, 2, 3):
-        t = snub_fusion(variant)
-        items.append(
-            GalleryItem(
-                f"snub_fusion_{variant}", t, embed_generic(t, snub_angles), snub_angles
-            )
-        )
-    ball = football()
-    ball_angles = sporadic_solution("football")
-    items.append(GalleryItem("football", ball, embed_generic(ball, ball_angles), ball_angles))
-    return items
+    jobs += [(f"snub_fusion_{v}", snub_fusion(v), snub_angles) for v in (1, 2, 3)]
+    jobs.append(("football", football(), sporadic_solution("football")))
+    return [GalleryItem(name, t, embed_generic(t, s), s) for name, t, s in jobs]
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("gallery"))
     parser.add_argument("--m", type=int, nargs="*", default=[3, 5, 6, 8, 12])
@@ -70,8 +59,10 @@ def main() -> None:
     items = build_items(args.m, args.c)
 
     print(f"{'tiling':<16} {'faces':>5} {'defect':>10} {'edge spread':>12} {'area defect':>12}")
+    failed = 0
     for item in items:
         report = verify_geometric(item.tiling, item.embedding, item.angles)
+        failed += not report.ok
         status = "" if report.ok else "  <-- FAILED: " + "; ".join(report.failures)
         print(
             f"{item.name:<16} {item.tiling.face_count:>5}"
@@ -84,7 +75,10 @@ def main() -> None:
             obj_path = args.out_dir / f"{item.name}.obj"
             obj_path.write_text(export_obj(item.tiling, item.embedding))
     print(f"\nwrote {len(items)} SVG files to {args.out_dir}/")
+    if failed:
+        print(f"{failed} of {len(items)} tilings failed the geometric check")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

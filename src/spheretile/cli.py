@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
-from .trig import NonexistenceEvidence, vertex_label
+from .trig import NonexistenceEvidence, tolerance, vertex_label
 from .complexes import TilingError
 from .combinatorics import (
     ClassificationReport,
@@ -42,14 +41,6 @@ GENERATE_FAMILIES = ("prism", "earthmap", "snub1", "snub2", "snub3", "football")
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def tolerance(text: str) -> float:
-    """argparse type for --tol: a finite number above zero."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -146,7 +137,6 @@ def cmd_generate(
         return _usage_error("--r only applies to the prism family")
     realize = realize or obj is not None or svg is not None
 
-    embedding = None
     solution = None
     if family == "prism":
         if m is None:
@@ -161,8 +151,10 @@ def cmd_generate(
                 return _usage_error(
                     f"--r must lie in ({lo:.6f}, {hi:.6f}) for m={m}, got {radius}"
                 )
-            solution = rz.prism_solution(m, radius)
-            t, embedding = rz.embed_prism(m, radius)
+            try:
+                solution = rz.prism_solution(m, radius)
+            except ValueError as exc:
+                return _usage_error(f"no prism angles at --r {radius} for m={m}: {exc}")
     elif family == "earthmap":
         if c is None:
             return _usage_error("earthmap needs --c")
@@ -177,19 +169,16 @@ def cmd_generate(
         )
         if realize:
             solution = rz.earth_map_solution(c)
-            t, embedding = rz.embed_earth_map(c)
     elif family == "football":
         t = football()
         if realize:
             solution = rz.sporadic_solution("football")
-            embedding = rz.embed_generic(t, solution)
     else:
-        variant = int(family[-1])
-        t = snub_fusion(variant)
+        t = snub_fusion(int(family[-1]))
         if realize:
             solution = rz.sporadic_solution("snub-fusion")
-            embedding = rz.embed_generic(t, solution)
 
+    embedding = rz.embed_generic(t, solution) if realize else None
     _emit(serialize_tiling(t, embedding=embedding, angles=solution), out)
     if obj is not None:
         with open(obj, "w") as fh:

@@ -24,6 +24,7 @@ from .trig import (
     AngleSolution,
     NonexistenceEvidence,
     certify_no_root,
+    tolerance,
     vertex_label,
 )
 
@@ -264,10 +265,11 @@ def classify(m: int, tol: float = 1e-6) -> ClassificationReport:
     and nonexistence for alpha^3, alpha^2 gamma and alpha^2 beta.  For
     m >= 6 only the prism family survives.  ``tol`` is the vertex-type
     enumeration tolerance used when listing each family's admissible
-    types.
+    types; it must be finite and positive (ValueError otherwise).
     """
     if not (5 <= m <= 64):
         raise ValueError(f"classification expects 5 <= m <= 64, got {m}")
+    tol = tolerance(tol)
     entries = []
     for seed in enumerate_degree3(m):
         handler = _SEED_HANDLERS[(min(m, 6), tuple(seed))]

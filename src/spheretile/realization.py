@@ -1,16 +1,16 @@
 """Numeric realization of tilings on the unit sphere.
 
-Families with closed-form coordinates (prisms) are placed directly; the
-rest are embedded by breadth-first propagation: the seed face is laid out
-from its corner angles and edge length, and every further face is placed
-across an already-embedded edge.  Re-visiting a vertex checks the
-propagated position against the stored one, so an inconsistent angle
-solution or a wrong complex surfaces as a closure defect instead of a
-silently distorted picture.  :func:`verify_geometric` proves that a
-placement is a tiling by a covering-degree certificate, one small
-determinant matrix per face, and :func:`verify_tiling` re-checks a tiling
-and its optional placement from scratch, inferring the angles when none
-are given.
+Every family is embedded by :func:`embed_generic`: each face is a rigid
+copy of its prototile, a regular m-gon or a rhombus built in closed form
+from the angle solution, and faces are placed breadth-first, each rotated
+onto an already-embedded edge.  A corner that lands on a placed vertex is
+checked against the stored position, so an inconsistent angle solution or
+a wrong complex surfaces as a closure defect instead of a silently
+distorted picture.  :func:`embed_prism` places prisms in closed form as a
+reference.  :func:`verify_geometric` proves that a placement is a tiling
+by a covering-degree certificate, one small determinant matrix per face,
+and :func:`verify_tiling` re-checks a tiling and its optional placement
+from scratch, inferring the angles when none are given.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .trig import TWO_PI, AngleSolution, solve_closure
+from .trig import TWO_PI, AngleSolution, solve_closure, tolerance
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
 from .generators import earth_map, prism
 
-#: Global handedness of the face-walking rotation; fixed so that faces
-#: listed counterclockwise close up instead of folding back on themselves.
-SPIN = 1.0
-
-#: Default ceiling on the distance between two placements of one vertex.
+#: Ceiling on the distance between two placements of one vertex.
 CLOSURE_TOL = 1e-7
 
 
@@ -227,11 +223,7 @@ def sporadic_solution(kind: str) -> AngleSolution:
     return roots[0]
 
 
-# -- generic breadth-first embedding -----------------------------------------
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+# -- generic embedding by rigid prototiles -------------------------------------
 
 
 def _tangent_toward(p_from: np.ndarray, p_to: np.ndarray) -> np.ndarray:
@@ -243,31 +235,66 @@ def _tangent_toward(p_from: np.ndarray, p_to: np.ndarray) -> np.ndarray:
     return t / n
 
 
-def _step(p: np.ndarray, tangent: np.ndarray, arc: float) -> np.ndarray:
-    return math.cos(arc) * p + math.sin(arc) * tangent
+def _edge_frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal rows: a, the unit tangent at a toward b, and their cross product."""
+    t = _tangent_toward(a, b)
+    return np.array([a, t, np.cross(a, t)])
 
 
-def _rotate_tangent(p: np.ndarray, tangent: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate a tangent vector at p about the axis p by the given angle."""
-    return math.cos(angle) * tangent + math.sin(angle) * np.cross(p, tangent)
+def _polar_polygon(colatitudes: list[float]) -> np.ndarray:
+    """Corners at the given colatitudes, evenly spaced clockwise seen from
+    outside, turned about the pole so that edge 0's midpoint lies on the
+    prime meridian."""
+    rho = np.array(colatitudes)
+    lon = -TWO_PI / len(rho) * np.arange(len(rho))
+    lon -= math.atan2(np.sin(rho[:2]) @ np.sin(lon[:2]), np.sin(rho[:2]) @ np.cos(lon[:2]))
+    return np.column_stack([np.sin(rho) * np.cos(lon), np.sin(rho) * np.sin(lon), np.cos(rho)])
 
 
-def embed_generic(
-    t: TilingComplex,
-    s: AngleSolution,
-    closure_tol: float = CLOSURE_TOL,
-) -> Embedding:
-    """Embed a tiling by walking faces breadth-first from a seed face.
+def _prototiles(m: int, s: AngleSolution) -> dict[str, np.ndarray]:
+    """Corner rows of each prototile centred on the north pole, keyed by the
+    label of its first corner.
+
+    The m-gon's circumradius R comes from its own angle, cos R =
+    cot(pi/m) cot(alpha/2), so an alpha that disagrees with the edge shows
+    up as a closure defect.  The rhombus half-diagonals come from the right
+    triangle with hypotenuse x: sin p = sin x sin(gamma/2) to a beta
+    corner, sin q = sin x sin(beta/2) to a gamma corner.  These sine forms
+    keep their digits when gamma is small; cos p = cos(gamma/2)/sin(beta/2)
+    does not.
+    """
+    cos_r = 1.0 / (math.tan(math.pi / m) * math.tan(s.alpha / 2.0))
+    if not -1.0 <= cos_r <= 1.0:
+        raise ValueError(f"no regular {m}-gon has the corner angle alpha={s.alpha}")
+    sin_x = math.sin(s.x)
+    p = math.asin(sin_x * math.sin(s.gamma / 2.0))
+    q = math.asin(sin_x * math.sin(s.beta / 2.0))
+    return {
+        "alpha": _polar_polygon([math.acos(cos_r)] * m),
+        "beta": _polar_polygon([p, q, p, q]),
+        "gamma": _polar_polygon([q, p, q, p]),
+    }
+
+
+def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
+    """Embed a tiling face by face, each face a rigid copy of its prototile.
 
     The seed is a face at a highest-degree vertex (lowest index breaking
-    ties) and is posed with its centroid at the north pole and the first
-    edge's midpoint on the prime meridian.  Every other face is entered
-    across one shared, already-placed edge and walked out corner by
-    corner; a revisited vertex keeps its first position and the distance
-    to the new candidate is tracked.  A worst distance beyond
-    ``closure_tol`` raises :class:`ClosureDefect`.
+    ties), placed as its prototile: centred on the north pole with its
+    first edge's midpoint on the prime meridian.  Every other face is
+    entered breadth-first across one already-placed edge, and the
+    prototile starting with the entry corner's label is rotated so that
+    its edge 0 lies on that edge.  A corner landing on a placed vertex,
+    the entry edge's ends included, keeps the first position and the
+    distance is tracked.  Since every face is placed whole, no error
+    compounds along the walk, and the worst distance measures how far the
+    angles are from closing; beyond ``CLOSURE_TOL`` it raises
+    :class:`ClosureDefect`.
     """
-    x = s.x
+    prototiles = _prototiles(t.gonality, s)
+    # Corner coordinates in the frame of edge 0, so a face's corners are
+    # these rows times the frame of its placed entry edge.
+    in_edge_frame = {lab: q @ _edge_frame(q[0], q[1]).T for lab, q in prototiles.items()}
     best_vertex = max(range(t.vertex_count), key=t.degree)
     seed_face = min(
         t.face_of_half_edge(h) for h in t.out_half_edges(best_vertex)
@@ -277,46 +304,20 @@ def embed_generic(
     worst_defect = 0.0
     worst_vertex = -1
 
-    def place(v: int, p: np.ndarray) -> None:
+    def place(half_edges: list[int], corners: np.ndarray) -> None:
         nonlocal worst_defect, worst_vertex
-        if v in positions:
+        for h, p in zip(half_edges, corners):
+            v = t.half_edge_endpoints(h)[0]
+            if v not in positions:
+                positions[v] = p
+                continue
             d = float(np.linalg.norm(positions[v] - p))
             if d > worst_defect:
                 worst_defect = d
                 worst_vertex = v
-            return
-        positions[v] = p
 
-    def walk_face(entry: int) -> list[int]:
-        """Place the remaining corners of entry's face; both endpoints of
-        entry must already be placed.  Returns the face's half-edges."""
-        half_edges = [entry]
-        h = t.next_half_edge(entry)
-        while h != entry:
-            half_edges.append(h)
-            h = t.next_half_edge(h)
-        prev_v, cur_v = t.half_edge_endpoints(entry)
-        p_prev, p_cur = positions[prev_v], positions[cur_v]
-        # The final step re-derives the entry vertex, so every face walk
-        # doubles as a closure check on the angle solution.
-        for he in half_edges[1:]:
-            corner = t.label_of(he)
-            theta = s.angle(corner)
-            back = _tangent_toward(p_cur, p_prev)
-            forward = _rotate_tangent(p_cur, back, SPIN * theta)
-            p_next = _step(p_cur, forward, x)
-            next_v = t.half_edge_endpoints(he)[1]
-            place(next_v, p_next)
-            p_prev, p_cur = p_cur, positions[next_v]
-        return half_edges
-
-    # Seed face: place its first edge along an arbitrary frame, walk the
-    # rest, then re-pose the whole sphere afterwards.
     seed_edges = t.half_edges_of_face(seed_face)
-    v0, v1 = t.half_edge_endpoints(seed_edges[0])
-    positions[v0] = np.array([0.0, 0.0, 1.0])
-    positions[v1] = np.array([math.sin(x), 0.0, math.cos(x)])
-    walk_face(seed_edges[0])
+    place(seed_edges, prototiles[t.label_of(seed_edges[0])])
 
     placed_faces = {seed_face}
     queue = [t.twin(h) for h in seed_edges]
@@ -328,41 +329,17 @@ def embed_generic(
         if fi in placed_faces:
             continue
         placed_faces.add(fi)
-        for h in walk_face(entry):
-            queue.append(t.twin(h))
+        half_edges = t.half_edges_of_face(fi)
+        i = half_edges.index(entry)
+        half_edges = half_edges[i:] + half_edges[:i]
+        u, v = t.half_edge_endpoints(entry)
+        frame = _edge_frame(positions[u], positions[v])
+        place(half_edges, in_edge_frame[t.label_of(entry)] @ frame)
+        queue.extend(t.twin(h) for h in half_edges)
 
-    if worst_defect > closure_tol:
+    if worst_defect > CLOSURE_TOL:
         raise ClosureDefect(worst_vertex, worst_defect)
-
-    for v in positions:
-        positions[v] = _normalize(positions[v])
-
-    _pose(t, positions, seed_face)
     return Embedding(positions, seed_face=seed_face, worst_defect=worst_defect)
-
-
-def _pose(t: TilingComplex, positions: dict[int, np.ndarray], seed_face: int) -> None:
-    """Rotate all positions so the seed centroid hits the north pole and the
-    seed face's first edge midpoint lands on the prime meridian."""
-    face = t.faces[seed_face]
-    centroid = _normalize(sum(positions[v] for v in face.vertices))
-    v0, v1 = face.vertices[0], face.vertices[1]
-    midpoint = _normalize(positions[v0] + positions[v1])
-
-    z = centroid
-    y = np.cross(z, midpoint)
-    ny = np.linalg.norm(y)
-    if ny < 1e-12:
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(ref, z)) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        y = np.cross(z, ref)
-        ny = np.linalg.norm(y)
-    y /= ny
-    x_axis = np.cross(y, z)
-    rot = np.vstack([x_axis, y, z])
-    for v in positions:
-        positions[v] = rot @ positions[v]
 
 
 def embed_earth_map(c: int) -> tuple[TilingComplex, Embedding]:
@@ -565,8 +542,11 @@ def verify_tiling(
     The angles are taken from ``angles`` when given, else measured from
     the embedding, else solved from the vertex census.  ``tol`` overrides
     both the combinatorial tolerance (default 1e-9) and the geometric one
-    (default 1e-6).  Report-based: nothing raises for a broken tiling.
+    (default 1e-6).  Report-based: nothing raises for a broken tiling,
+    but a ``tol`` that is not finite and positive raises ValueError.
     """
+    if tol is not None:
+        tol = tolerance(tol)
     if angles is not None:
         solution, source = angles, "from the document's angles field"
     elif embedding is not None:

@@ -42,6 +42,19 @@ ANGLE_NAMES = ("alpha", "beta", "gamma")
 VertexTriple = tuple[int, int, int]
 
 
+def tolerance(value) -> float:
+    """``value`` as a float; ValueError unless it is finite and above zero.
+
+    Every comparison with NaN is false, so a NaN tolerance would pass any
+    defect, and an infinite one passes everything too.  Takes text as well,
+    so it serves as the argparse type of the command-line ``--tol``.
+    """
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {value!r}")
+    return tol
+
+
 class ClosureDomainError(ValueError):
     """An angle argument lies outside the open interval required by an identity."""
 

@@ -196,3 +196,17 @@ def test_verify_rejects_a_non_positive_or_non_finite_tol(tmp_path, capsys, tol):
 def test_classify_rejects_a_non_positive_or_non_finite_tol(capsys, tol):
     assert main(["classify", "--m", "5", "--tol", tol]) == EXIT_USAGE
     assert "--tol" in capsys.readouterr().err
+
+
+def test_generate_prism_radius_without_angles_is_a_usage_error(capsys):
+    # Inside the radius interval, yet too close to its top for the rhombus
+    # angles to close.
+    argv = ["generate", "prism", "--m", "8", "--r", "1.570796290245921", "--realize"]
+    assert main(argv) == EXIT_USAGE
+    assert "--r 1.570796290245921" in capsys.readouterr().err
+
+
+def test_generate_large_prism_verifies(tmp_path, capsys):
+    out, _ = _generated(tmp_path, capsys, "prism", "--m", "64", "--realize")
+    assert main(["verify", "--in", str(out)]) == EXIT_OK
+    assert "geometric: ok" in capsys.readouterr().out

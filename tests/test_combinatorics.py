@@ -154,6 +154,13 @@ def test_classify_rejects_out_of_range_m(m):
         classify(m)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_classify_rejects_a_non_positive_or_non_finite_tol(tol):
+    # A NaN tolerance used to list every family with no AVC member at all.
+    with pytest.raises(ValueError, match="finite and positive"):
+        classify(5, tol=tol)
+
+
 def test_classify_pentagon_families():
     report = classify(5)
     outcomes = {tuple(e.seed): e.outcome for e in report.entries}

@@ -24,7 +24,7 @@ from spheretile.realization import (
     verify_geometric,
     verify_tiling,
 )
-from spheretile.trig import closure_residual, mgon_edge_cos, rhombus_edge_cos
+from spheretile.trig import AngleSolution, closure_residual, mgon_edge_cos, rhombus_edge_cos
 
 
 # -- earth-map family -----------------------------------------------------------------
@@ -204,6 +204,45 @@ def test_embed_generic_rejects_wrong_angles():
     wrong = earth_map_solution(2)
     with pytest.raises(ClosureDefect):
         embed_generic(t, wrong)
+    # One angle or the edge off a prism solution: no prototile fits its
+    # neighbours, whichever quantity was perturbed.
+    s = prism_solution(5, prism_default_radius(5))
+    for perturbed in (
+        AngleSolution(5, s.alpha + 1e-4, s.beta, s.gamma, s.cos_x),
+        AngleSolution(5, s.alpha, s.beta + 1e-4, s.gamma, s.cos_x),
+        AngleSolution(5, s.alpha, s.beta, s.gamma, s.cos_x + 1e-6),
+    ):
+        with pytest.raises(ClosureDefect):
+            embed_generic(prism(5), perturbed)
+
+
+def _gram(t, e):
+    p = np.array([e.positions[v] for v in range(t.vertex_count)])
+    return p @ p.T
+
+
+@pytest.mark.parametrize(
+    "m,fraction",
+    [(m, 0.5) for m in range(3, 65)] + [(m, f) for m in (5, 64) for f in (1e-3, 0.999)],
+)
+def test_embed_generic_closes_prisms_like_the_closed_form(m, fraction):
+    lo, hi = prism_geometric_bounds(m)
+    r = lo + fraction * (hi - lo)
+    t = prism(m)
+    e = embed_generic(t, prism_solution(m, r))
+    assert e.worst_defect < 1e-10
+    # The Gram matrix is blind to the rotation and mirroring between the two.
+    _, closed = embed_prism(m, r)
+    assert np.abs(_gram(t, e) - _gram(t, closed)).max() < 1e-10
+
+
+@pytest.mark.parametrize("c", [2, 8, 32, 64])
+def test_embed_generic_closes_large_earth_maps(c):
+    t = earth_map(c)
+    s = earth_map_solution(c)
+    e = embed_generic(t, s)
+    assert e.worst_defect < 1e-10
+    _assert_clean_geometry(t, e, s)
 
 
 def test_embedding_deterministic():
@@ -266,6 +305,13 @@ def test_verify_tiling_prism_census_uses_representative_radius():
     assert result.ok
     assert result.angle_source.startswith("census is the one-parameter prism type")
     assert result.solution == prism_solution(7, prism_default_radius(7))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_verify_tiling_rejects_a_non_positive_or_non_finite_tol(tol):
+    t, emb = embed_prism(5, 1.2)
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_tiling(t, emb, prism_solution(5, 1.2), tol=tol)
 
 
 def test_verify_tiling_reports_undetermined_census():
