@@ -69,7 +69,7 @@ def main() -> None:
         print(line)
         if args.out_dir is not None:
             path = args.out_dir / f"classification_m{m}.json"
-            path.write_text(json.dumps(payload, indent=1) + "\n")
+            path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .trig import NonexistenceEvidence, tolerance, vertex_label
+from .trig import ClosureDomainError, NonexistenceEvidence, tolerance, vertex_label
 from .complexes import TilingError
 from .combinatorics import (
     ClassificationReport,
@@ -88,7 +88,7 @@ def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
             }
         elif isinstance(out, NonexistenceEvidence):
             item["kind"] = "nonexistence"
-            item["evidence"] = json.loads(out.to_json())
+            item["evidence"] = out.payload()
         else:
             assert isinstance(out, SubsumedNote)
             item["kind"] = "subsumed"
@@ -108,7 +108,7 @@ def cmd_classify(
     if c_max < 2:
         return _usage_error(f"--c-max must be at least 2, got {c_max}")
     report = classify(m, tol=tol)
-    _emit(json.dumps(report_payload(report, c_max=c_max), indent=1), out)
+    _emit(json.dumps(report_payload(report, c_max=c_max), separators=(",", ":")), out)
     return EXIT_OK
 
 
@@ -153,7 +153,7 @@ def cmd_generate(
                 )
             try:
                 solution = rz.prism_solution(m, radius)
-            except ValueError as exc:
+            except ClosureDomainError as exc:
                 return _usage_error(f"no prism angles at --r {radius} for m={m}: {exc}")
     elif family == "earthmap":
         if c is None:
@@ -263,7 +263,7 @@ def cmd_matchings(out: Optional[str] = None) -> int:
             data["variant_of_matching"][i] for i in range(len(matchings))
         ],
     }
-    _emit(json.dumps(payload, indent=1), out)
+    _emit(json.dumps(payload, separators=(",", ":")), out)
     return EXIT_OK
 
 

@@ -64,15 +64,9 @@ class AVC:
     realized: frozenset = frozenset()
     warnings: tuple[str, ...] = ()
 
-    def __contains__(self, v) -> bool:
-        return tuple(v) in {tuple(mem) for mem in self.members}
-
     def with_realized(self, census_keys) -> "AVC":
         realized = frozenset(VertexType(*k) for k in census_keys)
         return AVC(self.members, realized, self.warnings)
-
-    def labels(self) -> list[str]:
-        return [mem.label() for mem in self.members]
 
 
 def _candidate_degree3() -> list[VertexType]:
@@ -247,12 +241,6 @@ class ClassificationReport:
         return [
             e.outcome for e in self.entries if isinstance(e.outcome, FamilyOutcome)
         ]
-
-    def entry_for(self, seed) -> ClassificationEntry:
-        for e in self.entries:
-            if tuple(e.seed) == tuple(seed):
-                return e
-        raise KeyError(seed)
 
 
 def classify(m: int, tol: float = 1e-6) -> ClassificationReport:

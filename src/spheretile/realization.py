@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .trig import TWO_PI, AngleSolution, solve_closure, tolerance
+from .trig import TWO_PI, AngleSolution, ClosureDomainError, solve_closure, tolerance
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
 from .generators import earth_map, prism
 
@@ -150,28 +150,31 @@ def prism_solution(m: int, r: float) -> AngleSolution:
     and beta, gamma from splitting the remaining angle 2*pi - alpha so the
     rhombus identity holds: with u = beta/2, v = gamma/2 one has
     u + v = pi - alpha/2 and cos(u - v) = cos(alpha/2)(1+cos x)/(1-cos x).
+
+    Raises ValueError for r outside :func:`prism_r_bounds`; any other r with
+    no checked solution raises :class:`ClosureDomainError`: above the top of
+    :func:`prism_geometric_bounds` (m = 3), or within about 1e-5 below it.
     """
     params = prism_params(m, r)
     cos_x = math.cos(r) ** 2 + math.sin(r) ** 2 * math.cos(TWO_PI / m)
     if cos_x <= 0.0:
-        raise ValueError(
+        raise ClosureDomainError(
             f"edge reaches a quarter circle at r={r}; the larger rhombus "
             "corner flattens, so no convex tiling exists there"
         )
-    cos_half_alpha_sq = (cos_x - math.cos(TWO_PI / m)) / (1.0 + cos_x)
+    # Both ratios lie in [0, 1]; near the top rounding can push them out.
+    cos_half_alpha_sq = max(0.0, (cos_x - math.cos(TWO_PI / m)) / (1.0 + cos_x))
     half_alpha = math.acos(math.sqrt(cos_half_alpha_sq))
     alpha = 2.0 * half_alpha
-    d = math.cos(half_alpha) * (1.0 + cos_x) / (1.0 - cos_x)
-    if d > 1.0:
-        d = min(d, 1.0 + 1e-12)
-        if d > 1.0 + 1e-9:
-            raise ValueError("no rhombus splits the remaining angle at this radius")
-        d = 1.0
+    d = min(1.0, math.cos(half_alpha) * (1.0 + cos_x) / (1.0 - cos_x))
     diff = math.acos(d)
     total = math.pi - half_alpha
     beta = total + diff
     gamma = total - diff
-    return AngleSolution.checked(m, alpha, beta, gamma)
+    try:
+        return AngleSolution.checked(m, alpha, beta, gamma)
+    except ValueError as exc:
+        raise ClosureDomainError(f"prism angles at r={r!r} lost to rounding: {exc}") from exc
 
 
 def embed_prism(m: int, r: float) -> tuple[TilingComplex, Embedding]:

@@ -20,6 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -200,8 +201,9 @@ class AngleSolution:
 # ca*alpha + cb*beta + cg*gamma + constant > 0 (or >= 0 when strict=False).
 
 
-def _box_rows(m: int) -> list[tuple[str, tuple[float, float, float], float, bool]]:
-    return [
+@lru_cache(maxsize=64)
+def _box_rows(m: int) -> tuple[tuple[str, tuple[float, float, float], float, bool], ...]:
+    return (
         ("alpha above m-gon bound", (1.0, 0.0, 0.0), -mgon_lower_bound(m), True),
         ("alpha below pi", (-1.0, 0.0, 0.0), math.pi, True),
         ("beta positive", (0.0, 1.0, 0.0), 0.0, True),
@@ -211,7 +213,7 @@ def _box_rows(m: int) -> list[tuple[str, tuple[float, float, float], float, bool
         ("gamma below alpha", (1.0, 0.0, -1.0), 0.0, True),
         ("beta+gamma above pi", (0.0, 1.0, 1.0), -math.pi, True),
         ("angle sum at most 2*pi", (-1.0, -1.0, -1.0), TWO_PI, False),
-    ]
+    )
 
 
 def box_violations(m: int, alpha: float, beta: float, gamma: float) -> list[str]:
@@ -231,13 +233,6 @@ def in_box(m: int, alpha: float, beta: float, gamma: float) -> bool:
 # --- linear constraint reduction ------------------------------------------
 
 
-def _constraint_rows(constraints: Sequence[VertexTriple]) -> np.ndarray:
-    rows = np.array(constraints, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError("constraints must be (a, b, c) triples")
-    return rows
-
-
 def _affine_line(
     constraints: Sequence[VertexTriple],
     pinned: Optional[tuple[str, float]] = None,
@@ -248,7 +243,9 @@ def _affine_line(
     written as point + t * direction.  Raises ValueError when the two rows
     are linearly dependent.
     """
-    rows = _constraint_rows(constraints)
+    rows = np.array(constraints, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError("constraints must be (a, b, c) triples")
     rhs = [TWO_PI] * len(rows)
     if pinned is not None:
         name, value = pinned
@@ -412,6 +409,10 @@ class NonexistenceEvidence:
     samples that fail an admissibility inequality; ``poles`` lists skipped
     parameters that fell within POLE_TOL of a cotangent pole.  This is
     numerical evidence on a fixed grid, not a proof.
+
+    :meth:`payload` is the record's one JSON form, its floats as strings
+    that read back bit for bit; classification reports embed it as it is.
+    :meth:`to_json` is that dict as compact text, the same bytes every run.
     """
 
     description: str
@@ -425,9 +426,9 @@ class NonexistenceEvidence:
     violations: tuple[tuple[float, str], ...] = field(repr=False)
     poles: tuple[float, ...] = field(repr=False, default=())
 
-    def to_json(self) -> str:
-        """Serialize deterministically (17 significant digits, fixed key order)."""
-        payload = {
+    def payload(self) -> dict:
+        """JSON-ready dict in a fixed key order, each float as a ``.17g`` string."""
+        return {
             "description": self.description,
             "m": self.m,
             "constraints": [list(c) for c in self.constraints],
@@ -439,7 +440,10 @@ class NonexistenceEvidence:
             "violations": [[_f17(t), tag] for t, tag in self.violations],
             "poles": [_f17(t) for t in self.poles],
         }
-        return json.dumps(payload, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        """:meth:`payload` as compact JSON text."""
+        return json.dumps(self.payload(), separators=(",", ":"))
 
     @property
     def sample_count(self) -> int:
@@ -471,7 +475,7 @@ def certify_no_root(
     """Sample a constraint system densely and certify the absence of a root.
 
     Three shapes of argument are supported, matching the three ways a vertex
-    system fails:
+    system fails, each sampled by its own function:
 
     * two constraints: the closure residual becomes a function of
       ``free_angle`` on ``interval``; every in-box sample is recorded with
@@ -487,89 +491,25 @@ def certify_no_root(
     Raises ValueError if evaluated residuals change sign (no certificate).
     """
     cons = tuple(tuple(int(v) for v in c) for c in constraints)
-    ts = _evidence_grid(interval[0], interval[1], spacing)
+    ts = _evidence_grid(interval[0], interval[1], spacing).tolist()
     idx = ANGLE_NAMES.index(free_angle)
 
-    samples: list[tuple[float, float]] = []
-    violations: list[tuple[float, str]] = []
-    poles: list[float] = []
-
     if len(cons) == 2:
-        point, direction = _affine_line(cons)
-        if abs(direction[idx]) < 1e-12:
-            raise ValueError(f"{free_angle} is fixed by the constraints, pick another")
-        for t in ts.tolist():
-            scale = (t - point[idx]) / direction[idx]
-            alpha, beta, gamma = (point + scale * direction).tolist()
-            tags = box_violations(m, alpha, beta, gamma)
-            if tags:
-                violations.append((t, tags[0]))
-                continue
-            if min(alpha, beta, gamma) < POLE_TOL or max(alpha, beta, gamma) > math.pi - POLE_TOL:
-                poles.append(t)
-                continue
-            samples.append((t, closure_residual(m, alpha, beta, gamma)))
+        samples, violations, poles = _sample_line(m, cons, ts, idx)
     elif len(cons) == 1 and cons[0][0] == 0 and not require_beta_above_alpha:
-        # beta/gamma constraint only: the m-gon side is unconstrained, but its
-        # edge cosine always exceeds cos(2*pi/m); test the rhombus against that.
-        a, b, c = cons[0]
-        if free_angle != "gamma" or b == 0:
-            raise ValueError("single-constraint edge-bound mode expects gamma free, beta derived")
-        bound = math.cos(TWO_PI / m)
-        for t in ts.tolist():
-            gamma = t
-            beta = (TWO_PI - c * gamma) / b
-            if not (0.0 < gamma < math.pi) or not (0.0 < beta < math.pi):
-                violations.append((t, "angle outside (0, pi)"))
-                continue
-            if gamma >= beta:
-                violations.append((t, "gamma below beta"))
-                continue
-            edge = rhombus_edge_cos(beta, gamma)
-            if edge <= bound:
-                violations.append(
-                    (t, f"edge bound: rhombus edge cos {_f17(edge)} <= cos(2*pi/m) {_f17(bound)}")
-                )
-            else:
-                samples.append((t, edge - bound))
+        samples, violations, poles = _sample_edge_bound(m, cons[0], ts, free_angle)
     elif len(cons) == 1 and cons[0][1] == 0 and require_beta_above_alpha:
-        a, b, c = cons[0]
-        if free_angle != "alpha" or a == 0:
-            raise ValueError("empty-beta-range mode expects alpha free, gamma derived")
-        for t in ts.tolist():
-            alpha = t
-            gamma = (TWO_PI - a * alpha) / c if c else math.nan
-            if not (mgon_lower_bound(m) < alpha < math.pi):
-                violations.append((t, "alpha above m-gon bound"))
-                continue
-            if not (0.0 < gamma < math.pi):
-                violations.append((t, "angle outside (0, pi)"))
-                continue
-            if gamma >= alpha:
-                violations.append((t, "gamma below alpha"))
-                continue
-            beta_low = max(alpha, gamma, math.pi - gamma)
-            beta_high = min(math.pi, TWO_PI - alpha - gamma)
-            if beta_low >= beta_high:
-                violations.append(
-                    (t, "empty beta range: needs beta > "
-                        f"{_f17(beta_low)} and beta <= {_f17(beta_high)}")
-                )
-            else:
-                samples.append((t, beta_high - beta_low))
+        samples, violations, poles = _sample_beta_range(m, cons[0], ts, free_angle)
     else:
         raise ValueError("unsupported constraint shape for certification")
 
     if samples:
-        values = [r for _, r in samples]
-        if all(v > 0.0 for v in values):
+        if all(r > 0.0 for _, r in samples):
             summary: SignSummary = "constant-positive"
-        elif all(v < 0.0 for v in values):
+        elif all(r < 0.0 for _, r in samples):
             summary = "constant-negative"
         else:
-            raise ValueError(
-                "sampled residuals change sign; a root may exist, no certificate"
-            )
+            raise ValueError("sampled residuals change sign; a root may exist, no certificate")
     elif violations:
         summary = "all-violate"
     else:
@@ -587,6 +527,74 @@ def certify_no_root(
         violations=tuple(violations),
         poles=tuple(poles),
     )
+
+
+def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: list[float], idx: int):
+    point, direction = _affine_line(cons)
+    if abs(direction[idx]) < 1e-12:
+        raise ValueError(f"{ANGLE_NAMES[idx]} is fixed by the constraints, pick another")
+    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
+    p_free, d_free = (p0, p1, p2)[idx], (d0, d1, d2)[idx]
+    samples, violations, poles = [], [], []
+    for t in ts:
+        # point + scale * direction, written per coordinate: the same float ops.
+        scale = (t - p_free) / d_free
+        alpha, beta, gamma = p0 + scale * d0, p1 + scale * d1, p2 + scale * d2
+        tags = box_violations(m, alpha, beta, gamma)
+        if tags:
+            violations.append((t, tags[0]))
+        elif min(alpha, beta, gamma) < POLE_TOL or max(alpha, beta, gamma) > math.pi - POLE_TOL:
+            poles.append(t)
+        else:
+            samples.append((t, closure_residual(m, alpha, beta, gamma)))
+    return samples, violations, poles
+
+
+def _sample_edge_bound(m: int, con: VertexTriple, ts: list[float], free_angle: str):
+    _, b, c = con
+    if free_angle != "gamma" or b == 0:
+        raise ValueError("single-constraint edge-bound mode expects gamma free, beta derived")
+    bound = math.cos(TWO_PI / m)
+    tail = f" <= cos(2*pi/m) {_f17(bound)}"
+    samples, violations = [], []
+    for gamma in ts:
+        beta = (TWO_PI - c * gamma) / b
+        if not (0.0 < gamma < math.pi) or not (0.0 < beta < math.pi):
+            violations.append((gamma, "angle outside (0, pi)"))
+        elif gamma >= beta:
+            violations.append((gamma, "gamma below beta"))
+        else:
+            edge = rhombus_edge_cos(beta, gamma)
+            if edge <= bound:
+                violations.append((gamma, f"edge bound: rhombus edge cos {_f17(edge)}{tail}"))
+            else:
+                samples.append((gamma, edge - bound))
+    return samples, violations, []
+
+
+def _sample_beta_range(m: int, con: VertexTriple, ts: list[float], free_angle: str):
+    a, _, c = con
+    if free_angle != "alpha" or a == 0:
+        raise ValueError("empty-beta-range mode expects alpha free, gamma derived")
+    alpha_lo = mgon_lower_bound(m)
+    samples, violations = [], []
+    for alpha in ts:
+        gamma = (TWO_PI - a * alpha) / c if c else math.nan
+        if not (alpha_lo < alpha < math.pi):
+            violations.append((alpha, "alpha above m-gon bound"))
+        elif not (0.0 < gamma < math.pi):
+            violations.append((alpha, "angle outside (0, pi)"))
+        elif gamma >= alpha:
+            violations.append((alpha, "gamma below alpha"))
+        else:
+            beta_low = max(alpha, gamma, math.pi - gamma)
+            beta_high = min(math.pi, TWO_PI - alpha - gamma)
+            if beta_low >= beta_high:
+                need = f"needs beta > {_f17(beta_low)} and beta <= {_f17(beta_high)}"
+                violations.append((alpha, f"empty beta range: {need}"))
+            else:
+                samples.append((alpha, beta_high - beta_low))
+    return samples, violations, []
 
 
 def _default_description(

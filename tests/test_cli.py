@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from spheretile.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from spheretile.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, report_payload
+from spheretile.combinatorics import classify
+from spheretile.trig import NonexistenceEvidence
 
 
 def test_classify_pentagon(capsys):
@@ -38,6 +40,22 @@ def test_classify_writes_file(tmp_path):
     assert main(["classify", "--m", "7", "--out", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["m"] == 7
+
+
+@pytest.mark.parametrize("m", [5, 6, 64])
+def test_classify_report_embeds_each_evidence_payload(m):
+    report = classify(m)
+    evidence = [e.outcome for e in report.entries if isinstance(e.outcome, NonexistenceEvidence)]
+    embedded = [e["evidence"] for e in report_payload(report)["entries"] if e["kind"] == "nonexistence"]
+    assert evidence and len(embedded) == len(evidence)
+    for item, ev in zip(embedded, evidence):
+        assert item == json.loads(ev.to_json())
+
+
+def test_classify_file_parses_to_the_report_payload(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["classify", "--m", "5", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == report_payload(classify(5))
 
 
 def test_generate_prism(capsys):

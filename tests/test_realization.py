@@ -24,7 +24,13 @@ from spheretile.realization import (
     verify_geometric,
     verify_tiling,
 )
-from spheretile.trig import AngleSolution, closure_residual, mgon_edge_cos, rhombus_edge_cos
+from spheretile.trig import (
+    AngleSolution,
+    ClosureDomainError,
+    closure_residual,
+    mgon_edge_cos,
+    rhombus_edge_cos,
+)
 
 
 # -- earth-map family -----------------------------------------------------------------
@@ -123,6 +129,27 @@ def test_prism_solution_identities():
 def test_prism_solution_flattening():
     with pytest.raises(ValueError, match="quarter"):
         prism_solution(3, 1.05)
+
+
+def test_prism_radii_inside_the_bounds_solve_or_name_the_error():
+    # Radii 10**-k below the top: the rhombus thins towards beta = pi and
+    # gamma = 0 until its angles are lost to rounding, which must surface
+    # as ClosureDomainError, and only less than 1e-5 below the top.
+    lost = 0
+    for m in range(3, 65):
+        lo, hi = prism_geometric_bounds(m)
+        for k in range(1, 13):
+            r = hi - 10**-k
+            if not lo < r:
+                continue
+            try:
+                s = prism_solution(m, r)
+            except ClosureDomainError:
+                assert k >= 6, (m, k)
+                lost += 1
+            else:
+                assert abs(closure_residual(m, s.alpha, s.beta, s.gamma)) < 1e-10
+    assert lost > 0
 
 
 def test_prism_solution_frozen_pentagon():

@@ -26,6 +26,7 @@ from spheretile.trig import (
     solve_closure,
     vertex_label,
 )
+from spheretile.trig import _affine_line
 
 TWO_PI = 2.0 * math.pi
 
@@ -302,6 +303,30 @@ def test_evidence_json_is_deterministic():
     first, second = make().to_json(), make().to_json()
     assert first == second
     assert '"sign_summary":"constant-positive"' in first
+
+
+@pytest.mark.parametrize(
+    "constraints, interval, free",
+    [
+        ([(3, 0, 0), (0, 2, 1)], (1e-6, math.pi - 1e-6), "gamma"),
+        ([(1, 2, 0), (1, 0, 3)], (3 * math.pi / 5, 2 * math.pi / 3), "alpha"),
+    ],
+)
+def test_line_samples_match_the_vector_sum(constraints, interval, free):
+    # The sampler writes point + scale * direction out per coordinate; the
+    # numpy vector sum is the reference, and the results must be equal.
+    ev = certify_no_root(5, constraints, interval, free_angle=free)
+    point, direction = _affine_line(constraints)
+    i = ["alpha", "beta", "gamma"].index(free)
+
+    def angles(t):
+        return (point + (t - point[i]) / direction[i] * direction).tolist()
+
+    assert ev.samples
+    for t, residual in ev.samples:
+        assert closure_residual(5, *angles(t)) == residual
+    for t, tag in ev.violations:
+        assert box_violations(5, *angles(t))[0] == tag
 
 
 def test_evidence_records_interval_and_counts():
