@@ -3,15 +3,20 @@
 Each tiling is built, embedded on the unit sphere by ``embed_generic``,
 checked geometrically, and written out; the printed table shows the closure
 defect, the spread of edge lengths, and the area defect against the full
-sphere.  The exit status is 1 when any tiling fails the geometric check.
+sphere.  Each SVG written is parsed back and must hold only finite numbers.
+The exit status is 1 when any tiling fails the geometric check or its SVG
+check.
 
     python3 scripts/render_gallery.py --out-dir gallery/ --obj
 """
 
 import argparse
 import pathlib
+import re
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import Optional
 
 from spheretile.generators import earth_map, football, prism, snub_fusion
 from spheretile.realization import (
@@ -47,6 +52,17 @@ def build_items(m_values, c_values) -> list[GalleryItem]:
     return [GalleryItem(name, t, embed_generic(t, s), s) for name, t, s in jobs]
 
 
+def svg_problem(text: str) -> Optional[str]:
+    """Why an SVG text is unusable (it does not parse, or holds nan/inf), or None."""
+    try:
+        ET.fromstring(text)
+    except ET.ParseError as exc:
+        return f"SVG does not parse: {exc}"
+    if re.search(r"\b(?:nan|inf)\b", text):
+        return "SVG holds a non-finite number"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("gallery"))
@@ -62,21 +78,22 @@ def main() -> int:
     failed = 0
     for item in items:
         report = verify_geometric(item.tiling, item.embedding, item.angles)
-        failed += not report.ok
-        status = "" if report.ok else "  <-- FAILED: " + "; ".join(report.failures)
+        svg = export_svg(item.tiling, item.embedding)
+        (args.out_dir / f"{item.name}.svg").write_text(svg)
+        problems = report.failures + [p for p in [svg_problem(svg)] if p]
+        failed += bool(problems)
+        status = "  <-- FAILED: " + "; ".join(problems) if problems else ""
         print(
             f"{item.name:<16} {item.tiling.face_count:>5}"
             f" {item.embedding.worst_defect:>10.2e}"
             f" {report.edge_spread:>12.2e} {report.area_defect:>12.2e}{status}"
         )
-        svg_path = args.out_dir / f"{item.name}.svg"
-        svg_path.write_text(export_svg(item.tiling, item.embedding))
         if args.obj:
             obj_path = args.out_dir / f"{item.name}.obj"
             obj_path.write_text(export_obj(item.tiling, item.embedding))
     print(f"\nwrote {len(items)} SVG files to {args.out_dir}/")
     if failed:
-        print(f"{failed} of {len(items)} tilings failed the geometric check")
+        print(f"{failed} of {len(items)} tilings failed the geometric or SVG check")
     return 1 if failed else 0
 
 

@@ -8,6 +8,7 @@ with a :class:`SchemaError` naming the offending field.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -258,11 +259,15 @@ def export_obj(t: TilingComplex, e: Embedding) -> str:
 
 _SVG_FILL = {"mgon": "#4878a8", "rhombus": "#e8c468"}
 _VIEW = 1000.0
+# Least 1 + p.c of a traced point.  A point within about 4.5e-5 rad of
+# the projection pole lands so far out that the rest of the picture
+# collapses, and the pole itself has no finite image.
+_POLE_CLEARANCE = 1e-9
 
 
 def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal frame (e1, e2, c) with c the seed-face centroid."""
-    face = t.faces[e.seed_face]
+    """Orthonormal frame (e1, e2, c) with c the centroid of the first m-gon."""
+    face = next(f for f in t.faces if f.kind == "mgon")
     c = sum(e.positions[v] for v in face.vertices)
     c = c / np.linalg.norm(c)
     ref = np.array([1.0, 0.0, 0.0])
@@ -274,126 +279,114 @@ def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.nd
     return e1, e2, c
 
 
-def _project(p: np.ndarray, frame) -> complex:
-    """Stereographic image of p, projected from the antipode of the centroid."""
-    e1, e2, c = frame
-    denom = 1.0 + float(np.dot(p, c))
-    if denom < 1e-9:
-        denom = 1e-9
-    return complex(2.0 * float(np.dot(p, e1)) / denom, 2.0 * float(np.dot(p, e2)) / denom)
+def _trace_edges(
+    edges: list[tuple[int, int]], e: Embedding, frame
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic Bezier pieces tracing the projected geodesic of each edge (u, v).
 
-
-def _edge_cubics(
-    p0: np.ndarray,
-    p1: np.ndarray,
-    frame,
-    tol_abs: float = math.inf,
-) -> list[tuple[complex, complex, complex, complex]]:
-    """Cubic Bezier chain tracing the projected geodesic from p0 to p1.
-
-    Each piece is a Hermite cubic built from the analytically projected
-    endpoint tangents.  Pieces whose midpoint strays more than ``tol_abs``
-    (projected-plane units) from the true curve are bisected, which keeps
+    Returns an (s, 4) complex array of control points, edge after edge
+    and each edge's pieces in order from u to v, and each edge's count of
+    pieces.  Each piece is a Hermite cubic built from the analytically
+    projected endpoint tangents, starting from n = max(2, ceil(5.1 arc))
+    equal pieces per edge.  A piece whose midpoint strays from the true
+    curve by more than 2e-4 of the knots' extent (five times tighter than
+    the 1e-3 drawing tolerance) is bisected, up to depth 14, which keeps
     arcs near the projection point (where curvature explodes) accurate.
+    Every edge is refined at once, level by level.
     """
-    cos_arc = max(-1.0, min(1.0, float(np.dot(p0, p1))))
-    arc = math.acos(cos_arc)
-    tangent = p1 - cos_arc * p0
-    tangent /= np.linalg.norm(tangent)
     e1, e2, c = frame
+    p0 = np.array([e.positions[u] for u, _ in edges])
+    p1 = np.array([e.positions[v] for _, v in edges])
+    cos_arc = np.clip(np.einsum("ij,ij->i", p0, p1), -1.0, 1.0)
+    arc = np.arccos(cos_arc)
+    tangent = p1 - cos_arc[:, None] * p0
+    tangent /= np.linalg.norm(tangent, axis=1)[:, None]
 
-    def point_and_velocity(t_param: float) -> tuple[complex, complex]:
-        a = t_param * arc
-        p = math.cos(a) * p0 + math.sin(a) * tangent
-        dp = arc * (-math.sin(a) * p0 + math.cos(a) * tangent)
-        denom = 1.0 + float(np.dot(p, c))
-        u = 2.0 * float(np.dot(p, e1)) / denom
-        v = 2.0 * float(np.dot(p, e2)) / denom
-        du = (2.0 * float(np.dot(dp, e1)) - u * float(np.dot(dp, c))) / denom
-        dv = (2.0 * float(np.dot(dp, e2)) - v * float(np.dot(dp, c))) / denom
-        return complex(u, v), complex(du, dv)
+    def point_and_velocity(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = (t * arc[k])[:, None]
+        p = np.cos(a) * p0[k] + np.sin(a) * tangent[k]
+        dp = arc[k][:, None] * (-np.sin(a) * p0[k] + np.cos(a) * tangent[k])
+        denom = 1.0 + p @ c
+        near = ~(denom > _POLE_CLEARANCE)
+        if near.any():
+            edge = edges[k[np.argmax(near)]]
+            raise ValueError(
+                f"edge {edge[0]}-{edge[1]} passes through the projection pole; "
+                "it has no finite image"
+            )
+        u = 2.0 * (p @ e1) / denom
+        v = 2.0 * (p @ e2) / denom
+        du = (2.0 * (dp @ e1) - u * (dp @ c)) / denom
+        dv = (2.0 * (dp @ e2) - v * (dp @ c)) / denom
+        return u + 1j * v, du + 1j * dv
 
-    def hermite(t0, z0, d0, t1, z1, d1):
-        h = t1 - t0
-        return (z0, z0 + d0 * h / 3.0, z1 - d1 * h / 3.0, z1)
+    n = np.maximum(2, np.ceil(arc * 5.1).astype(int))
+    k = np.repeat(np.arange(len(edges)), n + 1)
+    i = np.arange(len(k)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    t = i / n[k]
+    z, d = point_and_velocity(k, t)
+    tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
 
-    cubics = []
-
-    def emit(t0, z0, d0, t1, z1, d1, depth):
-        seg = hermite(t0, z0, d0, t1, z1, d1)
+    # Pieces (edge, t0, z0, d0, t1, z1, d1) between consecutive knots.
+    j = np.flatnonzero(i < n[k])
+    pending = (k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1])
+    done = []
+    for depth in range(15):
+        k, t0, z0, d0, t1, z1, d1 = pending
+        c1 = z0 + d0 * (t1 - t0) / 3.0
+        c2 = z1 - d1 * (t1 - t0) / 3.0
         tm = 0.5 * (t0 + t1)
-        zm, dm = point_and_velocity(tm)
-        bez_mid = (seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3]) / 8.0
-        if abs(bez_mid - zm) > tol_abs and depth < 14:
-            emit(t0, z0, d0, tm, zm, dm, depth + 1)
-            emit(tm, zm, dm, t1, z1, d1, depth + 1)
-        else:
-            cubics.append(seg)
+        zm, dm = point_and_velocity(k, tm)
+        bez_mid = (z0 + 3.0 * c1 + 3.0 * c2 + z1) / 8.0
+        split = (np.abs(bez_mid - zm) > tol_abs) & (depth < 14)
+        done.append((k[~split], t0[~split], np.stack([z0, c1, c2, z1], axis=1)[~split]))
+        pending = tuple(
+            np.concatenate([left[split], right[split]])
+            for left, right in zip((k, t0, z0, d0, tm, zm, dm), (k, tm, zm, dm, t1, z1, d1))
+        )
 
-    n = max(2, int(math.ceil(arc * 5.1)))
-    knots = [point_and_velocity(i / n) for i in range(n + 1)]
-    for i in range(n):
-        z0, d0 = knots[i]
-        z1, d1 = knots[i + 1]
-        emit(i / n, z0, d0, (i + 1) / n, z1, d1, 0)
-    return cubics
+    k, t0, cubics = (np.concatenate(column) for column in zip(*done))
+    return cubics[np.lexsort((t0, k))], np.bincount(k, minlength=len(edges))
 
 
 def export_svg(t: TilingComplex, e: Embedding) -> str:
     """SVG drawing of an embedded tiling, faces filled by kind.
 
-    Projection is stereographic from the point antipodal to the seed-face
-    centroid, so the seed face sits near the middle of the picture.
+    Projection is stereographic from the point antipodal to the centroid
+    of the first m-gon, so that face sits in the middle of the picture.
+    Each edge is traced once, and drawn reversed in its second face; the
+    cubics stay within 1 unit of the 1000-unit view of the true arcs.
     Faces are painted far-to-near; the face wrapping the projection point
     projects to the region outside its own boundary and, painted first,
-    becomes the backdrop for everything else.
+    becomes the backdrop for everything else.  An edge through the
+    projection pole raises :class:`ValueError` naming it.
     """
     frame = _projection_frame(t, e)
+    edges = t.undirected_edges()
+    cubics, counts = _trace_edges(edges, e, frame)
 
-    def chains(tol_abs: float) -> list[list[tuple[complex, complex, complex, complex]]]:
-        out = []
-        for face in t.faces:
-            chain = []
-            k = face.size
-            for i in range(k):
-                p0 = e.positions[face.vertices[i]]
-                p1 = e.positions[face.vertices[(i + 1) % k]]
-                chain.extend(_edge_cubics(p0, p1, frame, tol_abs))
-            out.append(chain)
-        return out
-
-    # First pass fixes the drawing extent; the second regenerates every
-    # arc against an absolute deviation budget of 2e-4 of that extent,
-    # five times tighter than the 1e-3 drawing tolerance.
-    rough = chains(math.inf)
-    rough_points = [z for chain in rough for seg in chain for z in (seg[0], seg[3])]
-    rough_span = max(
-        max(z.real for z in rough_points) - min(z.real for z in rough_points),
-        max(z.imag for z in rough_points) - min(z.imag for z in rough_points),
-        1e-9,
-    )
-    face_cubics = chains(2e-4 * rough_span)
-
-    all_points = [
-        z for chain in face_cubics for seg in chain for z in (seg[0], seg[3])
-    ]
-    xs = [z.real for z in all_points]
-    ys = [z.imag for z in all_points]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    ends = cubics[:, [0, 3]].ravel()
+    span = max(np.ptp(ends.real), np.ptp(ends.imag), 1e-9)
     scale = 0.92 * _VIEW / span
-    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+    cx = 0.5 * (ends.real.min() + ends.real.max())
+    cy = 0.5 * (ends.imag.min() + ends.imag.max())
 
-    def pt(z: complex) -> str:
-        px = (z.real - cx) * scale + _VIEW / 2.0
-        py = (cy - z.imag) * scale + _VIEW / 2.0
-        return f"{px:.3f},{py:.3f}"
+    # Each control point is formatted once, for both faces of its edge.
+    points = cubics.ravel()
+    xs = ((points.real - cx) * scale + _VIEW / 2.0).tolist()
+    ys = ((cy - points.imag) * scale + _VIEW / 2.0).tolist()
+    text = [f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys)]
+    rows = iter([text[j : j + 4] for j in range(0, len(text), 4)])
+    edge_text = {}
+    for (u, v), count in zip(edges, counts.tolist()):
+        edge_text[u, v] = list(itertools.islice(rows, count))
+        edge_text[v, u] = [row[::-1] for row in reversed(edge_text[u, v])]
 
-    def path_of(chain) -> str:
-        parts = [f"M {pt(chain[0][0])}"]
-        for (_, c1, c2, z1) in chain:
-            parts.append(f"C {pt(c1)} {pt(c2)} {pt(z1)}")
-        parts.append("Z")
-        return " ".join(parts)
+    def path_of(face) -> str:
+        cycle = face.vertices
+        chain = [row for u, v in zip(cycle, cycle[1:] + cycle[:1]) for row in edge_text[u, v]]
+        curves = [f"C {c1} {c2} {z1}" for _, c1, c2, z1 in chain]
+        return " ".join([f"M {chain[0][0]}", *curves, "Z"])
 
     _, _, c = frame
     order = sorted(
@@ -411,7 +404,7 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     for fi in order:
         fill = _SVG_FILL[t.faces[fi].kind]
         lines.append(
-            f'<path d="{path_of(face_cubics[fi])}" fill="{fill}" '
+            f'<path d="{path_of(t.faces[fi])}" fill="{fill}" '
             f'stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>'
         )
     lines.append("</svg>")

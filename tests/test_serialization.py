@@ -1,5 +1,6 @@
 """JSON round trips, schema strictness, and the OBJ/SVG exporters."""
 
+import functools
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -15,13 +16,16 @@ from spheretile.generators import (
     snub_fusion,
 )
 from spheretile.realization import (
+    earth_map_solution,
     embed_generic,
     embed_prism,
+    prism_default_radius,
     prism_solution,
     sporadic_solution,
 )
 from spheretile.serialization import (
     SchemaError,
+    _projection_frame,
     export_obj,
     export_svg,
     parse_tiling,
@@ -188,83 +192,211 @@ def test_export_obj_shape():
         assert max(indices) <= 10
 
 
-def _slerp(p0, p1, u):
-    angle = math.acos(float(np.clip(np.dot(p0, p1), -1.0, 1.0)))
-    if angle < 1e-12:
-        return p0
-    return (math.sin((1 - u) * angle) * p0 + math.sin(u * angle) * p1) / math.sin(angle)
+# Reference tracer in scalar Python: each face traces each of its edges on
+# its own, once in a rough pass that fixes the extent and once against the
+# deviation budget.  export_svg's batched tracer must match it byte for byte.
+
+
+def _project(p, frame):
+    """Stereographic image of p (one point or rows of points) from -c."""
+    e1, e2, c = frame
+    denom = np.maximum(1.0 + np.dot(p, c), 1e-9)
+    return (2.0 * np.dot(p, e1) + 2.0j * np.dot(p, e2)) / denom
+
+
+def _edge_cubics(p0, p1, frame, tol_abs=math.inf):
+    """Cubic Bezier chain tracing the projected geodesic from p0 to p1."""
+    cos_arc = max(-1.0, min(1.0, float(np.dot(p0, p1))))
+    arc = math.acos(cos_arc)
+    tangent = p1 - cos_arc * p0
+    tangent /= np.linalg.norm(tangent)
+    e1, e2, c = frame
+
+    def point_and_velocity(t_param):
+        a = t_param * arc
+        p = math.cos(a) * p0 + math.sin(a) * tangent
+        dp = arc * (-math.sin(a) * p0 + math.cos(a) * tangent)
+        denom = 1.0 + float(np.dot(p, c))
+        u = 2.0 * float(np.dot(p, e1)) / denom
+        v = 2.0 * float(np.dot(p, e2)) / denom
+        du = (2.0 * float(np.dot(dp, e1)) - u * float(np.dot(dp, c))) / denom
+        dv = (2.0 * float(np.dot(dp, e2)) - v * float(np.dot(dp, c))) / denom
+        return complex(u, v), complex(du, dv)
+
+    cubics = []
+
+    def emit(t0, z0, d0, t1, z1, d1, depth):
+        h = t1 - t0
+        seg = (z0, z0 + d0 * h / 3.0, z1 - d1 * h / 3.0, z1)
+        tm = 0.5 * (t0 + t1)
+        zm, dm = point_and_velocity(tm)
+        bez_mid = (seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3]) / 8.0
+        if abs(bez_mid - zm) > tol_abs and depth < 14:
+            emit(t0, z0, d0, tm, zm, dm, depth + 1)
+            emit(tm, zm, dm, t1, z1, d1, depth + 1)
+        else:
+            cubics.append(seg)
+
+    n = max(2, int(math.ceil(arc * 5.1)))
+    knots = [point_and_velocity(i / n) for i in range(n + 1)]
+    for i in range(n):
+        emit(i / n, *knots[i], (i + 1) / n, *knots[i + 1], 0)
+    return cubics
+
+
+def _oracle_trace(t, e):
+    """Each face's cubic chain and the view transform (scale, cx, cy)."""
+    frame = _projection_frame(t, e)
+
+    def chains(tol_abs):
+        out = []
+        for face in t.faces:
+            cycle = face.vertices
+            chain = []
+            for i, v in enumerate(cycle):
+                w = cycle[(i + 1) % len(cycle)]
+                chain.extend(_edge_cubics(e.positions[v], e.positions[w], frame, tol_abs))
+            out.append(chain)
+        return out
+
+    def extent(face_cubics):
+        pts = [z for chain in face_cubics for seg in chain for z in (seg[0], seg[3])]
+        xs = [z.real for z in pts]
+        ys = [z.imag for z in pts]
+        return xs, ys, max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+
+    _, _, rough_span = extent(chains(math.inf))
+    face_cubics = chains(2e-4 * rough_span)
+    xs, ys, span = extent(face_cubics)
+    view = (0.92 * 1000.0 / span, 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys)))
+    return face_cubics, view
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(name):
+    return _oracle_trace(*_embedded(name))
+
+
+def _oracle_svg(name):
+    t, e = _embedded(name)
+    face_cubics, (scale, cx, cy) = _oracle(name)
+
+    def pt(z):
+        return f"{(z.real - cx) * scale + 500.0:.3f},{(cy - z.imag) * scale + 500.0:.3f}"
+
+    def path_of(chain):
+        parts = [f"M {pt(chain[0][0])}"]
+        parts.extend(f"C {pt(c1)} {pt(c2)} {pt(z1)}" for _, c1, c2, z1 in chain)
+        return " ".join(parts + ["Z"])
+
+    _, _, c = _projection_frame(t, e)
+    order = sorted(
+        range(len(t.faces)),
+        key=lambda fi: sum(float(np.dot(e.positions[v], c)) for v in t.faces[fi].vertices)
+        / t.faces[fi].size,
+    )
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
+        '<rect width="1000" height="1000" fill="white"/>',
+    ]
+    for fi in order:
+        fill = {"mgon": "#4878a8", "rhombus": "#e8c468"}[t.faces[fi].kind]
+        lines.append(
+            f'<path d="{path_of(face_cubics[fi])}" fill="{fill}" '
+            f'stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>'
+        )
+    return "\n".join(lines + ["</svg>"]) + "\n"
+
+
+def _realized(name):
+    """A shipped tiling, embedded as `generate --realize` embeds it."""
+    if name.startswith("prism_m"):
+        m = int(name[len("prism_m"):])
+        return prism(m), prism_solution(m, prism_default_radius(m))
+    if name.startswith("earthmap_c"):
+        c = int(name[len("earthmap_c"):])
+        return earth_map(c), earth_map_solution(c)
+    if name.startswith("snub"):
+        return snub_fusion(int(name[-1])), sporadic_solution("snub-fusion")
+    return football(), sporadic_solution("football")
+
+
+@functools.lru_cache(maxsize=None)
+def _embedded(name):
+    t, s = _realized(name)
+    return t, embed_generic(t, s)
+
+
+CATALOG = (
+    [f"prism_m{m}" for m in range(3, 17)]
+    + [f"earthmap_c{c}" for c in range(2, 9)]
+    + ["snub1", "snub2", "snub3", "football"]
+)
+SHIPPED = (
+    [f"prism_m{m}" for m in range(3, 65)]
+    + [f"earthmap_c{c}" for c in range(2, 65)]
+    + ["snub1", "snub2", "snub3", "football"]
+)
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG + ["earthmap_c12", "earthmap_c16", "earthmap_c32", "earthmap_c64", "prism_m64"]
+)
+def test_export_svg_matches_the_scalar_tracer_byte_for_byte(name):
+    t, e = _embedded(name)
+    assert export_svg(t, e) == _oracle_svg(name)
 
 
 def _parse_path(d):
     """Cubic chains from a path string 'M x,y C x,y x,y x,y ... Z'."""
     assert d.startswith("M") and d.rstrip().endswith("Z")
     tokens = d.replace("M", "").replace("C", "").replace("Z", "").split()
-    points = [np.array([float(a) for a in tok.split(",")]) for tok in tokens]
+    points = np.array([tok.split(",") for tok in tokens], dtype=float)
     assert (len(points) - 1) % 3 == 0
-    cubics = []
-    for i in range(1, len(points), 3):
-        cubics.append((points[i - 1], points[i], points[i + 1], points[i + 2]))
-    return points[0], cubics
+    return points[0], np.stack([points[0:-1:3], points[1::3], points[2::3], points[3::3]], axis=1)
+
+
+def _slerp(p0, p1, u):
+    """Points at fractions u (an array) along the great arc from p0 to p1."""
+    angle = math.acos(float(np.clip(np.dot(p0, p1), -1.0, 1.0)))
+    if angle < 1e-12:
+        return np.tile(p0, (len(u), 1))
+    return (
+        np.sin((1 - u) * angle)[:, None] * p0 + np.sin(u * angle)[:, None] * p1
+    ) / math.sin(angle)
 
 
 def test_export_svg_well_formed_and_accurate():
     from scipy.spatial import cKDTree
-    from spheretile.serialization import _edge_cubics, _project, _projection_frame
 
-    t = snub_fusion(2)
-    e = embed_generic(t, sporadic_solution("snub-fusion"))
-    svg = export_svg(t, e)
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    paths = [el for el in root.iter() if el.tag.endswith("path")]
-    assert len(paths) == t.face_count
+    for name in ("snub2", "football", "earthmap_c64", "prism_m64"):
+        t, e = _embedded(name)
+        svg = export_svg(t, e)
+        root = ET.fromstring(svg)
+        assert root.tag.endswith("svg")
+        paths = [el for el in root.iter() if el.tag.endswith("path")]
+        assert len(paths) == t.face_count
 
-    # Reconstruct the drawing transform the way the exporter does: the
-    # rough control-point pass fixes span and centre, then x maps up and
-    # y maps down from the projection plane into the 1000-unit viewbox.
-    frame = _projection_frame(t, e)
+        # The drawing transform, rebuilt from the scalar tracer: x maps up
+        # and y maps down from the projection plane into the 1000-unit viewbox.
+        frame = _projection_frame(t, e)
+        _, (scale, cx, cy) = _oracle(name)
 
-    def endpoint_extent(tol_abs):
-        pts = []
-        for face in t.faces:
-            cycle = face.vertices
-            for i, v in enumerate(cycle):
-                w = cycle[(i + 1) % len(cycle)]
-                for seg in _edge_cubics(
-                    e.positions[v], e.positions[w], frame, tol_abs
-                ):
-                    pts.extend((seg[0], seg[3]))
-        xs = [z.real for z in pts]
-        ys = [z.imag for z in pts]
-        return xs, ys, max(max(xs) - min(xs), max(ys) - min(ys))
-
-    _, _, rough_span = endpoint_extent(math.inf)
-    xs, ys, span = endpoint_extent(2e-4 * rough_span)
-    scale = 0.92 * 1000.0 / span
-    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
-
-    def to_viewbox(z):
-        return np.array(
-            [(z.real - cx) * scale + 500.0, (cy - z.imag) * scale + 500.0]
+        # Dense ground truth: every edge arc, slerped and projected.
+        u = np.arange(513) / 512.0
+        z = np.concatenate(
+            [_project(_slerp(e.positions[a], e.positions[b], u), frame) for a, b in t.undirected_edges()]
         )
+        tree = cKDTree(np.column_stack([(z.real - cx) * scale + 500.0, (cy - z.imag) * scale + 500.0]))
 
-    # Dense ground truth: every edge arc, slerped and projected.
-    samples = []
-    for u, v in t.undirected_edges():
-        p0, p1 = e.positions[u], e.positions[v]
-        for k in range(513):
-            samples.append(to_viewbox(_project(_slerp(p0, p1, k / 512.0), frame)))
-    tree = cKDTree(np.array(samples))
-
-    # Every drawn cubic, sampled at the quarter points, must stay within
-    # one part in a thousand of the viewbox (1 unit of 1000) of a true arc.
-    worst = 0.0
-    for el in paths:
-        start, cubics = _parse_path(el.attrib["d"])
-        cursor = start
-        for (p0, c1, c2, p3) in cubics:
-            assert np.allclose(cursor, p0, atol=1e-9)
-            cursor = p3
+        # Every drawn cubic, sampled at the quarter points, must stay within
+        # one part in a thousand of the viewbox (1 unit of 1000) of a true arc.
+        worst = 0.0
+        for el in paths:
+            start, cubics = _parse_path(el.attrib["d"])
+            p0, c1, c2, p3 = cubics.transpose(1, 0, 2)
+            assert np.allclose(p0[1:], p3[:-1], atol=1e-9)
+            assert np.allclose(p3[-1], start, atol=1e-9)
             for u in (0.25, 0.5, 0.75):
                 b = (
                     (1 - u) ** 3 * p0
@@ -273,6 +405,32 @@ def test_export_svg_well_formed_and_accurate():
                     + u**3 * p3
                 )
                 dist, _ = tree.query(b)
-                worst = max(worst, float(dist))
-        assert np.allclose(cursor, start, atol=1e-9)
-    assert worst <= 1.0
+                worst = max(worst, float(dist.max()))
+        assert worst <= 1.0, name
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_export_svg_draws_every_face_readably(name):
+    # The projection centre is an m-gon's centroid, so no edge passes near
+    # the projection pole and no face shrinks to a speck.
+    t, e = _embedded(name)
+    root = ET.fromstring(export_svg(t, e))
+    for el in root.iter():
+        if el.tag.endswith("path"):
+            _, cubics = _parse_path(el.attrib["d"])
+            assert np.ptp(cubics[:, 3], axis=0).max() >= 5.0, name
+
+
+@pytest.mark.parametrize("name", ["prism_m5", "snub2"])
+def test_export_svg_names_an_edge_through_the_projection_pole(name, monkeypatch):
+    import spheretile.serialization as serialization
+
+    t, e = _embedded(name)
+    u, v = t.undirected_edges()[-1]
+    mid = e.positions[u] + e.positions[v]
+    c = -mid / np.linalg.norm(mid)
+    e1 = np.cross(c, [0.0, 0.0, 1.0] if abs(c[2]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    monkeypatch.setattr(serialization, "_projection_frame", lambda t, e: (e1, np.cross(c, e1), c))
+    with pytest.raises(ValueError, match=f"edge {u}-{v} passes through the projection pole"):
+        export_svg(t, e)
