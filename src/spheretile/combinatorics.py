@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from scipy.optimize import linprog
-
 from . import trig
 from .trig import (
     TWO_PI,
@@ -77,47 +75,43 @@ def _candidate_degree3() -> list[VertexType]:
     ]
 
 
-def _feasible_in_box(m: int, v: VertexType, margin: float = 1e-9) -> bool:
-    """Linear-programming feasibility of a*alpha + b*beta + c*gamma = 2*pi
-    inside the open admissibility box (:func:`trig._box_rows`), with a
-    small interior margin on its strict sides.
+def _feasible_in_box(m: int, v: VertexType) -> bool:
+    """Whether a*alpha + b*beta + c*gamma = 2*pi meets the admissibility box.
+
+    Decided exactly, by Fourier-Motzkin elimination over the integers.  In
+    angle units of pi/m every box row (:func:`trig._box_rows_exact`) reads
+    coeffs . x + const > 0 (>= 0 when not strict) with integer entries,
+    and the vertex equation enters as two >= rows with constant -+2m.
+    Eliminating alpha, beta and gamma in turn, each pair of rows with
+    opposite signs on the angle combines, with positive integer weights,
+    into a row without it, strict when either parent is.  The system is
+    feasible exactly when every constant row left holds: no margin, no
+    rounding.
     """
-    # Each box row reads coeffs . x + const > 0 (>= 0 when not strict);
-    # as A_ub x <= b_ub that is -coeffs . x <= const (- margin when strict).
-    rows = trig._box_rows(m)
-    a_ub = [[-c for c in coeffs] for _tag, coeffs, _const, _strict in rows]
-    b_ub = [
-        const - margin if strict else const for _tag, _coeffs, const, strict in rows
-    ]
-    res = linprog(
-        c=[0.0, 0.0, 0.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=[[float(v.a), float(v.b), float(v.c)]],
-        b_eq=[TWO_PI],
-        bounds=[(None, None)] * 3,
-        method="highs",
-        # The solver's feasibility tolerance must sit below the interior
-        # margin, or contradictions thinner than the default 1e-7
-        # tolerance pass as feasible (alpha.gamma^2 and gamma^3 did);
-        # 1e-10 is the tightest value HiGHS accepts.
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    return res.status == 0
+    eq = (v.a, v.b, v.c)
+    rows = set(trig._box_rows_exact(m))
+    rows |= {(eq, -2 * m, False), (tuple(-e for e in eq), 2 * m, False)}
+    for j in range(3):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        rows = {r for r in rows if r[0][j] == 0}
+        for p, kp, sp in pos:
+            for n, kn, sn in neg:
+                wp, wn = -n[j], p[j]
+                coeffs = tuple(wp * x + wn * y for x, y in zip(p, n))
+                rows.add((coeffs, wp * kp + wn * kn, sp or sn))
+    return all(k > 0 if strict else k >= 0 for _coeffs, k, strict in rows)
 
 
 def enumerate_degree3(m: int) -> list[VertexType]:
     """Degree-3 vertex types admissible at gonality m.
 
-    Filters all (a, b, c) with a+b+c = 3 through linear feasibility over
-    the admissibility box.  For m >= 6 the types without any gamma are
-    additionally excluded: the edge bound forces gamma into every vertex
-    covering of the tiling once the m-gon angle crowds out beta-only
-    fits, so such a vertex cannot appear in a tiling even when the linear
-    system alone is feasible.
+    Filters all (a, b, c) with a+b+c = 3 through exact linear feasibility
+    over the admissibility box (:func:`_feasible_in_box`).  For m >= 6 the
+    types without any gamma are additionally excluded: the edge bound
+    forces gamma into every vertex covering of the tiling once the m-gon
+    angle crowds out beta-only fits, so such a vertex cannot appear in a
+    tiling even when the linear system alone is feasible.
     """
     if m < 5:
         raise ValueError(f"classification scope starts at m = 5, got {m}")

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .trig import TWO_PI, AngleSolution, ClosureDomainError, solve_closure, tolerance
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
@@ -47,7 +46,6 @@ class Embedding:
     """Unit-sphere positions per vertex id, plus placement metadata."""
 
     positions: dict[int, np.ndarray]
-    seed_face: int = 0
     worst_defect: float = 0.0
 
 
@@ -79,13 +77,23 @@ def earth_map_gamma(c: int) -> float:
     """The unique gamma in (0, 2*pi/5) whose block length is exactly c.
 
     c(gamma) decreases continuously from +infinity (gamma -> 0) to 1 at
-    gamma = 2*pi/5, so for any integer c >= 2 the interval brackets the
-    root.  Brent's method with an absolute tolerance of 1e-15 leaves
-    |c(gamma) - c| well under 1e-10; scipy's default tolerance does not.
+    gamma = 2*pi/5, so for any integer c >= 2 the interval (1e-9, 2*pi/5)
+    brackets the root.  Plain bisection keeps the end with c(gamma) > c as
+    ``lo`` and the other as ``hi``, and stops once the midpoint rounds to
+    one of the ends: the bracket is then two adjacent floats, and the
+    midpoint is returned.  That leaves |c(gamma) - c| far below 1e-10.
     """
     if c < 2:
         raise ValueError(f"earth-map blocks need c >= 2, got {c}")
-    return brentq(lambda g: _earth_map_c(g) - c, 1e-9, 2.0 * math.pi / 5.0, xtol=1e-15)
+    lo, hi = 1e-9, 2.0 * math.pi / 5.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _earth_map_c(mid) > c:
+            lo = mid
+        else:
+            hi = mid
 
 
 def earth_map_solution(c: int) -> AngleSolution:
@@ -200,7 +208,7 @@ def embed_prism(m: int, r: float) -> tuple[TilingComplex, Embedding]:
                 math.cos(colat),
             ]
         )
-    return t, Embedding(positions, seed_face=0)
+    return t, Embedding(positions)
 
 
 # -- sporadic solutions ----------------------------------------------------------
@@ -342,7 +350,7 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
 
     if worst_defect > CLOSURE_TOL:
         raise ClosureDefect(worst_vertex, worst_defect)
-    return Embedding(positions, seed_face=seed_face, worst_defect=worst_defect)
+    return Embedding(positions, worst_defect=worst_defect)
 
 
 def embed_earth_map(c: int) -> tuple[TilingComplex, Embedding]:

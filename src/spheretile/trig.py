@@ -197,23 +197,37 @@ class AngleSolution:
 #   beta + gamma > pi              (spherical rhombus angle excess)
 #   alpha + beta + gamma <= 2*pi   (a vertex fits all three angles)
 #
-# Each entry: (tag, coefficient row (ca, cb, cg), constant, strict) meaning
-# ca*alpha + cb*beta + cg*gamma + constant > 0 (or >= 0 when strict=False).
+# Each entry: (tag, integer coefficients (ca, cb, cg), constant, strict)
+# meaning ca*alpha + cb*beta + cg*gamma + constant > 0 (or >= 0 when
+# strict=False).  The constant is u*pi + w*mgon_lower_bound(m), stored as
+# (u, w), so both readers below derive their rows from this one table.
+_BOX = (
+    ("alpha above m-gon bound", (1, 0, 0), (0, -1), True),
+    ("alpha below pi", (-1, 0, 0), (1, 0), True),
+    ("beta positive", (0, 1, 0), (0, 0), True),
+    ("beta below pi", (0, -1, 0), (1, 0), True),
+    ("gamma positive", (0, 0, 1), (0, 0), True),
+    ("gamma below beta", (0, 1, -1), (0, 0), True),
+    ("gamma below alpha", (1, 0, -1), (0, 0), True),
+    ("beta+gamma above pi", (0, 1, 1), (-1, 0), True),
+    ("angle sum at most 2*pi", (-1, -1, -1), (2, 0), False),
+)
 
 
 @lru_cache(maxsize=64)
 def _box_rows(m: int) -> tuple[tuple[str, tuple[float, float, float], float, bool], ...]:
-    return (
-        ("alpha above m-gon bound", (1.0, 0.0, 0.0), -mgon_lower_bound(m), True),
-        ("alpha below pi", (-1.0, 0.0, 0.0), math.pi, True),
-        ("beta positive", (0.0, 1.0, 0.0), 0.0, True),
-        ("beta below pi", (0.0, -1.0, 0.0), math.pi, True),
-        ("gamma positive", (0.0, 0.0, 1.0), 0.0, True),
-        ("gamma below beta", (0.0, 1.0, -1.0), 0.0, True),
-        ("gamma below alpha", (1.0, 0.0, -1.0), 0.0, True),
-        ("beta+gamma above pi", (0.0, 1.0, 1.0), -math.pi, True),
-        ("angle sum at most 2*pi", (-1.0, -1.0, -1.0), TWO_PI, False),
+    # The m-gon bound enters as mgon_lower_bound(m) itself: rounding
+    # (m - 2)*pi/m another way moves its last bit for some m.
+    lo = mgon_lower_bound(m)
+    return tuple(
+        (tag, tuple(map(float, coeffs)), u * math.pi + w * lo, strict)
+        for tag, coeffs, (u, w), strict in _BOX
     )
+
+
+def _box_rows_exact(m: int) -> tuple[tuple[tuple[int, int, int], int, bool], ...]:
+    """The box rows in angle units of pi/m, where pi is m and the m-gon bound m - 2."""
+    return tuple((coeffs, u * m + w * (m - 2), strict) for _tag, coeffs, (u, w), strict in _BOX)
 
 
 def box_violations(m: int, alpha: float, beta: float, gamma: float) -> list[str]:

@@ -11,6 +11,11 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
+
+if __name__ == "__main__":
+    # Standalone runs import the package from this checkout's src/, installed or not.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 

@@ -1,6 +1,11 @@
-"""Command-line entry points, driven in process through main()."""
+"""Command-line entry points, driven in process through main(), and what
+importing the command-line module loads, seen from a fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +233,16 @@ def test_generate_large_prism_verifies(tmp_path, capsys):
     out, _ = _generated(tmp_path, capsys, "prism", "--m", "64", "--realize")
     assert main(["verify", "--in", str(out)]) == EXIT_OK
     assert "geometric: ok" in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The runtime needs numpy alone; scipy is a test-only dependency."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import spheretile.cli, sys; "
+        "bad = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'); "
+        "assert not bad, bad"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,12 +4,16 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy import optimize
 
+from spheretile import trig
 from spheretile.combinatorics import (
     AVC,
     FamilyOutcome,
     NonexistenceEvidence,
     VertexType,
+    _candidate_degree3,
+    _feasible_in_box,
     classify,
     counting_filter,
     enumerate_avc,
@@ -62,6 +66,53 @@ def test_degree3_excludes_narrowly_infeasible_types():
     assert (1, 0, 2) not in seeds
     assert (0, 1, 2) not in seeds
     assert (0, 0, 3) not in seeds
+
+
+def _lp_feasible_in_box(m, v):
+    """The floating-point LP that decided seed feasibility before the exact
+    elimination: HiGHS with a 1e-9 interior margin on the strict rows."""
+    rows = trig._box_rows(m)
+    res = optimize.linprog(
+        c=[0.0, 0.0, 0.0],
+        A_ub=[[-c for c in coeffs] for _tag, coeffs, _const, _strict in rows],
+        b_ub=[const - 1e-9 if strict else const for _tag, _coeffs, const, strict in rows],
+        A_eq=[[float(v.a), float(v.b), float(v.c)]],
+        b_eq=[2.0 * math.pi],
+        bounds=[(None, None)] * 3,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    return res.status == 0
+
+
+def test_exact_seed_check_agrees_with_the_lp_oracle():
+    """Every degree-3 candidate, the gamma-free ones included, for m = 5..64."""
+    for m in range(5, 65):
+        for v in _candidate_degree3():
+            assert _feasible_in_box(m, v) == _lp_feasible_in_box(m, v), (m, v)
+
+
+def test_box_rows_keep_their_float_constants_bit_for_bit():
+    for m in range(5, 65):
+        expected = (
+            ("alpha above m-gon bound", (1.0, 0.0, 0.0), -((1.0 - 2.0 / m) * math.pi), True),
+            ("alpha below pi", (-1.0, 0.0, 0.0), math.pi, True),
+            ("beta positive", (0.0, 1.0, 0.0), 0.0, True),
+            ("beta below pi", (0.0, -1.0, 0.0), math.pi, True),
+            ("gamma positive", (0.0, 0.0, 1.0), 0.0, True),
+            ("gamma below beta", (0.0, 1.0, -1.0), 0.0, True),
+            ("gamma below alpha", (1.0, 0.0, -1.0), 0.0, True),
+            ("beta+gamma above pi", (0.0, 1.0, 1.0), -math.pi, True),
+            ("angle sum at most 2*pi", (-1.0, -1.0, -1.0), 2.0 * math.pi, False),
+        )
+
+        def bits(rows):
+            return [
+                (tag, [float.hex(c) for c in coeffs], float.hex(const), strict)
+                for tag, coeffs, const, strict in rows
+            ]
+
+        assert bits(trig._box_rows(m)) == bits(expected), m
 
 
 def test_vertex_angle_sum():

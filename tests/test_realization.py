@@ -288,7 +288,7 @@ def test_verify_geometric_flags_jitter():
     bad_positions = {
         v: p + rng.normal(scale=1e-3, size=3) for v, p in e.positions.items()
     }
-    bad = type(e)(positions=bad_positions, seed_face=e.seed_face)
+    bad = type(e)(positions=bad_positions)
     report = verify_geometric(t, bad, s, tol=1e-6)
     assert not report.ok
     assert any("norm" in msg for msg in report.failures)
