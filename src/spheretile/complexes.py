@@ -61,42 +61,42 @@ class Face:
         return len(self.vertices)
 
 
+class HalfEdges(NamedTuple):
+    """The half-edge lists of a :class:`TilingComplex`, read-only.  Half-edges
+    run face by face, each face's in vertex order, and ``label[h]`` is the
+    corner at ``origin[h]`` in its face."""
+
+    origin: Sequence[int]
+    nxt: Sequence[int]
+    prev: Sequence[int]
+    twin: Sequence[int]
+    face_of: Sequence[int]
+    label: Sequence[str]
+
+
 class TilingComplex:
     """Immutable validated half-edge complex.
 
     Construct through :func:`build_from_faces`.  Vertex ids given to the
     builder may be arbitrary hashable names; they are renumbered to
     0..V-1 in order of first appearance, and the original names remain
-    available through :attr:`vertex_names`.
+    available through :attr:`vertex_names`, and its half-edge lists, shared
+    and never copied, through :attr:`half_edges`.
     """
 
-    __slots__ = (
-        "faces", "vertex_names", "_origin", "_label", "_next", "_prev",
-        "_twin", "_face_of", "_face_start", "_out_edges",
-    )
+    __slots__ = ("faces", "vertex_names", "half_edges", "_face_start", "_out_edges")
 
-    def __init__(
-        self,
-        faces: tuple[Face, ...],
-        vertex_names: tuple[Hashable, ...],
-        origin: list[int],
-        label: list[str],
-        nxt: list[int],
-        twin: list[int],
-        face_of: list[int],
-        face_start: list[int],
-        out_edges: list[list[int]],
-    ):
+    def __init__(self, faces: tuple[Face, ...], surface: SphereSurface, label: list[str]):
         self.faces = faces
-        self.vertex_names = vertex_names
-        self._origin = origin
-        self._label = label
-        self._next = nxt
-        self._prev = _invert(nxt)
-        self._twin = twin
-        self._face_of = face_of
-        self._face_start = face_start
-        self._out_edges = out_edges
+        self.vertex_names = surface.vertex_names
+        prev = [0] * len(surface.nxt)
+        for h, n in enumerate(surface.nxt):
+            prev[n] = h
+        self.half_edges = HalfEdges(
+            surface.origin, surface.nxt, prev, surface.twin, surface.face_of, label
+        )
+        self._face_start = surface.face_start
+        self._out_edges = surface.out_edges
 
     # -- basic counts ------------------------------------------------------
 
@@ -106,11 +106,11 @@ class TilingComplex:
 
     @property
     def half_edge_count(self) -> int:
-        return len(self._origin)
+        return len(self.half_edges.origin)
 
     @property
     def edge_count(self) -> int:
-        return len(self._origin) // 2
+        return len(self.half_edges.origin) // 2
 
     @property
     def face_count(self) -> int:
@@ -140,55 +140,49 @@ class TilingComplex:
     def census(self) -> dict[VertexTriple, int]:
         """Count vertices by type (a, b, c) = corner multiplicities of each angle."""
         out: dict[VertexTriple, int] = {}
+        label = self.half_edges.label
         for v in range(self.vertex_count):
             counts = [0, 0, 0]
             for h in self._out_edges[v]:
-                counts[_LABEL_CODE[self._label[h]]] += 1
+                counts[_LABEL_CODE[label[h]]] += 1
             key = (counts[0], counts[1], counts[2])
             out[key] = out.get(key, 0) + 1
         return out
 
     def corner_counts(self) -> tuple[int, int, int]:
         counts = [0, 0, 0]
-        for lab in self._label:
+        for lab in self.half_edges.label:
             counts[_LABEL_CODE[lab]] += 1
         return counts[0], counts[1], counts[2]
 
     # -- traversal helpers used by realization/serialization ---------------
 
     def face_of_half_edge(self, h: int) -> int:
-        return self._face_of[h]
+        return self.half_edges.face_of[h]
 
     def half_edges_of_face(self, f: int) -> list[int]:
         start = self._face_start[f]
-        out = [start]
-        h = self._next[start]
-        while h != start:
-            out.append(h)
-            h = self._next[h]
-        return out
+        return list(range(start, start + self.faces[f].size))
 
     def half_edge_endpoints(self, h: int) -> tuple[int, int]:
-        return self._origin[h], self._origin[self._next[h]]
+        origin, nxt = self.half_edges[:2]
+        return origin[h], origin[nxt[h]]
 
     def twin(self, h: int) -> int:
-        return self._twin[h]
+        return self.half_edges.twin[h]
 
     def next_half_edge(self, h: int) -> int:
-        return self._next[h]
+        return self.half_edges.nxt[h]
 
     def label_of(self, h: int) -> str:
-        return self._label[h]
+        return self.half_edges.label[h]
 
     def out_half_edges(self, v: int) -> list[int]:
         return list(self._out_edges[v])
 
     def undirected_edges(self) -> list[tuple[int, int]]:
-        return [
-            (self._origin[h], self._origin[self._next[h]])
-            for h in range(len(self._origin))
-            if self._origin[h] < self._origin[self._next[h]]
-        ]
+        origin, nxt = self.half_edges[:2]
+        return [(origin[h], origin[n]) for h, n in enumerate(nxt) if origin[h] < origin[n]]
 
     # -- canonical form ------------------------------------------------------
 
@@ -217,10 +211,9 @@ class TilingComplex:
         origin becomes its head, its corner label is the one at the head,
         and the within-face successor is the predecessor.
         """
-        nxt = self._prev if mirror else self._next
-        origin = self._origin
-        label = self._label
-        shift = self._next if mirror else None
+        origin, forward, backward, twin, face_of, label = self.half_edges
+        nxt = backward if mirror else forward
+        shift = forward if mirror else None
 
         tokens: list[int] = []
         tied = best is not None
@@ -231,7 +224,7 @@ class TilingComplex:
 
         while queue:
             h = queue.popleft()
-            fi = self._face_of[h]
+            fi = face_of[h]
             if visited[fi]:
                 continue
             visited[fi] = True
@@ -269,18 +262,11 @@ class TilingComplex:
             tokens.extend(face_tokens)
 
             for w in walk:
-                queue.append(self._twin[w])
+                queue.append(twin[w])
 
         if tied:
             return None
         return tokens
-
-
-def _invert(nxt: list[int]) -> list[int]:
-    prev = [0] * len(nxt)
-    for h, n in enumerate(nxt):
-        prev[n] = h
-    return prev
 
 
 # -- construction ------------------------------------------------------------
@@ -468,11 +454,7 @@ def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
         Face(kind, ids, tuple(labels))
         for (kind, _, labels), ids in zip(specs, s.cycles)
     )
-    label = [lab for face in faces for lab in face.labels]
-    return TilingComplex(
-        faces, s.vertex_names, s.origin, label, s.nxt, s.twin, s.face_of,
-        s.face_start, s.out_edges,
-    )
+    return TilingComplex(faces, s, [lab for face in faces for lab in face.labels])
 
 
 # -- combinatorial verification ----------------------------------------------

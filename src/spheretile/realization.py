@@ -8,9 +8,12 @@ checked against the stored position, so an inconsistent angle solution or
 a wrong complex surfaces as a closure defect instead of a silently
 distorted picture.  :func:`embed_prism` places prisms in closed form as a
 reference.  :func:`verify_geometric` proves that a placement is a tiling
-by a covering-degree certificate, one small determinant matrix per face,
-and :func:`verify_tiling` re-checks a tiling and its optional placement
-from scratch, inferring the angles when none are given.
+by a covering-degree certificate.  It measures the placement in one array
+pass over the complex's half-edges (arc, unit tangent and corner angle of
+each), and every check, the certificate's determinants included, reads
+that table; angles measured from coordinates come from the same table.
+:func:`verify_tiling` re-checks a tiling and its optional placement from
+scratch, inferring the angles when none are given.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .trig import TWO_PI, AngleSolution, ClosureDomainError, solve_closure, tolerance
+from .trig import TWO_PI, ANGLE_NAMES, AngleSolution, ClosureDomainError, solve_closure, tolerance
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
 from .generators import earth_map, prism
 
@@ -47,16 +50,6 @@ class Embedding:
 
     positions: dict[int, np.ndarray]
     worst_defect: float = 0.0
-
-
-@dataclass(frozen=True)
-class LuneParams:
-    """Prism layout parameters: polar radius r, pole gap h, longitude offset."""
-
-    m: int
-    r: float
-    h: float
-    xi1: float
 
 
 # -- earth-map parameter ------------------------------------------------------
@@ -132,7 +125,7 @@ def prism_default_radius(m: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def prism_params(m: int, r: float) -> LuneParams:
+def prism_params(m: int, r: float) -> float:
     """Longitude offset between the two polar m-gons at radius r.
 
     The rhombus closes only when the polar gap h = pi - 2r is shorter than
@@ -147,8 +140,7 @@ def prism_params(m: int, r: float) -> LuneParams:
             f"polar radius must lie in ({lo:.6f}, {hi:.6f}) for m={m}, got {r}"
         )
     cot_r = 1.0 / math.tan(r)
-    xi1 = math.acos(2.0 * cot_r * cot_r + math.cos(TWO_PI / m))
-    return LuneParams(m=m, r=r, h=math.pi - 2.0 * r, xi1=xi1)
+    return math.acos(2.0 * cot_r * cot_r + math.cos(TWO_PI / m))
 
 
 def prism_solution(m: int, r: float) -> AngleSolution:
@@ -163,7 +155,7 @@ def prism_solution(m: int, r: float) -> AngleSolution:
     no checked solution raises :class:`ClosureDomainError`: above the top of
     :func:`prism_geometric_bounds` (m = 3), or within about 1e-5 below it.
     """
-    params = prism_params(m, r)
+    prism_params(m, r)  # the radius check
     cos_x = math.cos(r) ** 2 + math.sin(r) ** 2 * math.cos(TWO_PI / m)
     if cos_x <= 0.0:
         raise ClosureDomainError(
@@ -192,13 +184,13 @@ def embed_prism(m: int, r: float) -> tuple[TilingComplex, Embedding]:
     The north ring trails by xi1 (rather than leading) so that the short
     rhombus diagonal joins the two corners carrying the larger angle.
     """
-    params = prism_params(m, r)
+    xi1 = prism_params(m, r)
     t = prism(m)
     positions: dict[int, np.ndarray] = {}
     for v, name in enumerate(t.vertex_names):
         ring, p = name
         if ring == "N":
-            colat, lon = r, p * TWO_PI / m - params.xi1
+            colat, lon = r, p * TWO_PI / m - xi1
         else:
             colat, lon = math.pi - r, p * TWO_PI / m
         positions[v] = np.array(
@@ -380,47 +372,85 @@ class GeometricReport:
     orientation_failures: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _angle_between(t1: np.ndarray, t2: np.ndarray) -> float:
-    return math.acos(max(-1.0, min(1.0, float(np.dot(t1, t2)))))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded as ``np.dot`` rounds it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _orientation_failures(
-    t: TilingComplex, pos: dict[int, np.ndarray]
-) -> list[tuple[int, int]]:
-    """(face, vertex) pairs off the common side of one of the face's edges.
-
-    Entry (i, j) of ``cross(Q, roll(Q, -1)) @ Q.T`` is det(q_i, q_i+1, q_j),
-    the side of edge i's great circle that corner j lies on; j at an end of
-    edge i gives 0 and is skipped.  The sign is read from the data, so
-    mirrored placements pass; 1e-12 is far above the rounding error.
-    """
-    dets = []
-    for face in t.faces:
-        q = np.array([pos[v] for v in face.vertices])
-        k = len(q)
-        off_edge = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k >= 2
-        dets.append(np.where(off_edge, np.cross(q, np.roll(q, -1, axis=0)) @ q.T, np.nan))
-    sign = 1.0 if sum(float(np.nansum(d)) for d in dets) > 0.0 else -1.0
-    # NaN entries compare false, so the skipped ones never fail.
-    return [
-        (fi, t.faces[fi].vertices[j])
-        for fi, d in enumerate(dets)
-        for j in np.flatnonzero((sign * d <= 1e-12).any(axis=0))
-    ]
+def geodesic_arcs(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine and length of the arc from each row of p0 to that of p1, and
+    the unit tangent at p0 along it: p1 less its part along p0, normalised.
+    The tangent is NaN where that part is shorter than 1e-14 (a zero or pi
+    arc has no direction) or overflows."""
+    cos_arc = _dots(p0, p1)
+    tangent = p1 - cos_arc[:, None] * p0
+    norm = np.sqrt(_dots(tangent, tangent))[:, None]
+    defined = np.isfinite(norm) & (norm >= 1e-14)
+    tangent = np.divide(tangent, norm, out=np.full_like(tangent, np.nan), where=defined)
+    cos_arc = np.clip(cos_arc, -1.0, 1.0)
+    return cos_arc, np.arccos(cos_arc), tangent
 
 
+class _Measurement(NamedTuple):
+    """A placement measured in one pass, one row per half-edge h.  ``angle``
+    is the corner at h's origin, NaN unless both edges there are
+    ``edge_ok``: have a tangent at each end."""
+
+    points: np.ndarray  # one row per vertex
+    origin: np.ndarray
+    head: np.ndarray
+    face_of: np.ndarray
+    label: np.ndarray
+    cos_arc: np.ndarray
+    arc: np.ndarray
+    edge_ok: np.ndarray
+    angle: np.ndarray
+
+
+def _measure(t: TilingComplex, e: Embedding) -> _Measurement:
+    """Arc, tangent and corner angle of every half-edge, in one array pass;
+    the corner at h's origin lies between h and twin(prev(h))."""
+    points = np.array([e.positions[v] for v in range(t.vertex_count)], dtype=float)
+    origin, nxt, prev, twin, face_of, label = (np.asarray(a) for a in t.half_edges)
+    back, head = twin[prev], origin[nxt]
+    cos_arc, arc, tangent = geodesic_arcs(points[origin], points[head])
+    defined = ~np.isnan(tangent[:, 0])
+    edge_ok = defined & defined[twin]
+    cos_angle = np.clip(_dots(tangent, tangent[back]), -1.0, 1.0)
+    angle = np.where(edge_ok & edge_ok[back], np.arccos(cos_angle), np.nan)
+    return _Measurement(points, origin, head, face_of, label, cos_arc, arc, edge_ok, angle)
+
+
+def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int, int]]:
+    """(face, vertex) pairs off the common side of one of the face's edges:
+    det(p, q, r) = (p x q) . r is the side of edge (p, q) that corner r of
+    its face lies on.  The sign is read from the data, so mirrored
+    placements pass; 1e-12 is far above the rounding error."""
+    k = sizes[m.face_of]
+    start = (np.cumsum(sizes) - sizes)[m.face_of]  # first half-edge of h's face
+    h = np.repeat(np.arange(len(k)), k - 2)  # each half-edge once per corner off it
+    step = 2 + np.arange(len(h)) - np.repeat(np.cumsum(k - 2) - (k - 2), k - 2)
+    corner = start[h] + (h - start[h] + step) % k[h]
+    normal = np.cross(m.points[m.origin], m.points[m.head])
+    det = _dots(normal[h], m.points[m.origin[corner]])
+    sign = 1.0 if np.nansum(det) > 0.0 else -1.0
+    fails = np.bincount(corner, weights=sign * det <= 1e-12, minlength=len(k))  # NaN never fails
+    bad = np.flatnonzero(fails)
+    return list(zip(m.face_of[bad].tolist(), m.origin[bad].tolist()))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # far-off points overflow; see the norm check
 def verify_geometric(
-    t: TilingComplex,
-    e: Embedding,
-    s: AngleSolution,
-    tol: float = 1e-6,
+    t: TilingComplex, e: Embedding, s: AngleSolution, tol: float = 1e-6
 ) -> GeometricReport:
     """Check an embedding against its angle solution.
 
-    Verifies unit norms, every edge's arc length against the common edge,
-    every corner angle against its label, per-vertex angle sums of 2*pi,
-    the total spherical excess of 4*pi, and a covering certificate that
-    no face overlaps another.  Report-based: nothing raises.
+    One array pass over the half-edges measures every arc, tangent and
+    corner angle, and every check reads that table: unit norms, each arc
+    against the common edge, each corner against its label, vertex angle
+    sums of 2*pi (a ``bincount`` over origins), total spherical excess of
+    4*pi (one over faces), and a covering certificate that no face
+    overlaps another.  Report-based: nothing raises.
 
     The certificate: the complex is a sphere (checked when it was built),
     no edge arc is 0 or pi, every face is strictly convex with one
@@ -429,63 +459,38 @@ def verify_geometric(
     covering of the sphere by itself of degree 1, hence an embedding.
     The area check is a second witness: degree d gives area 4*pi*d.
     """
-    failures: list[str] = []
-    pos = e.positions
-
-    for v in range(t.vertex_count):
-        n = float(np.linalg.norm(pos[v]))
-        if abs(n - 1.0) > 1e-12:
-            failures.append(f"vertex {v} has norm {n:.15f}")
-
+    m = _measure(t, e)
+    norms = np.linalg.norm(m.points, axis=1)
+    failures = [
+        f"vertex {v} has norm {norms[v]:.15f}" for v in np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    ]
+    failures += [
+        f"edge {m.origin[h]}-{m.head[h]} has a zero or pi arc; its corners are not measured"
+        for h in np.flatnonzero((m.origin < m.head) & ~m.edge_ok)
+    ]
     x = s.x
-    arcs = []
-    tangent: dict[tuple[int, int], np.ndarray] = {}  # (u, v): unit tangent at u toward v
-    for (u, v) in t.undirected_edges():
-        d = max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))
-        arcs.append(math.acos(d))
-        try:
-            t_uv, t_vu = _tangent_toward(pos[u], pos[v]), _tangent_toward(pos[v], pos[u])
-        except ValueError:
-            failures.append(f"edge {u}-{v} has a zero or pi arc; its corners are not measured")
-        else:
-            tangent[u, v], tangent[v, u] = t_uv, t_vu
-    edge_min, edge_max = min(arcs), max(arcs)
-    spread = edge_max - edge_min
+    edge_min, edge_max = float(m.arc.min()), float(m.arc.max())
     if abs(edge_min - x) > tol or abs(edge_max - x) > tol:
-        failures.append(
-            f"edge arcs range [{edge_min:.12f}, {edge_max:.12f}], expected {x:.12f}"
-        )
+        failures.append(f"edge arcs range [{edge_min:.12f}, {edge_max:.12f}], expected {x:.12f}")
 
-    worst_corner = 0.0
-    vertex_sums = {v: 0.0 for v in range(t.vertex_count)}
-    face_excess_total = 0.0
-    for face in t.faces:
-        k = face.size
-        measured_sum = 0.0
-        for i in range(k):
-            v_prev, v_cur, v_next = (face.vertices[(i + di) % k] for di in (-1, 0, 1))
-            if (v_cur, v_prev) not in tangent or (v_cur, v_next) not in tangent:
-                continue
-            angle = _angle_between(tangent[v_cur, v_prev], tangent[v_cur, v_next])
-            expected = s.angle(face.labels[i])
-            worst_corner = max(worst_corner, abs(angle - expected))
-            if abs(angle - expected) > tol:
-                failures.append(
-                    f"corner {face.labels[i]} at vertex {v_cur} measures "
-                    f"{angle:.12f}, expected {expected:.12f}"
-                )
-            vertex_sums[v_cur] += angle
-            measured_sum += angle
-        face_excess_total += measured_sum - (k - 2) * math.pi
+    expected = np.where(m.label == "alpha", s.alpha, np.where(m.label == "beta", s.beta, s.gamma))
+    defect = np.abs(m.angle - expected)
+    failures += [
+        f"corner {m.label[h]} at vertex {m.origin[h]} measures "
+        f"{m.angle[h]:.12f}, expected {expected[h]:.12f}"
+        for h in np.flatnonzero(defect > tol)  # an unmeasured corner's NaN compares false
+    ]
 
+    angles = np.nan_to_num(m.angle)  # unmeasured corners add nothing
+    worst_vertex_sum = float(np.abs(np.bincount(m.origin, weights=angles) - TWO_PI).max())
     # The pi bound holds whatever tol is: the certificate needs it to know
     # that the faces wrap each vertex exactly once.
-    worst_vertex_sum = max(abs(total - TWO_PI) for total in vertex_sums.values())
     if worst_vertex_sum > max(tol, 1e-6) or worst_vertex_sum >= math.pi:
-        failures.append(
-            f"worst vertex angle sum is off 2*pi by {worst_vertex_sum:.3e}"
-        )
+        failures.append(f"worst vertex angle sum is off 2*pi by {worst_vertex_sum:.3e}")
 
+    sizes = np.bincount(m.face_of)
+    face_excess = np.bincount(m.face_of, weights=angles) - (sizes - 2) * math.pi
+    face_excess_total = float(face_excess.sum())
     area_defect = abs(face_excess_total - 4.0 * math.pi)
     if area_defect > max(tol, 1e-6):
         failures.append(
@@ -493,7 +498,7 @@ def verify_geometric(
             f"4*pi by {area_defect:.3e}"
         )
 
-    misoriented = _orientation_failures(t, pos)
+    misoriented = _orientation_failures(m, sizes)
     if misoriented:
         named = ", ".join(f"face {fi} vertex {v}" for fi, v in misoriented[:10])
         more = ", ..." if len(misoriented) > 10 else ""
@@ -506,8 +511,8 @@ def verify_geometric(
         failures=failures,
         edge_arc_min=edge_min,
         edge_arc_max=edge_max,
-        edge_spread=spread,
-        worst_corner_defect=worst_corner,
+        edge_spread=edge_max - edge_min,
+        worst_corner_defect=float(np.fmax.reduce(defect, initial=0.0)),
         worst_vertex_sum_defect=worst_vertex_sum,
         total_area=face_excess_total,
         area_defect=area_defect,
@@ -574,35 +579,20 @@ def verify_tiling(
     return TilingVerification(solution, source, comb, geo)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _measured_solution(t: TilingComplex, embedding: Embedding) -> AngleSolution:
     """Angle solution read off the coordinates themselves.
 
-    One corner per label and one edge fix the candidate values; the
-    verifier then checks every other corner and edge against them, which
-    is exactly internal consistency of the document.
+    The first measured corner of each label and the first edge, in
+    half-edge order, fix the candidate values; the verifier then checks
+    every other corner and edge against them, which is exactly internal
+    consistency of the document.
     """
-    pos = embedding.positions
-    values = {}
-    for face in t.faces:
-        for i, lab in enumerate(face.labels):
-            if lab in values:
-                continue
-            k = face.size
-            p_prev, p_cur, p_next = (pos[face.vertices[(i + di) % k]] for di in (-1, 0, 1))
-            try:
-                t1, t2 = _tangent_toward(p_cur, p_prev), _tangent_toward(p_cur, p_next)
-                values[lab] = _angle_between(t1, t2)
-            except ValueError:  # a zero or pi edge, which verify_geometric reports
-                continue
-    u, v = t.undirected_edges()[0]
-    cos_x = max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))
-    return AngleSolution(
-        m=t.gonality,
-        alpha=values.get("alpha", 0.0),
-        beta=values.get("beta", 0.0),
-        gamma=values.get("gamma", 0.0),
-        cos_x=cos_x,
-    )
+    m = _measure(t, embedding)
+    first = {name: np.flatnonzero((m.label == name) & ~np.isnan(m.angle)) for name in ANGLE_NAMES}
+    angles = {name: float(m.angle[h[0]]) if h.size else 0.0 for name, h in first.items()}
+    cos_x = float(m.cos_arc[np.argmax(m.origin < m.head)])
+    return AngleSolution(m=t.gonality, **angles, cos_x=cos_x)
 
 
 def _census_solution(t: TilingComplex) -> tuple[Optional[AngleSolution], str]:

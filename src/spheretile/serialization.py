@@ -18,7 +18,7 @@ import numpy as np
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
 from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
-from .realization import Embedding
+from .realization import Embedding, geodesic_arcs
 
 
 class SchemaError(Exception):
@@ -59,13 +59,12 @@ class TilingDocument:
         return Embedding(positions)
 
 
+# The keys of a document's "angles" object, in the order they are written.
+_ANGLE_KEYS = (*ANGLE_NAMES, "cos_x")
+
+
 def angles_payload(s: AngleSolution) -> dict[str, str]:
-    return {
-        "alpha": _f17(s.alpha),
-        "beta": _f17(s.beta),
-        "gamma": _f17(s.gamma),
-        "cos_x": _f17(s.cos_x),
-    }
+    return {key: _f17(getattr(s, key)) for key in _ANGLE_KEYS}
 
 
 def serialize_tiling(
@@ -204,13 +203,12 @@ def parse_tiling(text: str) -> TilingDocument:
     if "angles" in doc:
         raw = doc["angles"]
         _require(isinstance(raw, dict), "'angles' must be an object")
-        keys = {"alpha", "beta", "gamma", "cos_x"}
         _require(
-            set(raw) == keys,
-            f"'angles' must have exactly the keys {sorted(keys)}",
+            set(raw) == set(_ANGLE_KEYS),
+            f"'angles' must have exactly the keys {sorted(_ANGLE_KEYS)}",
         )
         values = {}
-        for key in ("alpha", "beta", "gamma", "cos_x"):
+        for key in _ANGLE_KEYS:
             _require(
                 isinstance(raw[key], str),
                 f"angles.{key} must be a decimal string",
@@ -220,13 +218,8 @@ def parse_tiling(text: str) -> TilingDocument:
             except ValueError as exc:
                 raise SchemaError(f"angles.{key} is not a decimal number") from exc
             _require(math.isfinite(values[key]), f"angles.{key} must be finite")
-        angles = AngleSolution(
-            m=m,
-            alpha=values["alpha"],
-            beta=values["beta"],
-            gamma=values["gamma"],
-            cos_x=values["cos_x"],
-        )
+        _require(-1.0 <= values["cos_x"] <= 1.0, "angles.cos_x must lie in [-1, 1]")
+        angles = AngleSolution(m=m, **values)
 
     return TilingDocument(
         m=m,
@@ -297,10 +290,7 @@ def _trace_edges(
     e1, e2, c = frame
     p0 = np.array([e.positions[u] for u, _ in edges])
     p1 = np.array([e.positions[v] for _, v in edges])
-    cos_arc = np.clip(np.einsum("ij,ij->i", p0, p1), -1.0, 1.0)
-    arc = np.arccos(cos_arc)
-    tangent = p1 - cos_arc[:, None] * p0
-    tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+    _, arc, tangent = geodesic_arcs(p0, p1)
 
     def point_and_velocity(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = (t * arc[k])[:, None]

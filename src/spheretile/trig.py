@@ -335,18 +335,16 @@ def solve_closure(
     angles = point[None, :] + ts[:, None] * direction[None, :]
     residuals = _residual_vec(m, angles)
 
-    roots: list[float] = []
-    finite = np.isfinite(residuals)
-    for i in range(grid):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        r0, r1 = residuals[i], residuals[i + 1]
-        if r0 == 0.0:
-            roots.append(float(ts[i]))
-            continue
-        if r0 * r1 < 0.0:
-            roots.append(_bisect(m, point, direction, float(ts[i]), float(ts[i + 1])))
-    if finite[-1] and residuals[-1] == 0.0:
+    # Cells with finite ends that start on a root or change sign.
+    r0, r1 = residuals[:-1], residuals[1:]
+    finite = np.isfinite(r0) & np.isfinite(r1)
+    zero = finite & (r0 == 0.0)
+    cells = np.flatnonzero(zero | (finite & (r0 * r1 < 0.0)))
+    roots = [
+        float(ts[i]) if zero[i] else _bisect(m, point, direction, float(ts[i]), float(ts[i + 1]))
+        for i in cells
+    ]
+    if residuals[-1] == 0.0:
         roots.append(float(ts[-1]))
 
     solutions: list[AngleSolution] = []

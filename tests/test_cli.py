@@ -188,6 +188,17 @@ def test_verify_reports_a_zero_length_edge(tmp_path, capsys, form):
     assert "FAIL edge 0-1 has a zero or pi arc" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("form", ["full", "angles-only"])
+def test_verify_rejects_an_edge_cosine_outside_the_unit_interval(tmp_path, capsys, form):
+    out, payload = _generated(tmp_path, capsys, "prism", "--m", "5", "--realize")
+    payload["angles"]["cos_x"] = "1.5"
+    if form == "angles-only":
+        del payload["coordinates"]
+    out.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(out)]) == EXIT_USAGE
+    assert "angles.cos_x must lie in [-1, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("form", ["full", "coordinates-only", "bare"])
 def test_verify_rejects_a_wrong_declared_m(tmp_path, capsys, form):
     out, payload = _generated(tmp_path, capsys, "earthmap", "--c", "3", "--realize")

@@ -1,6 +1,7 @@
 """Angle solving for the concrete families and spherical embeddings."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from spheretile.complexes import build_from_faces
 from spheretile.generators import earth_map, football, prism, snub_fusion
 from spheretile.realization import (
     ClosureDefect,
+    Embedding,
+    GeometricReport,
     earth_map_gamma,
     earth_map_solution,
     embed_earth_map,
@@ -23,8 +26,10 @@ from spheretile.realization import (
     sporadic_solution,
     verify_geometric,
     verify_tiling,
+    _measured_solution,
 )
 from spheretile.trig import (
+    TWO_PI,
     AngleSolution,
     ClosureDomainError,
     closure_residual,
@@ -417,3 +422,215 @@ def test_random_points_lie_in_exactly_one_face(name):
         inside_count += (sign * side > 0.0).all(axis=0)
     assert near_edge.sum() < 10
     assert (inside_count[~near_edge] == 1).all()
+
+
+def _shipped_solution(name):
+    family, _, size = name.partition("-")
+    if family == "prism":
+        return prism_solution(int(size), prism_default_radius(int(size)))
+    if family == "earthmap":
+        return earth_map_solution(int(size))
+    return sporadic_solution("football" if family == "football" else "snub-fusion")
+
+
+# -- the scalar verifier, kept as a reference ---------------------------------------
+#
+# verify_geometric and _measured_solution as they were before one array pass
+# over the half-edges replaced them: a tangent per directed edge, then a walk
+# over the corners of each face.
+
+
+def _reference_tangent(p_from, p_to):
+    t = p_to - np.dot(p_to, p_from) * p_from
+    n = np.linalg.norm(t)
+    if n < 1e-14:
+        raise ValueError("tangent undefined between coincident or antipodal points")
+    return t / n
+
+
+def _reference_angle(t1, t2):
+    return math.acos(max(-1.0, min(1.0, float(np.dot(t1, t2)))))
+
+
+def _reference_verify_geometric(t, e, s, tol=1e-6):
+    failures = []
+    pos = e.positions
+    for v in range(t.vertex_count):
+        n = float(np.linalg.norm(pos[v]))
+        if abs(n - 1.0) > 1e-12:
+            failures.append(f"vertex {v} has norm {n:.15f}")
+
+    arcs = []
+    tangent = {}
+    for (u, v) in t.undirected_edges():
+        arcs.append(math.acos(max(-1.0, min(1.0, float(np.dot(pos[u], pos[v]))))))
+        try:
+            tangent[u, v], tangent[v, u] = (
+                _reference_tangent(pos[u], pos[v]), _reference_tangent(pos[v], pos[u])
+            )
+        except ValueError:
+            failures.append(f"edge {u}-{v} has a zero or pi arc; its corners are not measured")
+    edge_min, edge_max = min(arcs), max(arcs)
+    if abs(edge_min - s.x) > tol or abs(edge_max - s.x) > tol:
+        failures.append(f"edge arcs range [{edge_min:.12f}, {edge_max:.12f}], expected {s.x:.12f}")
+
+    worst_corner = 0.0
+    vertex_sums = {v: 0.0 for v in range(t.vertex_count)}
+    total = 0.0
+    for face in t.faces:
+        k = face.size
+        measured_sum = 0.0
+        for i in range(k):
+            v_prev, v_cur, v_next = (face.vertices[(i + di) % k] for di in (-1, 0, 1))
+            if (v_cur, v_prev) not in tangent or (v_cur, v_next) not in tangent:
+                continue
+            angle = _reference_angle(tangent[v_cur, v_prev], tangent[v_cur, v_next])
+            expected = s.angle(face.labels[i])
+            worst_corner = max(worst_corner, abs(angle - expected))
+            if abs(angle - expected) > tol:
+                failures.append(f"corner {face.labels[i]} at vertex {v_cur} measures {angle:.12f}")
+            vertex_sums[v_cur] += angle
+            measured_sum += angle
+        total += measured_sum - (k - 2) * math.pi
+
+    worst_vertex_sum = max(abs(x - TWO_PI) for x in vertex_sums.values())
+    if worst_vertex_sum > max(tol, 1e-6) or worst_vertex_sum >= math.pi:
+        failures.append(f"worst vertex angle sum is off 2*pi by {worst_vertex_sum:.3e}")
+    area_defect = abs(total - 4.0 * math.pi)
+    if area_defect > max(tol, 1e-6):
+        failures.append(f"total spherical excess {total:.12f} differs from 4*pi")
+
+    dets = []
+    for face in t.faces:
+        q = np.array([pos[v] for v in face.vertices])
+        k = len(q)
+        off_edge = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k >= 2
+        dets.append(np.where(off_edge, np.cross(q, np.roll(q, -1, axis=0)) @ q.T, np.nan))
+    sign = 1.0 if sum(float(np.nansum(d)) for d in dets) > 0.0 else -1.0
+    misoriented = [
+        (fi, t.faces[fi].vertices[j])
+        for fi, d in enumerate(dets)
+        for j in np.flatnonzero((sign * d <= 1e-12).any(axis=0))
+    ]
+    if misoriented:
+        failures.append(f"{len(misoriented)} (face, vertex) pairs break the convex orientation")
+    return GeometricReport(
+        not failures, failures, edge_min, edge_max, edge_max - edge_min, worst_corner,
+        worst_vertex_sum, total, area_defect, misoriented,
+    )
+
+
+def _reference_measured_solution(t, e):
+    pos = e.positions
+    values = {}
+    for face in t.faces:
+        for i, lab in enumerate(face.labels):
+            if lab in values:
+                continue
+            k = face.size
+            p_prev, p_cur, p_next = (pos[face.vertices[(i + di) % k]] for di in (-1, 0, 1))
+            try:
+                values[lab] = _reference_angle(
+                    _reference_tangent(p_cur, p_prev), _reference_tangent(p_cur, p_next)
+                )
+            except ValueError:
+                continue
+    u, v = t.undirected_edges()[0]
+    return AngleSolution(
+        m=t.gonality,
+        alpha=values.get("alpha", 0.0),
+        beta=values.get("beta", 0.0),
+        gamma=values.get("gamma", 0.0),
+        cos_x=max(-1.0, min(1.0, float(np.dot(pos[u], pos[v])))),
+    )
+
+
+FAILURE_KINDS = (
+    "has norm", "zero or pi arc", "edge arcs range", "corner", "vertex angle sum",
+    "spherical excess", "convex orientation",
+)
+FIGURES = (
+    "edge_arc_min", "edge_arc_max", "edge_spread", "worst_corner_defect",
+    "worst_vertex_sum_defect", "total_area", "area_defect",
+)
+
+
+def _failure_kinds(report):
+    return {kind for msg in report.failures for kind in FAILURE_KINDS if kind in msg}
+
+
+def _broken_prism(kind):
+    """A pentagonal prism placement broken in one way, with its angles."""
+    t, e = embed_prism(5, 1.2)
+    positions = dict(e.positions)
+    a, b = t.undirected_edges()[0]
+    if kind == "folded":
+        fi = next(i for i, face in enumerate(t.faces) if face.kind == "rhombus")
+        a, b, c, _ = t.faces[fi].vertices
+        n = np.cross(positions[a], positions[c])
+        n /= np.linalg.norm(n)
+        positions[b] = positions[b] - 2.0 * np.dot(positions[b], n) * n
+    elif kind == "jitter":
+        rng = np.random.default_rng(0)
+        positions = {v: p + rng.normal(scale=1e-3, size=3) for v, p in positions.items()}
+    elif kind == "zero-edge":
+        positions[b] = positions[a].copy()
+    elif kind == "zero-vertex":
+        positions[b] = np.zeros(3)
+    elif kind == "huge-vertex":
+        positions[b] = np.array([1e200, 0.0, 0.0])
+    elif kind == "antipodal-vertex":
+        positions[b] = -positions[a]
+    return t, Embedding(positions), prism_solution(5, 1.2)
+
+
+BROKEN = ["folded", "jitter", "zero-edge", "zero-vertex", "antipodal-vertex"]
+
+
+def _placement(name):
+    if name in BROKEN or name == "huge-vertex":
+        return _broken_prism(name)
+    return (*_shipped_embedding(name), _shipped_solution(name))
+
+
+@pytest.mark.parametrize("name", SHIPPED + BROKEN)
+def test_verify_geometric_matches_the_scalar_reference(name):
+    t, e, s = _placement(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_geometric(t, e, s)
+    reference = _reference_verify_geometric(t, e, s)
+    for figure in FIGURES:
+        assert getattr(report, figure) == pytest.approx(getattr(reference, figure), abs=1e-12)
+    assert report.ok == reference.ok == (name in SHIPPED)
+    assert _failure_kinds(report) == _failure_kinds(reference)
+    assert report.orientation_failures == reference.orientation_failures
+
+
+def test_verify_geometric_names_an_overflowing_vertex_without_warnings():
+    # The scalar walk overflows on this vertex and reads the NaN tangents
+    # it gets as angle 0, so only its verdict and orientation pairs are
+    # comparable.  The array pass clips the arc cosine first; the tangents
+    # at the vertex's edges still overflow, so those edges go unmeasured.
+    t, e, s = _placement("huge-vertex")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_geometric(t, e, s)
+    with np.errstate(all="ignore"):
+        reference = _reference_verify_geometric(t, e, s)
+    assert not report.ok and not reference.ok
+    assert _failure_kinds(report) == _failure_kinds(reference) | {"zero or pi arc"}
+    assert "vertex 1 has norm inf" in report.failures
+    assert report.orientation_failures == reference.orientation_failures
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["folded", "jitter", "zero-edge", "antipodal-vertex"])
+def test_measured_solution_matches_the_scalar_reference(name):
+    # A vertex at the origin is left out: the scalar walk measured a corner
+    # there, where each edge has a tangent at the corner's end only; the
+    # array pass measures a corner only when its edges have one at both.
+    t, e, _ = _placement(name)
+    measured = _measured_solution(t, e)
+    reference = _reference_measured_solution(t, e)
+    for key in ("alpha", "beta", "gamma", "cos_x"):
+        assert getattr(measured, key) == pytest.approx(getattr(reference, key), abs=1e-12)

@@ -183,6 +183,37 @@ def test_solve_closure_sporadic_roots(name):
     assert abs(closure_residual(5, s.alpha, s.beta, s.gamma)) < 1e-10
 
 
+# (alpha, beta, gamma, cos_x) of each unique root as float.hex, frozen from
+# the scalar sign-change scan that the masked scan replaced.
+FROZEN_ROOTS = {
+    "football": ([(0, 3, 0), (1, 1, 2)], (
+        "0x1.f1ad55d8d5a7dp+0", "0x1.0c152382d7365p+1", "0x1.1f539c1943986p+0", "0x1.d64178c26bbc4p-1",
+    )),
+    "snub-fusion": ([(1, 2, 0), (1, 1, 2)], (
+        "0x1.f6dccffaaa6f6p+0", "0x1.1468814598358p+1", "0x1.1468814598358p+0", "0x1.c8eb106c1eb4cp-1",
+    )),
+    "pentagonal-branch": ([(1, 2, 0), (2, 0, 2)], (
+        "0x1.ffcb4c53d84dfp+0", "0x1.122ce22f4cbdep+1", "0x1.24741e34ad555p+0", "0x1.b3065217671a6p-1",
+    )),
+    "earth-map-2": ([(0, 2, 1), (1, 1, 2)], (
+        "0x1.36593be07c902p+1", "0x1.7388377856112p+1", "0x1.e977dcbecc068p-2", "0x1.f89e52f42aaa6p-2",
+    )),
+    "earth-map-3": ([(0, 2, 1), (1, 1, 3)], (
+        "0x1.354f876968edfp+1", "0x1.7f8fac187da40p+1", "0x1.290092bc52d86p-2", "0x1.fd4c6f1bfbbfdp-2",
+    )),
+    "earth-map-7": ([(0, 2, 1), (1, 1, 7)], (
+        "0x1.34ce807d2a7d6p+1", "0x1.8af213ab198fep+1", "0x1.cb68664a5064cp-4", "0x1.ff98e4392ceb3p-2",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ROOTS))
+def test_solve_closure_roots_are_frozen_to_the_bit(name):
+    constraints, frozen = FROZEN_ROOTS[name]
+    (s,) = solve_closure(5, constraints)
+    assert tuple(x.hex() for x in (s.alpha, s.beta, s.gamma, s.cos_x)) == frozen
+
+
 def test_solve_closure_football_beta_is_exact_third():
     s = solve_closure(5, [(0, 3, 0), (1, 1, 2)])[0]
     assert s.beta == pytest.approx(TWO_PI / 3.0, abs=1e-12)
