@@ -8,11 +8,10 @@ by nonexistence evidence or subsumption.
 """
 
 import argparse
-import json
 import pathlib
 import time
 
-from spheretile.cli import report_payload
+from spheretile.cli import report_json
 from spheretile.combinatorics import (
     FamilyOutcome,
     NonexistenceEvidence,
@@ -22,7 +21,7 @@ from spheretile.combinatorics import (
 )
 
 
-def summarize(m: int) -> tuple[str, dict]:
+def summarize(m: int) -> tuple[str, str]:
     start = time.perf_counter()
     report = classify(m)
     elapsed = time.perf_counter() - start
@@ -51,7 +50,7 @@ def summarize(m: int) -> tuple[str, dict]:
     if subsumed:
         line += f"  | subsumed: {', '.join(subsumed)}"
     line += f"  ({elapsed:.2f} s)"
-    return line, report_payload(report)
+    return line, report_json(report)
 
 
 def main() -> None:
@@ -65,11 +64,10 @@ def main() -> None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for m in range(args.m_min, args.m_max + 1):
-        line, payload = summarize(m)
+        line, text = summarize(m)
         print(line)
         if args.out_dir is not None:
-            path = args.out_dir / f"classification_m{m}.json"
-            path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+            (args.out_dir / f"classification_m{m}.json").write_text(text + "\n")
 
 
 if __name__ == "__main__":

@@ -54,19 +54,16 @@ def _emit(text: str, out: Optional[str]) -> None:
 # -- classify ------------------------------------------------------------------
 
 
-def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
-    """JSON-ready dict for a classification report.
+def report_json(report: ClassificationReport, c_max: int = 8) -> str:
+    """A classification report as compact JSON text: its one renderer.
 
     The earth-map family is infinite, so its solution list is expanded up
     to block count ``c_max``; everything else carries the solutions the
-    classification produced.
+    classification produced.  Evidence is embedded as its ``to_json`` text.
     """
     entries = []
     for entry in report.entries:
-        item: dict = {
-            "seed": list(entry.seed),
-            "seed_label": vertex_label(entry.seed),
-        }
+        item: dict = {"seed": list(entry.seed), "seed_label": vertex_label(entry.seed)}
         out = entry.outcome
         if isinstance(out, FamilyOutcome):
             solutions = list(out.solutions)
@@ -88,7 +85,7 @@ def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
             }
         elif isinstance(out, NonexistenceEvidence):
             item["kind"] = "nonexistence"
-            item["evidence"] = out.payload()
+            item["evidence"] = out
         else:
             assert isinstance(out, SubsumedNote)
             item["kind"] = "subsumed"
@@ -96,8 +93,26 @@ def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
             item["reason"] = out.reason
         if entry.notes:
             item["notes"] = list(entry.notes)
-        entries.append(item)
-    return {"m": report.m, "entries": entries}
+        entries.append(_entry_json(item))
+    return f'{{"m":{report.m:d},"entries":[{",".join(entries)}]}}'
+
+
+def _entry_json(item: dict) -> str:
+    """A report entry as compact JSON text; evidence writes itself with ``to_json``."""
+    members = (
+        f"{_dumps(key)}:{v.to_json() if isinstance(v, NonexistenceEvidence) else _dumps(v)}"
+        for key, v in item.items()
+    )
+    return f"{{{','.join(members)}}}"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
+    """:func:`report_json` parsed."""
+    return json.loads(report_json(report, c_max=c_max))
 
 
 def cmd_classify(
@@ -108,7 +123,7 @@ def cmd_classify(
     if c_max < 2:
         return _usage_error(f"--c-max must be at least 2, got {c_max}")
     report = classify(m, tol=tol)
-    _emit(json.dumps(report_payload(report, c_max=c_max), separators=(",", ":")), out)
+    _emit(report_json(report, c_max=c_max), out)
     return EXIT_OK
 
 
@@ -263,7 +278,7 @@ def cmd_matchings(out: Optional[str] = None) -> int:
             data["variant_of_matching"][i] for i in range(len(matchings))
         ],
     }
-    _emit(json.dumps(payload, separators=(",", ":")), out)
+    _emit(_dumps(payload), out)
     return EXIT_OK
 
 

@@ -407,6 +407,7 @@ class _Measurement(NamedTuple):
     angle: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # far-off points overflow; see the norm check
 def _measure(t: TilingComplex, e: Embedding) -> _Measurement:
     """Arc, tangent and corner angle of every half-edge, in one array pass;
     the corner at h's origin lies between h and twin(prev(h))."""
@@ -439,7 +440,6 @@ def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int,
     return list(zip(m.face_of[bad].tolist(), m.origin[bad].tolist()))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # far-off points overflow; see the norm check
 def verify_geometric(
     t: TilingComplex, e: Embedding, s: AngleSolution, tol: float = 1e-6
 ) -> GeometricReport:
@@ -459,7 +459,11 @@ def verify_geometric(
     covering of the sphere by itself of degree 1, hence an embedding.
     The area check is a second witness: degree d gives area 4*pi*d.
     """
-    m = _measure(t, e)
+    return _geometric_report(_measure(t, e), s, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _geometric_report(m: _Measurement, s: AngleSolution, tol: float) -> GeometricReport:
     norms = np.linalg.norm(m.points, axis=1)
     failures = [
         f"vertex {v} has norm {norms[v]:.15f}" for v in np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
@@ -528,9 +532,9 @@ class TilingVerification:
     """Outcome of :func:`verify_tiling`.
 
     ``angle_source`` says where ``solution`` came from.  When no angles
-    were given and none could be inferred, ``solution`` and both reports
-    are None and ``angle_source`` says why.  ``geometric`` is None
-    whenever no embedding was given.
+    were given and none could be inferred, or their ``cos_x`` lies outside
+    [-1, 1], ``solution`` and both reports are None and ``angle_source``
+    says why.  ``geometric`` is None whenever no embedding was given.
     """
 
     solution: Optional[AngleSolution]
@@ -563,24 +567,28 @@ def verify_tiling(
     """
     if tol is not None:
         tol = tolerance(tol)
+    measured = _measure(t, embedding) if angles is None and embedding is not None else None
     if angles is not None:
         solution, source = angles, "from the document's angles field"
-    elif embedding is not None:
-        solution, source = _measured_solution(t, embedding), "measured from coordinates"
+    elif measured is not None:
+        solution, source = _measured_solution(t, measured), "measured from coordinates"
     else:
         solution, source = _census_solution(t)
         if solution is None:
             return TilingVerification(None, source)
+    if not -1.0 <= solution.cos_x <= 1.0:  # the rule parse_tiling applies to documents
+        return TilingVerification(None, f"cos_x {solution.cos_x!r} ({source}) is outside [-1, 1]")
 
     comb = verify_combinatorial(t, solution, tol=1e-9 if tol is None else tol)
     geo = None
-    if embedding is not None:
+    if measured is not None:  # measured once, for the angles and for the check
+        geo = _geometric_report(measured, solution, tol=1e-6 if tol is None else tol)
+    elif embedding is not None:
         geo = verify_geometric(t, embedding, solution, tol=1e-6 if tol is None else tol)
     return TilingVerification(solution, source, comb, geo)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _measured_solution(t: TilingComplex, embedding: Embedding) -> AngleSolution:
+def _measured_solution(t: TilingComplex, m: _Measurement) -> AngleSolution:
     """Angle solution read off the coordinates themselves.
 
     The first measured corner of each label and the first edge, in
@@ -588,7 +596,6 @@ def _measured_solution(t: TilingComplex, embedding: Embedding) -> AngleSolution:
     every other corner and edge against them, which is exactly internal
     consistency of the document.
     """
-    m = _measure(t, embedding)
     first = {name: np.flatnonzero((m.label == name) & ~np.isnan(m.angle)) for name in ANGLE_NAMES}
     angles = {name: float(m.angle[h[0]]) if h.size else 0.0 for name, h in first.items()}
     cos_x = float(m.cos_arc[np.argmax(m.origin < m.head)])

@@ -11,6 +11,8 @@ combine into a single closure equation linking alpha, beta, gamma and m.
 This module evaluates the identities, solves the closure equation under
 linear vertex constraints by bracketed bisection, and produces dense-grid
 nonexistence certificates for constraint systems with no admissible root.
+A certificate's one renderer is ``NonexistenceEvidence.to_json``, which
+writes each sample array in one pass; ``payload()`` is that text parsed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -212,6 +216,7 @@ _BOX = (
     ("beta+gamma above pi", (0, 1, 1), (-1, 0), True),
     ("angle sum at most 2*pi", (-1, -1, -1), (2, 0), False),
 )
+_BOX_TAGS = np.array([row[0] for row in _BOX], dtype=object)
 
 
 @lru_cache(maxsize=64)
@@ -230,14 +235,17 @@ def _box_rows_exact(m: int) -> tuple[tuple[tuple[int, int, int], int, bool], ...
     return tuple((coeffs, u * m + w * (m - 2), strict) for _tag, coeffs, (u, w), strict in _BOX)
 
 
+def _box_checks(m: int, alpha, beta, gamma) -> list:
+    """Whether each ``_BOX`` row is violated, in table order, for floats or arrays;
+    each row is summed term by term, ca*alpha + cb*beta + cg*gamma + const."""
+    rows = _box_rows(m)
+    sums = [(ca * alpha + cb * beta + cg * gamma + const) for _, (ca, cb, cg), const, _ in rows]
+    return [(v <= 0.0) if row[3] else (v < 0.0) for v, row in zip(sums, rows)]
+
+
 def box_violations(m: int, alpha: float, beta: float, gamma: float) -> list[str]:
     """Tags of admissibility constraints violated by (alpha, beta, gamma)."""
-    out = []
-    for tag, (ca, cb, cg), const, strict in _box_rows(m):
-        v = ca * alpha + cb * beta + cg * gamma + const
-        if (v <= 0.0) if strict else (v < 0.0):
-            out.append(tag)
-    return out
+    return [tag for tag, bad in zip(_BOX_TAGS, _box_checks(m, alpha, beta, gamma)) if bad]
 
 
 def in_box(m: int, alpha: float, beta: float, gamma: float) -> bool:
@@ -416,15 +424,14 @@ SignSummary = Literal["constant-positive", "constant-negative", "all-violate"]
 class NonexistenceEvidence:
     """Dense-sampling record showing a constraint system admits no tiling angles.
 
-    ``samples`` holds (parameter, residual) pairs where the closure residual
-    was evaluated; ``violations`` holds (parameter, constraint tag) pairs for
-    samples that fail an admissibility inequality; ``poles`` lists skipped
-    parameters that fell within POLE_TOL of a cotangent pole.  This is
-    numerical evidence on a fixed grid, not a proof.
-
-    :meth:`payload` is the record's one JSON form, its floats as strings
-    that read back bit for bit; classification reports embed it as it is.
-    :meth:`to_json` is that dict as compact text, the same bytes every run.
+    Columns in grid order: ``sample_at`` holds the parameters where the
+    closure residual (for one constraint, its sampler's margin) was
+    evaluated and ``residuals`` its values; ``violation_at`` those that fail
+    an admissibility inequality and ``tags`` the first each fails; ``poles``
+    those within POLE_TOL of a cotangent pole.  Evidence on a grid, not a
+    proof.  :meth:`to_json` is the record's one renderer: compact JSON, the
+    same bytes every run, each float a ``.17g`` string that reads back bit
+    for bit; reports embed that text.  :meth:`payload` is the text parsed.
     """
 
     description: str
@@ -434,36 +441,65 @@ class NonexistenceEvidence:
     interval: tuple[float, float]
     spacing: float
     sign_summary: SignSummary
-    samples: tuple[tuple[float, float], ...] = field(repr=False)
-    violations: tuple[tuple[float, str], ...] = field(repr=False)
+    sample_at: tuple[float, ...] = field(repr=False)
+    residuals: tuple[float, ...] = field(repr=False)
+    violation_at: tuple[float, ...] = field(repr=False)
+    tags: tuple[str, ...] = field(repr=False)
     poles: tuple[float, ...] = field(repr=False, default=())
-
-    def payload(self) -> dict:
-        """JSON-ready dict in a fixed key order, each float as a ``.17g`` string."""
-        return {
-            "description": self.description,
-            "m": self.m,
-            "constraints": [list(c) for c in self.constraints],
-            "free_angle": self.free_angle,
-            "interval": [_f17(self.interval[0]), _f17(self.interval[1])],
-            "spacing": _f17(self.spacing),
-            "sign_summary": self.sign_summary,
-            "samples": [[_f17(t), _f17(r)] for t, r in self.samples],
-            "violations": [[_f17(t), tag] for t, tag in self.violations],
-            "poles": [_f17(t) for t in self.poles],
-        }
-
-    def to_json(self) -> str:
-        """:meth:`payload` as compact JSON text."""
-        return json.dumps(self.payload(), separators=(",", ":"))
 
     @property
     def sample_count(self) -> int:
-        return len(self.samples) + len(self.violations) + len(self.poles)
+        return len(self.sample_at) + len(self.violation_at) + len(self.poles)
+
+    def to_json(self) -> str:
+        """Compact JSON in a fixed key order; each array is written by one ``%``."""
+        samples = _fill('["%.17g","%.17g"]', self.sample_at, self.residuals)
+        violations = _fill('["%.17g",%s]', self.violation_at, tuple(map(_quote, self.tags)))
+        poles = _fill('"%.17g"', self.poles)
+        (lo, hi), constraints = self.interval, json.dumps(self.constraints, separators=(",", ":"))
+        # An f-string copies each part once; % would copy them again as it grows.
+        return (
+            f'{{"description":{_quote(self.description)},"m":{self.m:d},'
+            f'"constraints":{constraints},"free_angle":{_quote(self.free_angle)},'
+            f'"interval":["{lo:.17g}","{hi:.17g}"],"spacing":"{self.spacing:.17g}",'
+            f'"sign_summary":{_quote(self.sign_summary)},'
+            f'"samples":[{samples}],"violations":[{violations}],"poles":[{poles}]}}'
+        )
+
+    def payload(self) -> dict:
+        """:meth:`to_json` parsed: a dict in its key order, each float a string."""
+        return json.loads(self.to_json())
 
 
 def _f17(x: float) -> str:
     return format(x, ".17g")
+
+
+def _fill(item: str, *columns, sep: str = ",") -> str:
+    """``item`` once per row of ``columns``, joined by ``sep``, filled in by one ``%``."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i :: len(columns)] = column
+    return sep.join([item] * len(columns[0])) % tuple(flat)
+
+
+def _math(f, x: np.ndarray, squared: bool = False) -> np.ndarray:
+    """``f`` of each element through ``math``, squared by ``pow`` if asked."""
+    values = map(f, x.tolist())
+    return np.fromiter(map(pow, values, repeat(2)) if squared else values, float, len(x))
+
+
+def _closure_residuals(m: int, alpha, beta, gamma: np.ndarray) -> np.ndarray:
+    """:func:`closure_residual` at in-box points, rounded exactly as it rounds:
+    numpy's ``tan``, ``sin`` and ``x * x`` differ from ``math`` and ``pow``
+    in the last bit at some points, and evidence keeps every bit."""
+    half = alpha / 2.0
+    mgon = (_math(math.cos, half, True) + math.cos(TWO_PI / m)) / _math(math.sin, half, True)
+    return mgon - _rhombus_edge_cos(beta, gamma)
+
+
+def _rhombus_edge_cos(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    return 1.0 / (_math(math.tan, beta / 2.0) * _math(math.tan, gamma / 2.0))
 
 
 def _evidence_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -487,7 +523,7 @@ def certify_no_root(
     """Sample a constraint system densely and certify the absence of a root.
 
     Three shapes of argument are supported, matching the three ways a vertex
-    system fails, each sampled by its own function:
+    system fails, each sampled over the whole grid by its own function:
 
     * two constraints: the closure residual becomes a function of
       ``free_angle`` on ``interval``; every in-box sample is recorded with
@@ -503,110 +539,92 @@ def certify_no_root(
     Raises ValueError if evaluated residuals change sign (no certificate).
     """
     cons = tuple(tuple(int(v) for v in c) for c in constraints)
-    ts = _evidence_grid(interval[0], interval[1], spacing).tolist()
+    ts = _evidence_grid(interval[0], interval[1], spacing)
     idx = ANGLE_NAMES.index(free_angle)
 
     if len(cons) == 2:
-        samples, violations, poles = _sample_line(m, cons, ts, idx)
+        columns = _sample_line(m, cons, ts, idx)
     elif len(cons) == 1 and cons[0][0] == 0 and not require_beta_above_alpha:
-        samples, violations, poles = _sample_edge_bound(m, cons[0], ts, free_angle)
+        columns = _sample_edge_bound(m, cons[0], ts, free_angle)
     elif len(cons) == 1 and cons[0][1] == 0 and require_beta_above_alpha:
-        samples, violations, poles = _sample_beta_range(m, cons[0], ts, free_angle)
+        columns = _sample_beta_range(m, cons[0], ts, free_angle)
     else:
         raise ValueError("unsupported constraint shape for certification")
+    residuals, tags = columns[1], columns[3]
 
-    if samples:
-        if all(r > 0.0 for _, r in samples):
+    if len(residuals):
+        if (residuals > 0.0).all():
             summary: SignSummary = "constant-positive"
-        elif all(r < 0.0 for _, r in samples):
+        elif (residuals < 0.0).all():
             summary = "constant-negative"
         else:
             raise ValueError("sampled residuals change sign; a root may exist, no certificate")
-    elif violations:
+    elif len(tags):
         summary = "all-violate"
     else:
         raise ValueError("no samples fell in the interval")
 
     return NonexistenceEvidence(
-        description=description or _default_description(cons, free_angle, summary),
-        m=m,
-        constraints=cons,
-        free_angle=free_angle,
-        interval=(float(interval[0]), float(interval[1])),
-        spacing=float(spacing),
-        sign_summary=summary,
-        samples=tuple(samples),
-        violations=tuple(violations),
-        poles=tuple(poles),
+        description or _default_description(cons, free_angle, summary), m, cons, free_angle,
+        (float(interval[0]), float(interval[1])), float(spacing), summary,
+        *(tuple(column.tolist()) for column in columns),
     )
 
 
-def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: list[float], idx: int):
+def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: int):
     point, direction = _affine_line(cons)
     if abs(direction[idx]) < 1e-12:
         raise ValueError(f"{ANGLE_NAMES[idx]} is fixed by the constraints, pick another")
-    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
-    p_free, d_free = (p0, p1, p2)[idx], (d0, d1, d2)[idx]
-    samples, violations, poles = [], [], []
-    for t in ts:
-        # point + scale * direction, written per coordinate: the same float ops.
-        scale = (t - p_free) / d_free
-        alpha, beta, gamma = p0 + scale * d0, p1 + scale * d1, p2 + scale * d2
-        tags = box_violations(m, alpha, beta, gamma)
-        if tags:
-            violations.append((t, tags[0]))
-        elif min(alpha, beta, gamma) < POLE_TOL or max(alpha, beta, gamma) > math.pi - POLE_TOL:
-            poles.append(t)
-        else:
-            samples.append((t, closure_residual(m, alpha, beta, gamma)))
-    return samples, violations, poles
+    # point + scale * direction row by row: the scalar form's float ops, so its bits.
+    angles = point[:, None] + (ts - point[idx]) / direction[idx] * direction[:, None]
+    checks = np.array(_box_checks(m, *angles))
+    violated = checks.any(axis=0)
+    pole = ~violated & ((angles.min(0) < POLE_TOL) | (angles.max(0) > math.pi - POLE_TOL))
+    sampled = ~(violated | pole)
+    tags = _BOX_TAGS[checks.argmax(axis=0)[violated]]
+    return ts[sampled], _closure_residuals(m, *angles[:, sampled]), ts[violated], tags, ts[pole]
 
 
-def _sample_edge_bound(m: int, con: VertexTriple, ts: list[float], free_angle: str):
+def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
     _, b, c = con
     if free_angle != "gamma" or b == 0:
         raise ValueError("single-constraint edge-bound mode expects gamma free, beta derived")
-    bound = math.cos(TWO_PI / m)
-    tail = f" <= cos(2*pi/m) {_f17(bound)}"
-    samples, violations = [], []
-    for gamma in ts:
-        beta = (TWO_PI - c * gamma) / b
-        if not (0.0 < gamma < math.pi) or not (0.0 < beta < math.pi):
-            violations.append((gamma, "angle outside (0, pi)"))
-        elif gamma >= beta:
-            violations.append((gamma, "gamma below beta"))
-        else:
-            edge = rhombus_edge_cos(beta, gamma)
-            if edge <= bound:
-                violations.append((gamma, f"edge bound: rhombus edge cos {_f17(edge)}{tail}"))
-            else:
-                samples.append((gamma, edge - bound))
-    return samples, violations, []
+    bound, gamma, beta = math.cos(TWO_PI / m), ts, (TWO_PI - c * ts) / b
+    in_range = (0.0 < gamma) & (gamma < math.pi) & (0.0 < beta) & (beta < math.pi)
+    tags = np.where(in_range, "gamma below beta", "angle outside (0, pi)").astype(object)
+    inside = np.flatnonzero(in_range & (gamma < beta))
+    edge = _rhombus_edge_cos(beta[inside], gamma[inside])
+    low = edge <= bound
+    template = f"edge bound: rhombus edge cos %.17g <= cos(2*pi/m) {_f17(bound)}\n"
+    tags[inside[low]] = _fill(template, edge[low].tolist(), sep="").split("\n")[:-1]
+    return _split(ts, tags, inside[~low], edge[~low] - bound)
 
 
-def _sample_beta_range(m: int, con: VertexTriple, ts: list[float], free_angle: str):
+def _sample_beta_range(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
     a, _, c = con
     if free_angle != "alpha" or a == 0:
         raise ValueError("empty-beta-range mode expects alpha free, gamma derived")
-    alpha_lo = mgon_lower_bound(m)
-    samples, violations = [], []
-    for alpha in ts:
-        gamma = (TWO_PI - a * alpha) / c if c else math.nan
-        if not (alpha_lo < alpha < math.pi):
-            violations.append((alpha, "alpha above m-gon bound"))
-        elif not (0.0 < gamma < math.pi):
-            violations.append((alpha, "angle outside (0, pi)"))
-        elif gamma >= alpha:
-            violations.append((alpha, "gamma below alpha"))
-        else:
-            beta_low = max(alpha, gamma, math.pi - gamma)
-            beta_high = min(math.pi, TWO_PI - alpha - gamma)
-            if beta_low >= beta_high:
-                need = f"needs beta > {_f17(beta_low)} and beta <= {_f17(beta_high)}"
-                violations.append((alpha, f"empty beta range: {need}"))
-            else:
-                samples.append((alpha, beta_high - beta_low))
-    return samples, violations, []
+    gamma = (TWO_PI - a * ts) / c if c else np.full(len(ts), math.nan)
+    alpha_ok = (mgon_lower_bound(m) < ts) & (ts < math.pi)
+    gamma_ok = (0.0 < gamma) & (gamma < math.pi)
+    tags = np.where(gamma_ok, "gamma below alpha", "angle outside (0, pi)").astype(object)
+    tags[~alpha_ok] = "alpha above m-gon bound"
+    inside = np.flatnonzero(alpha_ok & gamma_ok & (gamma < ts))
+    alpha, gamma = ts[inside], gamma[inside]
+    low = np.maximum(np.maximum(alpha, gamma), math.pi - gamma)
+    high = np.minimum(math.pi, TWO_PI - alpha - gamma)
+    empty = low >= high
+    template = "empty beta range: needs beta > %.17g and beta <= %.17g\n"
+    text = _fill(template, low[empty].tolist(), high[empty].tolist(), sep="")
+    tags[inside[empty]] = text.split("\n")[:-1]
+    return _split(ts, tags, inside[~empty], (high - low)[~empty])
+
+
+def _split(ts: np.ndarray, tags: np.ndarray, sampled_at: np.ndarray, values: np.ndarray):
+    """Evidence columns, in field order: ``ts[sampled_at]`` hold ``values``, the rest violate."""
+    sampled = np.zeros(len(ts), dtype=bool)
+    sampled[sampled_at] = True
+    return ts[sampled], values, ts[~sampled], tags[~sampled], ts[:0]
 
 
 def _default_description(

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from spheretile.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, report_payload
-from spheretile.combinatorics import classify
-from spheretile.trig import NonexistenceEvidence
+from spheretile import realization as rz
+from spheretile.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, report_json, report_payload
+from spheretile.combinatorics import FamilyOutcome, SubsumedNote, classify
+from spheretile.serialization import angles_payload
+from spheretile.trig import NonexistenceEvidence, vertex_label
 
 
 def test_classify_pentagon(capsys):
@@ -61,6 +63,80 @@ def test_classify_file_parses_to_the_report_payload(tmp_path):
     out = tmp_path / "report.json"
     assert main(["classify", "--m", "5", "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text()) == report_payload(classify(5))
+
+
+# The dict-building report payload, evidence included, as the package built it
+# before reports were written as text in one pass: the reference for report_json.
+
+
+def _f17(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _reference_evidence_payload(ev: NonexistenceEvidence) -> dict:
+    f17 = _f17
+    return {
+        "description": ev.description,
+        "m": ev.m,
+        "constraints": [list(c) for c in ev.constraints],
+        "free_angle": ev.free_angle,
+        "interval": [f17(ev.interval[0]), f17(ev.interval[1])],
+        "spacing": f17(ev.spacing),
+        "sign_summary": ev.sign_summary,
+        "samples": [[f17(t), f17(r)] for t, r in zip(ev.sample_at, ev.residuals)],
+        "violations": [[f17(t), tag] for t, tag in zip(ev.violation_at, ev.tags)],
+        "poles": [f17(t) for t in ev.poles],
+    }
+
+
+def _reference_report_payload(report, c_max: int = 8) -> dict:
+    entries = []
+    for entry in report.entries:
+        item: dict = {"seed": list(entry.seed), "seed_label": vertex_label(entry.seed)}
+        out = entry.outcome
+        if isinstance(out, FamilyOutcome):
+            solutions = list(out.solutions)
+            if out.name == "earth-map":
+                solutions = [rz.earth_map_solution(c) for c in range(2, c_max + 1)]
+            item["kind"] = "family"
+            item["family"] = {
+                "name": out.name,
+                "generator": out.generator,
+                "parameterized": out.parameterized,
+                "variants": out.variants,
+                "avc": {
+                    "members": [list(v) for v in out.avc.members],
+                    "realized": sorted(list(v) for v in out.avc.realized),
+                    "warnings": list(out.avc.warnings),
+                },
+                "solutions": [angles_payload(s) for s in solutions],
+                "notes": list(out.notes),
+            }
+        elif isinstance(out, NonexistenceEvidence):
+            item["kind"] = "nonexistence"
+            item["evidence"] = _reference_evidence_payload(out)
+        else:
+            assert isinstance(out, SubsumedNote)
+            item["kind"] = "subsumed"
+            item["subsumed_by"] = list(out.subsumed_by)
+            item["reason"] = out.reason
+        if entry.notes:
+            item["notes"] = list(entry.notes)
+        entries.append(item)
+    return {"m": report.m, "entries": entries}
+
+
+@pytest.mark.parametrize("m, c_max", [(5, 8), (5, 3), (6, 8), (7, 8), (13, 8), (64, 8)])
+def test_report_json_matches_the_dict_reference_byte_for_byte(m, c_max):
+    report = classify(m)
+    expected = json.dumps(_reference_report_payload(report, c_max), separators=(",", ":"))
+    assert report_json(report, c_max) == expected
+    assert report_payload(report, c_max) == json.loads(expected)
+
+
+def test_classify_stdout_is_the_report_text_and_a_newline(capsys):
+    assert main(["classify", "--m", "7"]) == EXIT_OK
+    assert capsys.readouterr().out == report_json(classify(7)) + "\n"
 
 
 def test_generate_prism(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from spheretile import realization
 from spheretile.complexes import build_from_faces
 from spheretile.generators import earth_map, football, prism, snub_fusion
 from spheretile.realization import (
@@ -26,6 +27,7 @@ from spheretile.realization import (
     sporadic_solution,
     verify_geometric,
     verify_tiling,
+    _measure,
     _measured_solution,
 )
 from spheretile.trig import (
@@ -321,6 +323,32 @@ def test_verify_tiling_measures_angles_from_coordinates():
     for name in ("alpha", "beta", "gamma", "cos_x"):
         measured = getattr(result.solution, name)
         assert measured == pytest.approx(getattr(s, name), abs=1e-9)
+
+
+def test_verify_tiling_measures_a_coordinates_only_placement_once(monkeypatch):
+    calls = []
+
+    def counted(t, e):
+        calls.append(t)
+        return _measure(t, e)
+
+    monkeypatch.setattr(realization, "_measure", counted)
+    t, emb = embed_earth_map(4)
+    assert verify_tiling(t, emb).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+def test_verify_tiling_names_a_cos_x_outside_the_unit_interval(embedded):
+    # Without a placement nothing else reads cos_x; with one, acos(cos_x)
+    # would fail.  Both report the rule parse_tiling applies to documents.
+    t, emb = embed_prism(5, 1.2)
+    s = prism_solution(5, 1.2)
+    bad = AngleSolution(5, s.alpha, s.beta, s.gamma, 1.5)
+    result = verify_tiling(t, emb if embedded else None, bad)
+    assert not result.ok
+    assert result.solution is None
+    assert "cos_x" in result.angle_source and "[-1, 1]" in result.angle_source
 
 
 def test_verify_tiling_solves_angles_from_census_rows():
@@ -630,7 +658,7 @@ def test_measured_solution_matches_the_scalar_reference(name):
     # there, where each edge has a tangent at the corner's end only; the
     # array pass measures a corner only when its edges have one at both.
     t, e, _ = _placement(name)
-    measured = _measured_solution(t, e)
+    measured = _measured_solution(t, _measure(t, e))
     reference = _reference_measured_solution(t, e)
     for key in ("alpha", "beta", "gamma", "cos_x"):
         assert getattr(measured, key) == pytest.approx(getattr(reference, key), abs=1e-12)

@@ -6,6 +6,7 @@ where they exist.  Frozen decimals were produced by those oracles, not by
 the code under test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,15 @@ from spheretile.trig import (
     solve_closure,
     vertex_label,
 )
-from spheretile.trig import _affine_line
+from spheretile.combinatorics import classify
+from spheretile.trig import (
+    EVIDENCE_SPACING,
+    POLE_TOL,
+    _affine_line,
+    _box_rows,
+    _default_description,
+    _evidence_grid,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -294,8 +303,8 @@ def test_certify_alpha3_beta2gamma_constant_positive():
         free_angle="gamma",
     )
     assert ev.sign_summary == "constant-positive"
-    assert ev.samples, "expected in-box residual samples"
-    assert all(res > 0.0 for _, res in ev.samples)
+    assert ev.residuals, "expected in-box residual samples"
+    assert all(res > 0.0 for res in ev.residuals)
 
 
 def test_certify_beta2gamma_m6_all_violate():
@@ -306,8 +315,8 @@ def test_certify_beta2gamma_m6_all_violate():
         free_angle="gamma",
     )
     assert ev.sign_summary == "all-violate"
-    assert not ev.samples
-    assert ev.violations
+    assert not ev.sample_at
+    assert ev.violation_at
 
 
 def test_certify_refuses_sign_change():
@@ -353,10 +362,10 @@ def test_line_samples_match_the_vector_sum(constraints, interval, free):
     def angles(t):
         return (point + (t - point[i]) / direction[i] * direction).tolist()
 
-    assert ev.samples
-    for t, residual in ev.samples:
+    assert ev.sample_at
+    for t, residual in zip(ev.sample_at, ev.residuals):
         assert closure_residual(5, *angles(t)) == residual
-    for t, tag in ev.violations:
+    for t, tag in zip(ev.violation_at, ev.tags):
         assert box_violations(5, *angles(t))[0] == tag
 
 
@@ -367,6 +376,220 @@ def test_evidence_records_interval_and_counts():
         interval=(1e-6, math.pi - 1e-6),
         free_angle="gamma",
     )
-    assert ev.sample_count == len(ev.samples) + len(ev.violations) + len(ev.poles)
+    assert len(ev.residuals) == len(ev.sample_at) and len(ev.tags) == len(ev.violation_at)
+    assert ev.sample_count == len(ev.sample_at) + len(ev.violation_at) + len(ev.poles)
     assert ev.interval[0] < ev.interval[1]
     assert ev.m == 5
+
+
+# -- the scalar evidence code, kept as the reference ---------------------------------
+# certify_no_root's samplers and the list-building payload as they were before
+# the samplers went to arrays and the record got a one-pass text renderer.  The
+# array code must give the same sample count and the same JSON, byte for byte.
+
+
+def _ref_f17(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _ref_box_violations(m, alpha, beta, gamma):
+    out = []
+    for tag, (ca, cb, cg), const, strict in _box_rows(m):
+        v = ca * alpha + cb * beta + cg * gamma + const
+        if (v <= 0.0) if strict else (v < 0.0):
+            out.append(tag)
+    return out
+
+
+def _ref_sample_line(m, cons, ts, idx):
+    point, direction = _affine_line(cons)
+    if abs(direction[idx]) < 1e-12:
+        raise ValueError("fixed by the constraints")
+    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
+    p_free, d_free = (p0, p1, p2)[idx], (d0, d1, d2)[idx]
+    samples, violations, poles = [], [], []
+    for t in ts:
+        scale = (t - p_free) / d_free
+        alpha, beta, gamma = p0 + scale * d0, p1 + scale * d1, p2 + scale * d2
+        tags = _ref_box_violations(m, alpha, beta, gamma)
+        if tags:
+            violations.append((t, tags[0]))
+        elif min(alpha, beta, gamma) < POLE_TOL or max(alpha, beta, gamma) > math.pi - POLE_TOL:
+            poles.append(t)
+        else:
+            samples.append((t, closure_residual(m, alpha, beta, gamma)))
+    return samples, violations, poles
+
+
+def _ref_sample_edge_bound(m, con, ts):
+    _, b, c = con
+    bound = math.cos(TWO_PI / m)
+    tail = f" <= cos(2*pi/m) {_ref_f17(bound)}"
+    samples, violations = [], []
+    for gamma in ts:
+        beta = (TWO_PI - c * gamma) / b
+        if not (0.0 < gamma < math.pi) or not (0.0 < beta < math.pi):
+            violations.append((gamma, "angle outside (0, pi)"))
+        elif gamma >= beta:
+            violations.append((gamma, "gamma below beta"))
+        else:
+            edge = rhombus_edge_cos(beta, gamma)
+            if edge <= bound:
+                violations.append((gamma, f"edge bound: rhombus edge cos {_ref_f17(edge)}{tail}"))
+            else:
+                samples.append((gamma, edge - bound))
+    return samples, violations, []
+
+
+def _ref_sample_beta_range(m, con, ts):
+    a, _, c = con
+    alpha_lo = mgon_lower_bound(m)
+    samples, violations = [], []
+    for alpha in ts:
+        gamma = (TWO_PI - a * alpha) / c if c else math.nan
+        if not (alpha_lo < alpha < math.pi):
+            violations.append((alpha, "alpha above m-gon bound"))
+        elif not (0.0 < gamma < math.pi):
+            violations.append((alpha, "angle outside (0, pi)"))
+        elif gamma >= alpha:
+            violations.append((alpha, "gamma below alpha"))
+        else:
+            beta_low = max(alpha, gamma, math.pi - gamma)
+            beta_high = min(math.pi, TWO_PI - alpha - gamma)
+            if beta_low >= beta_high:
+                need = f"needs beta > {_ref_f17(beta_low)} and beta <= {_ref_f17(beta_high)}"
+                violations.append((alpha, f"empty beta range: {need}"))
+            else:
+                samples.append((alpha, beta_high - beta_low))
+    return samples, violations, []
+
+
+def _ref_payload(description, m, cons, free_angle, interval, spacing, summary, samples,
+                 violations, poles):
+    return {
+        "description": description,
+        "m": m,
+        "constraints": [list(c) for c in cons],
+        "free_angle": free_angle,
+        "interval": [_ref_f17(interval[0]), _ref_f17(interval[1])],
+        "spacing": _ref_f17(spacing),
+        "sign_summary": summary,
+        "samples": [[_ref_f17(t), _ref_f17(r)] for t, r in samples],
+        "violations": [[_ref_f17(t), tag] for t, tag in violations],
+        "poles": [_ref_f17(t) for t in poles],
+    }
+
+
+def _ref_certify(m, constraints, interval, free_angle="alpha", spacing=EVIDENCE_SPACING,
+                 require_beta_above_alpha=False, description=""):
+    """(payload, sample count) as the scalar certify_no_root and payload gave them."""
+    cons = tuple(tuple(int(v) for v in c) for c in constraints)
+    ts = _evidence_grid(interval[0], interval[1], spacing).tolist()
+    if len(cons) == 2:
+        samples, violations, poles = _ref_sample_line(m, cons, ts, "abg".index(free_angle[0]))
+    elif len(cons) == 1 and cons[0][0] == 0 and not require_beta_above_alpha:
+        samples, violations, poles = _ref_sample_edge_bound(m, cons[0], ts)
+    else:
+        samples, violations, poles = _ref_sample_beta_range(m, cons[0], ts)
+    if samples:
+        if all(r > 0.0 for _, r in samples):
+            summary = "constant-positive"
+        elif all(r < 0.0 for _, r in samples):
+            summary = "constant-negative"
+        else:
+            raise ValueError("sampled residuals change sign")
+    else:
+        summary = "all-violate"
+    payload = _ref_payload(
+        description or _default_description(cons, free_angle, summary), m, cons, free_angle,
+        (float(interval[0]), float(interval[1])), float(spacing), summary,
+        samples, violations, poles,
+    )
+    return payload, len(samples) + len(violations) + len(poles)
+
+
+def _assert_matches_reference(ev, require_beta_above_alpha=False):
+    payload, count = _ref_certify(
+        ev.m, ev.constraints, ev.interval, ev.free_angle, ev.spacing,
+        require_beta_above_alpha, ev.description,
+    )
+    assert ev.to_json() == json.dumps(payload, separators=(",", ":"))
+    assert ev.sample_count == count
+    assert ev.payload() == payload
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 13, 64])
+def test_every_seed_evidence_matches_the_scalar_reference(m):
+    evidence = [e.outcome for e in classify(m).entries if isinstance(e.outcome, NonexistenceEvidence)]
+    assert evidence
+    for ev in evidence:
+        # Only the empty-beta-range shape has one constraint with an alpha term.
+        cons = ev.constraints
+        _assert_matches_reference(ev, require_beta_above_alpha=len(cons) == 1 and cons[0][0] != 0)
+
+
+@pytest.mark.parametrize(
+    "m, constraints, interval, free",
+    [
+        (5, [(3, 0, 0), (0, 2, 1)], (1e-6, math.pi - 1e-6), "gamma"),
+        (5, [(2, 1, 0), (0, 2, 1)], (3 * math.pi / 5, 2 * math.pi / 3), "alpha"),
+        (5, [(1, 2, 0), (1, 0, 3)], (3 * math.pi / 5, 2 * math.pi / 3), "alpha"),
+        (5, [(1, 2, 0), (1, 0, 5)], (3 * math.pi / 5, 2 * math.pi / 3), "alpha"),
+        (5, [(1, 2, 0), (2, 0, 3)], (3 * math.pi / 5, 2 * math.pi / 3), "alpha"),
+        (6, [(0, 2, 1)], (1e-6, math.pi - 1e-6), "gamma"),
+    ],
+)
+def test_criterion_7_evidence_matches_the_scalar_reference(m, constraints, interval, free):
+    _assert_matches_reference(certify_no_root(m, constraints, interval, free_angle=free))
+
+
+@pytest.mark.parametrize(
+    "m, constraints, interval, free, require, expect",
+    [
+        # gamma within POLE_TOL of 0 and beta of pi: poles, then one sample.
+        (5, [(3, 0, 0), (0, 2, 1)], (0.0, 3e-12), "gamma", False, "poles"),
+        # The m-gon edge bound holds for small gamma at m = 5 and fails above.
+        (5, [(0, 2, 1)], (1e-6, math.pi - 1e-6), "gamma", False, "mixed"),
+        (7, [(0, 2, 1)], (-0.5, math.pi + 0.5), "gamma", False, "violations"),
+        # alpha + gamma = pi leaves beta in (alpha, pi]; below the m-gon bound it violates.
+        (5, [(2, 0, 2)], (0.5, 3.0), "alpha", True, "mixed"),
+        # At m = 6 some alphas leave beta a sliver of room, by rounding.
+        (6, [(2, 0, 1)], (0.5, 3.5), "alpha", True, "mixed"),
+        # No gamma term: gamma is NaN and every in-range alpha violates.
+        (5, [(3, 0, 0)], (0.5, 3.0), "alpha", True, "violations"),
+    ],
+)
+def test_evidence_shapes_match_the_scalar_reference(m, constraints, interval, free, require, expect):
+    ev = certify_no_root(
+        m, constraints, interval, free_angle=free, spacing=1e-3, require_beta_above_alpha=require
+    )
+    _assert_matches_reference(ev, require)
+    if expect == "poles":
+        assert ev.poles and ev.sample_at and not ev.violation_at
+    elif expect == "mixed":
+        assert ev.sample_at and ev.violation_at
+    else:
+        assert ev.violation_at and not ev.sample_at and not ev.poles
+
+
+def test_sign_change_raises_in_the_array_code_and_the_reference():
+    args = (5, [(0, 3, 0), (1, 1, 2)], (mgon_lower_bound(5) + 1e-6, math.pi - 1e-6), "alpha")
+    with pytest.raises(ValueError, match="change sign"):
+        certify_no_root(*args[:3], free_angle=args[3])
+    with pytest.raises(ValueError, match="change sign"):
+        _ref_certify(*args)
+
+
+def test_to_json_escapes_text_and_writes_empty_arrays_like_the_reference():
+    fields = (
+        'quote " backslash \\ newline \n non-ascii \u00e9', 5, ((1, 2, 0), (0, 2, 1)), "alpha",
+        (0.0, 1.0), 0.1, "all-violate",
+    )
+    columns = ((), (), (-0.0, 1e-300, 1e16, math.inf), ('tag "\\"', "\t", "\u00e9", ""), ())
+    ev = NonexistenceEvidence(*fields, *columns)
+    violations = list(zip(columns[2], columns[3]))
+    expected = _ref_payload(*fields, [], violations, [])
+    assert ev.to_json() == json.dumps(expected, separators=(",", ":"))
+    empty = NonexistenceEvidence(*fields, (), (), (), (), ())
+    assert empty.to_json() == json.dumps(_ref_payload(*fields, [], [], []), separators=(",", ":"))
+    assert empty.sample_count == 0
