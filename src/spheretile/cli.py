@@ -63,7 +63,10 @@ def report_json(report: ClassificationReport, c_max: int = 8) -> str:
     """
     entries = []
     for entry in report.entries:
-        item: dict = {"seed": list(entry.seed), "seed_label": vertex_label(entry.seed)}
+        item: dict = {
+            "seed": list(entry.seed),
+            "seed_label": vertex_label(entry.seed),
+        }
         out = entry.outcome
         if isinstance(out, FamilyOutcome):
             solutions = list(out.solutions)

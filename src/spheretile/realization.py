@@ -567,7 +567,7 @@ def verify_tiling(
     """
     if tol is not None:
         tol = tolerance(tol)
-    measured = _measure(t, embedding) if angles is None and embedding is not None else None
+    measured = _measure(t, embedding) if embedding is not None else None
     if angles is not None:
         solution, source = angles, "from the document's angles field"
     elif measured is not None:
@@ -583,8 +583,6 @@ def verify_tiling(
     geo = None
     if measured is not None:  # measured once, for the angles and for the check
         geo = _geometric_report(measured, solution, tol=1e-6 if tol is None else tol)
-    elif embedding is not None:
-        geo = verify_geometric(t, embedding, solution, tol=1e-6 if tol is None else tol)
     return TilingVerification(solution, source, comb, geo)
 
 
