@@ -25,6 +25,8 @@ from .trig import (
     tolerance,
     vertex_label,
 )
+from .generators import dodecahedron_matchings, earth_map, football, prism, triangular_fusion
+from .realization import earth_map_solution, prism_default_radius, prism_solution, sporadic_solution
 
 
 class VertexType(NamedTuple):
@@ -307,9 +309,6 @@ def _entry_alpha2gamma_m5(m: int, seed: VertexType, tol: float) -> Classificatio
 
 
 def _entry_beta3(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    from .generators import football
-    from .realization import sporadic_solution
-
     s = sporadic_solution("football")
     avc = enumerate_avc(s, tol=tol)
     avc = avc.with_realized(_census_keys(football()))
@@ -348,9 +347,6 @@ def _entry_alpha2beta(m: int, seed: VertexType, tol: float) -> ClassificationEnt
 
 
 def _entry_alphabeta2(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    from .generators import dodecahedron_matchings, triangular_fusion
-    from .realization import sporadic_solution
-
     s = sporadic_solution("snub-fusion")
     avc = enumerate_avc(s, tol=tol)
     first_matching = dodecahedron_matchings()[0]
@@ -376,9 +372,6 @@ def _entry_alphabeta2(m: int, seed: VertexType, tol: float) -> ClassificationEnt
 
 
 def _entry_beta2gamma_m5(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    from .generators import earth_map
-    from .realization import earth_map_solution
-
     s2 = earth_map_solution(2)
     avc = enumerate_avc(s2, tol=tol)
     avc = avc.with_realized(_census_keys(earth_map(2)))
@@ -399,9 +392,6 @@ def _entry_beta2gamma_m5(m: int, seed: VertexType, tol: float) -> Classification
 
 
 def _entry_alphabetagamma(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    from .generators import prism
-    from .realization import prism_default_radius, prism_solution
-
     s = prism_solution(m, prism_default_radius(m))
     avc = enumerate_avc(s, tol=tol)
     avc = avc.with_realized(_census_keys(prism(m)))

@@ -7,8 +7,10 @@ onto an already-embedded edge.  A corner that lands on a placed vertex is
 checked against the stored position, so an inconsistent angle solution or
 a wrong complex surfaces as a closure defect instead of a silently
 distorted picture.  :func:`embed_prism` places prisms in closed form as a
-reference.  :func:`verify_geometric` proves that a placement is a tiling
-by a covering-degree certificate.  It measures the placement in one array
+reference.  Both return an :class:`Embedding`, whose ``positions`` is one
+float (V, 3) array, row v for vertex v; every reader takes it as it is.
+:func:`verify_geometric` proves that a placement is a tiling by a
+covering-degree certificate.  It measures the placement in one array
 pass over the complex's half-edges (arc, unit tangent and corner angle of
 each), and every check, the certificate's determinants included, reads
 that table; angles measured from coordinates come from the same table.
@@ -46,9 +48,10 @@ class ClosureDefect(Exception):
 
 @dataclass
 class Embedding:
-    """Unit-sphere positions per vertex id, plus placement metadata."""
+    """Unit-sphere positions, a float (V, 3) array with row v for vertex v,
+    plus placement metadata."""
 
-    positions: dict[int, np.ndarray]
+    positions: np.ndarray
     worst_defect: float = 0.0
 
 
@@ -186,21 +189,16 @@ def embed_prism(m: int, r: float) -> tuple[TilingComplex, Embedding]:
     """
     xi1 = prism_params(m, r)
     t = prism(m)
-    positions: dict[int, np.ndarray] = {}
-    for v, name in enumerate(t.vertex_names):
-        ring, p = name
+    rows = []
+    for ring, p in t.vertex_names:
         if ring == "N":
             colat, lon = r, p * TWO_PI / m - xi1
         else:
             colat, lon = math.pi - r, p * TWO_PI / m
-        positions[v] = np.array(
-            [
-                math.sin(colat) * math.cos(lon),
-                math.sin(colat) * math.sin(lon),
-                math.cos(colat),
-            ]
+        rows.append(
+            (math.sin(colat) * math.cos(lon), math.sin(colat) * math.sin(lon), math.cos(colat))
         )
-    return t, Embedding(positions)
+    return t, Embedding(np.array(rows))
 
 
 # -- sporadic solutions ----------------------------------------------------------
@@ -303,7 +301,8 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
         t.face_of_half_edge(h) for h in t.out_half_edges(best_vertex)
     )
 
-    positions: dict[int, np.ndarray] = {}
+    positions = np.full((t.vertex_count, 3), np.nan)
+    placed = [False] * t.vertex_count
     worst_defect = 0.0
     worst_vertex = -1
 
@@ -311,7 +310,8 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
         nonlocal worst_defect, worst_vertex
         for h, p in zip(half_edges, corners):
             v = t.half_edge_endpoints(h)[0]
-            if v not in positions:
+            if not placed[v]:
+                placed[v] = True
                 positions[v] = p
                 continue
             d = float(np.linalg.norm(positions[v] - p))
@@ -410,8 +410,13 @@ class _Measurement(NamedTuple):
 @np.errstate(over="ignore", invalid="ignore")  # far-off points overflow; see the norm check
 def _measure(t: TilingComplex, e: Embedding) -> _Measurement:
     """Arc, tangent and corner angle of every half-edge, in one array pass;
-    the corner at h's origin lies between h and twin(prev(h))."""
-    points = np.array([e.positions[v] for v in range(t.vertex_count)], dtype=float)
+    the corner at h's origin lies between h and twin(prev(h)).  A placement
+    that is not (V, 3) for the complex's V vertices raises ValueError."""
+    points = e.positions
+    if points.shape != (t.vertex_count, 3):
+        raise ValueError(
+            f"placement has shape {points.shape}, the complex needs ({t.vertex_count}, 3)"
+        )
     origin, nxt, prev, twin, face_of, label = (np.asarray(a) for a in t.half_edges)
     back, head = twin[prev], origin[nxt]
     cos_arc, arc, tangent = geodesic_arcs(points[origin], points[head])

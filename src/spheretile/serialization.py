@@ -49,14 +49,10 @@ class TilingDocument:
         return t
 
     def embedding_for(self, t: TilingComplex) -> Embedding:
-        """Coordinates keyed by the complex's internal vertex ids."""
+        """The coordinates in the complex's internal vertex order."""
         if self.coordinates is None:
             raise ValueError("document has no coordinates")
-        positions = {
-            v: np.array(self.coordinates[name])
-            for v, name in enumerate(t.vertex_names)
-        }
-        return Embedding(positions)
+        return Embedding(np.array(self.coordinates)[list(t.vertex_names)])
 
 
 # The keys of a document's "angles" object, in the order they are written.
@@ -92,10 +88,7 @@ def serialize_tiling(
         "faces": faces,
     }
     if embedding is not None:
-        payload["coordinates"] = [
-            [float(c) for c in embedding.positions[v]]
-            for v in range(t.vertex_count)
-        ]
+        payload["coordinates"] = embedding.positions.tolist()
     if angles is not None:
         payload["angles"] = angles_payload(angles)
     return json.dumps(payload, separators=(",", ":"))
@@ -240,9 +233,7 @@ def export_obj(t: TilingComplex, e: Embedding) -> str:
     is display-only; it is not the spherical tiling itself.
     """
     lines = ["# chordal display-only"]
-    for v in range(t.vertex_count):
-        x, y, z = e.positions[v]
-        lines.append(f"v {_f17(x)} {_f17(y)} {_f17(z)}")
+    lines += [f"v {_f17(x)} {_f17(y)} {_f17(z)}" for x, y, z in e.positions.tolist()]
     for face in t.faces:
         lines.append("f " + " ".join(str(v + 1) for v in face.vertices))
     return "\n".join(lines) + "\n"
@@ -288,8 +279,7 @@ def _trace_edges(
     Every edge is refined at once, level by level.
     """
     e1, e2, c = frame
-    p0 = np.array([e.positions[u] for u, _ in edges])
-    p1 = np.array([e.positions[v] for _, v in edges])
+    p0, p1 = e.positions[np.array(edges).T]
     _, arc, tangent = geodesic_arcs(p0, p1)
 
     def point_and_velocity(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ This module evaluates the identities, solves the closure equation under
 linear vertex constraints by bracketed bisection, and produces dense-grid
 nonexistence certificates for constraint systems with no admissible root.
 A certificate's one renderer is ``NonexistenceEvidence.to_json``, which
-writes each sample array in one pass; ``payload()`` is that text parsed.
+writes each sample array in one pass.
 """
 
 from __future__ import annotations
@@ -431,7 +431,7 @@ class NonexistenceEvidence:
     those within POLE_TOL of a cotangent pole.  Evidence on a grid, not a
     proof.  :meth:`to_json` is the record's one renderer: compact JSON, the
     same bytes every run, each float a ``.17g`` string that reads back bit
-    for bit; reports embed that text.  :meth:`payload` is the text parsed.
+    for bit; reports embed that text.
     """
 
     description: str
@@ -465,10 +465,6 @@ class NonexistenceEvidence:
             f'"sign_summary":{_quote(self.sign_summary)},'
             f'"samples":[{samples}],"violations":[{violations}],"poles":[{poles}]}}'
         )
-
-    def payload(self) -> dict:
-        """:meth:`to_json` parsed: a dict in its key order, each float a string."""
-        return json.loads(self.to_json())
 
 
 def _f17(x: float) -> str:

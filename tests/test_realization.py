@@ -1,6 +1,7 @@
 """Angle solving for the concrete families and spherical embeddings."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -292,10 +293,7 @@ def test_verify_geometric_flags_jitter():
     t, e = embed_prism(5, 1.2)
     s = prism_solution(5, 1.2)
     rng = np.random.default_rng(0)
-    bad_positions = {
-        v: p + rng.normal(scale=1e-3, size=3) for v, p in e.positions.items()
-    }
-    bad = type(e)(positions=bad_positions)
+    bad = type(e)(positions=e.positions + rng.normal(scale=1e-3, size=(t.vertex_count, 3)))
     report = verify_geometric(t, bad, s, tol=1e-6)
     assert not report.ok
     assert any("norm" in msg for msg in report.failures)
@@ -349,6 +347,14 @@ def test_verify_tiling_names_a_cos_x_outside_the_unit_interval(embedded):
     assert not result.ok
     assert result.solution is None
     assert "cos_x" in result.angle_source and "[-1, 1]" in result.angle_source
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (10, 2)])
+def test_verify_tiling_names_a_placement_of_the_wrong_shape(shape):
+    t, emb = embed_prism(5, 1.2)  # V = 10
+    bad = Embedding(emb.positions[: shape[0], : shape[1]])
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}, the complex needs (10, 3)")):
+        verify_tiling(t, bad)
 
 
 def test_verify_tiling_solves_angles_from_census_rows():
@@ -421,7 +427,7 @@ def test_verify_geometric_flags_a_folded_face():
     # diagonal, so det(a, b, c) changes sign.
     n = np.cross(e.positions[a], e.positions[c])
     n /= np.linalg.norm(n)
-    positions = dict(e.positions)
+    positions = e.positions.copy()
     positions[b] = positions[b] - 2.0 * np.dot(positions[b], n) * n
     report = verify_geometric(t, type(e)(positions=positions), prism_solution(5, 1.2))
     assert not report.ok
@@ -590,7 +596,7 @@ def _failure_kinds(report):
 def _broken_prism(kind):
     """A pentagonal prism placement broken in one way, with its angles."""
     t, e = embed_prism(5, 1.2)
-    positions = dict(e.positions)
+    positions = e.positions.copy()
     a, b = t.undirected_edges()[0]
     if kind == "folded":
         fi = next(i for i, face in enumerate(t.faces) if face.kind == "rhombus")
@@ -600,7 +606,7 @@ def _broken_prism(kind):
         positions[b] = positions[b] - 2.0 * np.dot(positions[b], n) * n
     elif kind == "jitter":
         rng = np.random.default_rng(0)
-        positions = {v: p + rng.normal(scale=1e-3, size=3) for v, p in positions.items()}
+        positions = positions + rng.normal(scale=1e-3, size=(t.vertex_count, 3))
     elif kind == "zero-edge":
         positions[b] = positions[a].copy()
     elif kind == "zero-vertex":

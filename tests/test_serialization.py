@@ -31,6 +31,7 @@ from spheretile.serialization import (
     parse_tiling,
     serialize_tiling,
 )
+from spheretile.trig import _f17
 
 GENERATORS = [
     lambda: prism(3),
@@ -345,6 +346,21 @@ SHIPPED = (
 def test_export_svg_matches_the_scalar_tracer_byte_for_byte(name):
     t, e = _embedded(name)
     assert export_svg(t, e) == _oracle_svg(name)
+
+
+@pytest.mark.parametrize("name", ["prism_m64", "earthmap_c16", "football"])
+def test_coordinates_and_obj_vertices_match_the_per_vertex_writers(name):
+    # The writers turn the (V, 3) array into text in one call; the reference
+    # converts and formats each vertex's row on its own.
+    t, e = _embedded(name)
+    doc = json.loads(serialize_tiling(t))
+    doc["coordinates"] = [[float(c) for c in e.positions[v]] for v in range(t.vertex_count)]
+    assert serialize_tiling(t, e) == json.dumps(doc, separators=(",", ":"))
+    v_lines = []
+    for v in range(t.vertex_count):
+        x, y, z = e.positions[v]
+        v_lines.append(f"v {_f17(x)} {_f17(y)} {_f17(z)}")
+    assert [l for l in export_obj(t, e).splitlines() if l.startswith("v ")] == v_lines
 
 
 def _parse_path(d):
