@@ -2,7 +2,10 @@
 
 Writes one JSON report per gonality when --out-dir is given, and always
 prints a one-line summary per m: realized families, then the seeds settled
-by nonexistence evidence or subsumption.
+by nonexistence evidence, split into those with an exact proof ("proved")
+and those that still rest on a dense sign sample ("sampled"), then those
+settled by subsumption.  The files hold the same bytes as the stdout of
+``spheretile classify --m M``.
 
     python3 scripts/classify_all.py --m-min 5 --m-max 12 --out-dir reports/
 """
@@ -27,7 +30,8 @@ def summarize(m: int) -> tuple[str, str]:
     elapsed = time.perf_counter() - start
 
     families = []
-    eliminated = []
+    proved = []
+    sampled = []
     subsumed = []
     for entry in report.entries:
         label = vertex_label(entry.seed)
@@ -39,13 +43,14 @@ def summarize(m: int) -> tuple[str, str]:
                 suffix += " (1-param)"
             families.append(f"{entry.outcome.name}[{label}]{suffix}")
         elif isinstance(entry.outcome, NonexistenceEvidence):
-            eliminated.append(label)
+            (proved if entry.outcome.proof else sampled).append(label)
         elif isinstance(entry.outcome, SubsumedNote):
             subsumed.append(label)
 
     line = (
         f"m={m:>2}  families: {', '.join(families) or 'none'}"
-        f"  | no root: {', '.join(eliminated) or '-'}"
+        f"  | proved: {', '.join(proved) or '-'}"
+        f"  | sampled: {', '.join(sampled) or '-'}"
     )
     if subsumed:
         line += f"  | subsumed: {', '.join(subsumed)}"

@@ -22,6 +22,7 @@ from .trig import (
     AngleSolution,
     NonexistenceEvidence,
     certify_no_root,
+    edge_bound_proof,
     tolerance,
     vertex_label,
 )
@@ -78,31 +79,8 @@ def _candidate_degree3() -> list[VertexType]:
 
 
 def _feasible_in_box(m: int, v: VertexType) -> bool:
-    """Whether a*alpha + b*beta + c*gamma = 2*pi meets the admissibility box.
-
-    Decided exactly, by Fourier-Motzkin elimination over the integers.  In
-    angle units of pi/m every box row (:func:`trig._box_rows_exact`) reads
-    coeffs . x + const > 0 (>= 0 when not strict) with integer entries,
-    and the vertex equation enters as two >= rows with constant -+2m.
-    Eliminating alpha, beta and gamma in turn, each pair of rows with
-    opposite signs on the angle combines, with positive integer weights,
-    into a row without it, strict when either parent is.  The system is
-    feasible exactly when every constant row left holds: no margin, no
-    rounding.
-    """
-    eq = (v.a, v.b, v.c)
-    rows = set(trig._box_rows_exact(m))
-    rows |= {(eq, -2 * m, False), (tuple(-e for e in eq), 2 * m, False)}
-    for j in range(3):
-        pos = [r for r in rows if r[0][j] > 0]
-        neg = [r for r in rows if r[0][j] < 0]
-        rows = {r for r in rows if r[0][j] == 0}
-        for p, kp, sp in pos:
-            for n, kn, sn in neg:
-                wp, wn = -n[j], p[j]
-                coeffs = tuple(wp * x + wn * y for x, y in zip(p, n))
-                rows.add((coeffs, wp * kp + wn * kn, sp or sn))
-    return all(k > 0 if strict else k >= 0 for _coeffs, k, strict in rows)
+    """Whether a*alpha + b*beta + c*gamma = 2*pi meets the box, by :func:`trig._feasible`."""
+    return trig._feasible(m, [tuple(v)])
 
 
 def enumerate_degree3(m: int) -> list[VertexType]:
@@ -266,18 +244,15 @@ def _census_keys(t) -> list[tuple[int, int, int]]:
 
 
 def _entry_alpha3(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    # alpha^3 forces its companion vertex type beta^2 gamma (the rhombus
-    # corners must meet somewhere, and the angle bounds leave only that
-    # pairing); the joint system has no root, the residual staying positive.
-    evidence = certify_no_root(
+    # alpha^3 forces its companion type beta^2.gamma (the rhombus corners must meet
+    # somewhere, and the angle bounds leave only that pairing): the lemma rules it out.
+    evidence = edge_bound_proof(
         m,
         [(3, 0, 0), (0, 2, 1)],
-        interval=(1e-6, math.pi - 1e-6),
-        free_angle="gamma",
         description=(
             "alpha^3 fixes alpha = 2*pi/3 and forces the companion type "
-            "beta^2.gamma; the closure residual of the joint system stays "
-            "positive on the admissible gamma range"
+            "beta^2.gamma; the closure residual of the joint system is "
+            "positive for every gamma"
         ),
     )
     return ClassificationEntry(seed, evidence)
@@ -326,11 +301,9 @@ def _entry_beta3(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
 
 
 def _entry_alpha2beta(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    evidence = certify_no_root(
+    evidence = edge_bound_proof(
         m,
         [(2, 1, 0), (0, 2, 1)],
-        interval=(3.0 * math.pi / 5.0, 2.0 * math.pi / 3.0),
-        free_angle="alpha",
         description=(
             "alpha^2.beta paired with its forced companion beta^2.gamma "
             "has a positive closure residual across the admissible alphas"
@@ -340,8 +313,8 @@ def _entry_alpha2beta(m: int, seed: VertexType, tol: float) -> ClassificationEnt
         "the pairings with alpha^2.gamma^2 and alpha.beta.gamma^2 do admit "
         "closure roots, but every attempt to lay tiles around an "
         "alpha^2.beta vertex with those angles jams on adjacent corners; "
-        "the beta^2.gamma pairing shown here is the one ruled out "
-        "numerically",
+        "the beta^2.gamma pairing shown here is the one ruled out by the "
+        "edge-bound lemma",
     )
     return ClassificationEntry(seed, evidence, notes=notes)
 
@@ -423,11 +396,9 @@ def _entry_alpha2gamma_m6(m: int, seed: VertexType, tol: float) -> Classificatio
 
 
 def _entry_beta2gamma_m6(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    evidence = certify_no_root(
+    evidence = edge_bound_proof(
         m,
         [(0, 2, 1)],
-        interval=(1e-6, math.pi - 1e-6),
-        free_angle="gamma",
         description=(
             "beta^2.gamma fixes beta = pi - gamma/2; the rhombus edge "
             "cosine then stays below cos(2*pi/m), the floor of the m-gon "

@@ -9,10 +9,11 @@ when both prototiles have the same edge length x.  The two identities
 
 combine into a single closure equation linking alpha, beta, gamma and m.
 This module evaluates the identities, solves the closure equation under
-linear vertex constraints by bracketed bisection, and produces dense-grid
-nonexistence certificates for constraint systems with no admissible root.
-A certificate's one renderer is ``NonexistenceEvidence.to_json``, which
-writes each sample array in one pass.
+linear vertex constraints by bracketed bisection, and records nonexistence
+for constraint systems with no admissible root: as an exact edge-bound
+proof for every system with beta^2.gamma, as a dense-grid sample
+otherwise.  A record's one renderer is ``NonexistenceEvidence.to_json``,
+which writes each sample array in one pass.
 """
 
 from __future__ import annotations
@@ -235,6 +236,28 @@ def _box_rows_exact(m: int) -> tuple[tuple[tuple[int, int, int], int, bool], ...
     return tuple((coeffs, u * m + w * (m - 2), strict) for _tag, coeffs, (u, w), strict in _BOX)
 
 
+def _feasible(m: int, equations: Sequence[VertexTriple], extra=()) -> bool:
+    """Whether vertex equations a*alpha + b*beta + c*gamma = 2*pi and ``extra``
+    rows meet the admissibility box, by exact Fourier-Motzkin elimination.  In
+    units of pi/m each box or extra row reads coeffs . x + const > 0 (>= 0 if
+    not strict) in integers, an equation two >= rows with constant -+2m.  Each
+    pair of rows with opposite signs on an angle combines, with positive
+    weights, into a row without it, strict when either is; no rounding."""
+    rows = set(_box_rows_exact(m)) | set(extra)
+    for eq in equations:
+        rows |= {(tuple(eq), -2 * m, False), (tuple(-e for e in eq), 2 * m, False)}
+    for j in range(3):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        rows = {r for r in rows if r[0][j] == 0}
+        for p, kp, sp in pos:
+            for n, kn, sn in neg:
+                wp, wn = -n[j], p[j]
+                coeffs = tuple(wp * x + wn * y for x, y in zip(p, n))
+                rows.add((coeffs, wp * kp + wn * kn, sp or sn))
+    return all(k > 0 if strict else k >= 0 for _coeffs, k, strict in rows)
+
+
 def _box_checks(m: int, alpha, beta, gamma) -> list:
     """Whether each ``_BOX`` row is violated, in table order, for floats or arrays;
     each row is summed term by term, ca*alpha + cb*beta + cg*gamma + const."""
@@ -417,21 +440,22 @@ def _bisect(
 # --- nonexistence evidence --------------------------------------------------
 
 
-SignSummary = Literal["constant-positive", "constant-negative", "all-violate"]
+SignSummary = Literal["constant-positive", "constant-negative", "all-violate", "proof"]
 
 
 @dataclass(frozen=True)
 class NonexistenceEvidence:
-    """Dense-sampling record showing a constraint system admits no tiling angles.
+    """Record showing a constraint system admits no tiling angles.
 
-    Columns in grid order: ``sample_at`` holds the parameters where the
-    closure residual (for one constraint, its sampler's margin) was
-    evaluated and ``residuals`` its values; ``violation_at`` those that fail
-    an admissibility inequality and ``tags`` the first each fails; ``poles``
-    those within POLE_TOL of a cotangent pole.  Evidence on a grid, not a
-    proof.  :meth:`to_json` is the record's one renderer: compact JSON, the
-    same bytes every run, each float a ``.17g`` string that reads back bit
-    for bit; reports embed that text.
+    A proof record (:func:`edge_bound_proof`) has sign summary ``"proof"``,
+    its argument in ``proof`` and no samples.  A sampled record's columns,
+    in grid order: ``sample_at`` holds the parameters where the closure
+    residual (for one constraint, its sampler's margin) was evaluated and
+    ``residuals`` its values; ``violation_at`` those that fail an
+    admissibility inequality and ``tags`` the first each fails; ``poles``
+    those within POLE_TOL of a pole: evidence on a grid, not a proof.
+    :meth:`to_json` is the one renderer: compact JSON, the same bytes every
+    run, each float a ``.17g`` string that reads back bit for bit.
     """
 
     description: str
@@ -441,30 +465,65 @@ class NonexistenceEvidence:
     interval: tuple[float, float]
     spacing: float
     sign_summary: SignSummary
-    sample_at: tuple[float, ...] = field(repr=False)
-    residuals: tuple[float, ...] = field(repr=False)
-    violation_at: tuple[float, ...] = field(repr=False)
-    tags: tuple[str, ...] = field(repr=False)
+    sample_at: tuple[float, ...] = field(repr=False, default=())
+    residuals: tuple[float, ...] = field(repr=False, default=())
+    violation_at: tuple[float, ...] = field(repr=False, default=())
+    tags: tuple[str, ...] = field(repr=False, default=())
     poles: tuple[float, ...] = field(repr=False, default=())
+    proof: str = ""
 
     @property
     def sample_count(self) -> int:
         return len(self.sample_at) + len(self.violation_at) + len(self.poles)
 
     def to_json(self) -> str:
-        """Compact JSON in a fixed key order; each array is written by one ``%``."""
+        """Compact JSON in a fixed key order; each array is written by one ``%``,
+        and a proof record writes its proof in place of spacing and arrays."""
+        (lo, hi), constraints = self.interval, json.dumps(self.constraints, separators=(",", ":"))
+        head = (
+            f'{{"description":{_quote(self.description)},"m":{self.m:d},'
+            f'"constraints":{constraints},"free_angle":{_quote(self.free_angle)},'
+            f'"interval":["{lo:.17g}","{hi:.17g}"],'
+        )
+        if self.proof:
+            return f'{head}"sign_summary":"proof","proof":{_quote(self.proof)}}}'
         samples = _fill('["%.17g","%.17g"]', self.sample_at, self.residuals)
         violations = _fill('["%.17g",%s]', self.violation_at, tuple(map(_quote, self.tags)))
         poles = _fill('"%.17g"', self.poles)
-        (lo, hi), constraints = self.interval, json.dumps(self.constraints, separators=(",", ":"))
         # An f-string copies each part once; % would copy them again as it grows.
         return (
-            f'{{"description":{_quote(self.description)},"m":{self.m:d},'
-            f'"constraints":{constraints},"free_angle":{_quote(self.free_angle)},'
-            f'"interval":["{lo:.17g}","{hi:.17g}"],"spacing":"{self.spacing:.17g}",'
+            f'{head}"spacing":"{self.spacing:.17g}",'
             f'"sign_summary":{_quote(self.sign_summary)},'
             f'"samples":[{samples}],"violations":[{violations}],"poles":[{poles}]}}'
         )
+
+
+def edge_bound_proof(
+    m: int, constraints: Sequence[VertexTriple], description: str
+) -> NonexistenceEvidence:
+    """Proof record that a system with beta^2.gamma has no closure root: the rhombus
+    edge cosine is below 1/2, the m-gon's above.  ValueError unless the premise holds,
+    checked exactly: m >= 6, or m = 5 and exact elimination leaves alpha <= 2*pi/3,
+    where M(5, alpha) >= M(5, 2*pi/3) = sqrt(5)/3 > 1/2, that is 4*5 > 3^2."""
+    cons = tuple(tuple(int(v) for v in c) for c in constraints)
+    if (0, 2, 1) not in cons:
+        raise ValueError("the edge-bound lemma needs beta^2.gamma in the system")
+    if m >= 6:
+        premise = f"the m-gon edge cosine exceeds cos(2*pi/m) >= 1/2, as m = {m} >= 6"
+    elif m == 5 and not _feasible(m, cons, [((3, 0, 0), -2 * m, True)]) and 4 * 5 > 9:
+        premise = (
+            "exact elimination over the admissibility box leaves alpha <= 2*pi/3, where the "
+            "m-gon edge cosine, falling in alpha, is at least sqrt(5)/3 > 1/2, as 20 > 9"
+        )
+    else:
+        raise ValueError(f"edge-bound premise fails for m={m} and {cons}")
+    return NonexistenceEvidence(
+        description=description, m=m, constraints=cons, free_angle="gamma",
+        interval=(0.0, math.pi), spacing=0.0, sign_summary="proof",
+        proof="beta^2.gamma gives beta = pi - gamma/2, so the rhombus edge cosine "
+        "cot(beta/2)*cot(gamma/2) = tan(gamma/4)*cot(gamma/2) = (1 - tan^2(gamma/4))/2 "
+        f"is below 1/2 for every gamma in (0, pi), while {premise}",
+    )
 
 
 def _f17(x: float) -> str:

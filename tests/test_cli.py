@@ -75,12 +75,18 @@ def _f17(x: float) -> str:
 
 def _reference_evidence_payload(ev: NonexistenceEvidence) -> dict:
     f17 = _f17
-    return {
+    head = {
         "description": ev.description,
         "m": ev.m,
         "constraints": [list(c) for c in ev.constraints],
         "free_angle": ev.free_angle,
         "interval": [f17(ev.interval[0]), f17(ev.interval[1])],
+    }
+    if ev.proof:
+        # A proof record: the argument in place of spacing and samples.
+        return {**head, "sign_summary": "proof", "proof": ev.proof}
+    return {
+        **head,
         "spacing": f17(ev.spacing),
         "sign_summary": ev.sign_summary,
         "samples": [[f17(t), f17(r)] for t, r in zip(ev.sample_at, ev.residuals)],

@@ -9,9 +9,11 @@ the code under test.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import optimize
 
 from spheretile.trig import (
     AngleSolution,
@@ -20,6 +22,7 @@ from spheretile.trig import (
     box_violations,
     certify_no_root,
     closure_residual,
+    edge_bound_proof,
     in_box,
     mgon_edge_cos,
     mgon_lower_bound,
@@ -35,6 +38,7 @@ from spheretile.trig import (
     _box_rows,
     _default_description,
     _evidence_grid,
+    _feasible,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -517,13 +521,29 @@ def _assert_matches_reference(ev, require_beta_above_alpha=False):
     assert ev.sample_count == count
 
 
+def _assert_proof_premise(ev):
+    """A proof record's fields, and the premise its proof states, re-checked."""
+    assert (ev.sign_summary, ev.free_angle, ev.interval) == ("proof", "gamma", (0.0, math.pi))
+    assert ev.sample_count == 0 and not ev.residuals and not ev.tags
+    assert (0, 2, 1) in ev.constraints
+    assert ev.proof.startswith("beta^2.gamma gives beta = pi - gamma/2")
+    if ev.m >= 6:
+        assert ev.proof.endswith(f"as m = {ev.m} >= 6")
+    else:
+        assert ev.m == 5 and "leaves alpha <= 2*pi/3" in ev.proof
+        assert _lp_max_alpha(5, ev.constraints) <= 2 * math.pi / 3 + 1e-9
+
+
 @pytest.mark.parametrize("m", [5, 6, 7, 13, 64])
 def test_every_seed_evidence_matches_the_scalar_reference(m):
     evidence = [e.outcome for e in classify(m).entries if isinstance(e.outcome, NonexistenceEvidence)]
     assert evidence
     for ev in evidence:
-        # Only the empty-beta-range shape has one constraint with an alpha term.
         cons = ev.constraints
+        if (0, 2, 1) in cons:
+            _assert_proof_premise(ev)
+            continue
+        # Only the empty-beta-range shape has one constraint with an alpha term.
         _assert_matches_reference(ev, require_beta_above_alpha=len(cons) == 1 and cons[0][0] != 0)
 
 
@@ -592,3 +612,127 @@ def test_to_json_escapes_text_and_writes_empty_arrays_like_the_reference():
     empty = NonexistenceEvidence(*fields, (), (), (), (), ())
     assert empty.to_json() == json.dumps(_ref_payload(*fields, [], [], []), separators=(",", ":"))
     assert empty.sample_count == 0
+
+
+# -- the edge-bound lemma ---------------------------------------------------------------
+# classify proves every system with beta^2.gamma by edge_bound_proof.  The oracles
+# here are mpmath at 50 digits, a floating-point LP and the samplers themselves.
+
+
+def _lp_max_alpha(m, constraints):
+    """Largest alpha on the vertex equations within the box rows, by HiGHS with a
+    1e-9 margin on the strict rows; -inf when the system is infeasible."""
+    rows = _box_rows(m)
+    res = optimize.linprog(
+        c=[-1.0, 0.0, 0.0],
+        A_ub=[[-c for c in coeffs] for _tag, coeffs, _const, _strict in rows],
+        b_ub=[const - 1e-9 if strict else const for _tag, _coeffs, const, strict in rows],
+        A_eq=[list(map(float, c)) for c in constraints],
+        b_eq=[TWO_PI] * len(constraints),
+        bounds=[(None, None)] * 3,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    return -res.fun if res.status == 0 else -math.inf
+
+
+@pytest.mark.parametrize(
+    "m, constraints",
+    [
+        (5, [(0, 2, 1)]),  # earth maps exist
+        (5, [(1, 1, 1), (0, 2, 1)]),  # admits alpha > 2*pi/3
+        (6, [(2, 0, 1)]),  # no beta^2.gamma
+        (5, [(3, 0, 0), (1, 1, 1)]),  # no beta^2.gamma
+        (4, [(0, 2, 1)]),  # below the classification's scope
+    ],
+)
+def test_edge_bound_proof_refuses_where_its_premise_fails(m, constraints):
+    with pytest.raises(ValueError):
+        edge_bound_proof(m, constraints, "x")
+
+
+def test_edge_bound_premise_at_m5_agrees_with_the_lp_oracle():
+    """Every degree-3 companion of beta^2.gamma at m = 5: proved exactly when
+    the LP keeps alpha at most 2*pi/3 (or finds no point at all)."""
+    proved = []
+    for a in range(4):
+        for b in range(4 - a):
+            cons = [(a, b, 3 - a - b), (0, 2, 1)]
+            if cons[0] == cons[1]:
+                continue
+            if _lp_max_alpha(5, cons) < 2 * math.pi / 3 + 1e-9:
+                edge_bound_proof(5, cons, "x")
+                proved.append(cons[0])
+            else:
+                with pytest.raises(ValueError):
+                    edge_bound_proof(5, cons, "x")
+    assert (3, 0, 0) in proved and (2, 1, 0) in proved and (1, 1, 1) not in proved
+
+
+def test_three_alpha_row_is_decided_exactly():
+    # alpha^3 pins alpha to 2*pi/3 exactly: the strict row 3*alpha > 2*pi is
+    # infeasible, and its closed form 3*alpha >= 2*pi is not.
+    assert not _feasible(5, [(3, 0, 0), (0, 2, 1)], [((3, 0, 0), -10, True)])
+    assert _feasible(5, [(3, 0, 0), (0, 2, 1)], [((3, 0, 0), -10, False)])
+    assert _feasible(5, [(3, 0, 0), (0, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "gamma", ["1e-6", "1e-3", "0.1", "1", "1.5707963267948966", "3", "3.1415926535897"]
+)
+def test_rhombus_edge_cosine_on_beta2gamma_is_below_one_half(gamma):
+    # 50-digit arithmetic: float tan reads 0.5000000002 near gamma = 1e-6.
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        beta = mpmath.pi - g / 2
+        value = mpmath.cot(beta / 2) * mpmath.cot(g / 2)
+        closed = (1 - mpmath.tan(g / 4) ** 2) / 2
+        assert abs(value - closed) < mpmath.mpf(10) ** -40
+        assert value < mpmath.mpf(1) / 2 and closed < mpmath.mpf(1) / 2
+
+
+def test_pentagon_edge_cosine_at_two_pi_over_three_is_sqrt5_over_3():
+    with mpmath.workdps(50):
+        half = mpmath.pi / 3
+        exact = (mpmath.cos(half) ** 2 + mpmath.cos(2 * mpmath.pi / 5)) / mpmath.sin(half) ** 2
+        assert abs(exact - mpmath.sqrt(5) / 3) < mpmath.mpf(10) ** -45
+        # sqrt(5)/3 > 1/2 exactly when 4*5 > 3^2.
+        assert mpmath.sqrt(5) / 3 > mpmath.mpf(1) / 2 and 4 * 5 > 3**2
+    assert mgon_edge_cos(5, TWO_PI / 3) == pytest.approx(math.sqrt(5) / 3, abs=1e-15)
+
+
+# (m, constraints, old interval, old free angle, old sign summary) of every record
+# classify now proves; certify_no_root is kept as the oracle.
+_PROVED_SYSTEMS = [
+    (5, ((3, 0, 0), (0, 2, 1)), (1e-6, math.pi - 1e-6), "gamma", "constant-positive"),
+    (5, ((2, 1, 0), (0, 2, 1)), (3 * math.pi / 5, 2 * math.pi / 3), "alpha", "constant-positive"),
+] + [(m, ((0, 2, 1),), (1e-6, math.pi - 1e-6), "gamma", "all-violate") for m in (6, 7, 13, 64)]
+
+
+@pytest.mark.parametrize("m, constraints, interval, free, summary", _PROVED_SYSTEMS)
+def test_the_sampler_still_agrees_with_each_proof(m, constraints, interval, free, summary):
+    outcomes = [e.outcome for e in classify(m).entries]
+    (ev,) = [o for o in outcomes if getattr(o, "constraints", ()) == constraints]
+    _assert_proof_premise(ev)
+    assert certify_no_root(m, constraints, interval, free_angle=free).sign_summary == summary
+
+
+def test_every_proof_in_the_sweep_is_a_listed_system():
+    proved = {(5, c) for m, c, *_ in _PROVED_SYSTEMS if m == 5}
+    for m in range(5, 65):
+        for e in classify(m).entries:
+            if isinstance(e.outcome, NonexistenceEvidence) and e.outcome.proof:
+                assert (m, e.outcome.constraints) in proved or (
+                    m >= 6 and e.outcome.constraints == ((0, 2, 1),)
+                ), (m, e.seed)
+
+
+def test_proof_record_json_has_no_samples_and_keeps_its_proof():
+    ev = edge_bound_proof(9, [(0, 2, 1)], 'a "quoted" description')
+    payload = json.loads(ev.to_json())
+    assert list(payload) == [
+        "description", "m", "constraints", "free_angle", "interval", "sign_summary", "proof",
+    ]
+    assert payload["proof"] == ev.proof and payload["description"] == ev.description
+    assert payload["sign_summary"] == "proof" and payload["interval"] == ["0", "3.1415926535897931"]
+    assert ev.to_json() == json.dumps(payload, separators=(",", ":"))
