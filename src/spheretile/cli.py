@@ -59,7 +59,7 @@ def report_json(report: ClassificationReport, c_max: int = 8) -> str:
 
     The earth-map family is infinite, so its solution list is expanded up
     to block count ``c_max``; everything else carries the solutions the
-    classification produced.  Evidence is embedded as its ``to_json`` text.
+    classification produced.  Evidence is embedded as its ``payload`` dict.
     """
     entries = []
     for entry in report.entries:
@@ -88,7 +88,7 @@ def report_json(report: ClassificationReport, c_max: int = 8) -> str:
             }
         elif isinstance(out, NonexistenceEvidence):
             item["kind"] = "nonexistence"
-            item["evidence"] = out
+            item["evidence"] = out.payload()
         else:
             assert isinstance(out, SubsumedNote)
             item["kind"] = "subsumed"
@@ -96,17 +96,8 @@ def report_json(report: ClassificationReport, c_max: int = 8) -> str:
             item["reason"] = out.reason
         if entry.notes:
             item["notes"] = list(entry.notes)
-        entries.append(_entry_json(item))
-    return f'{{"m":{report.m:d},"entries":[{",".join(entries)}]}}'
-
-
-def _entry_json(item: dict) -> str:
-    """A report entry as compact JSON text; evidence writes itself with ``to_json``."""
-    members = (
-        f"{_dumps(key)}:{v.to_json() if isinstance(v, NonexistenceEvidence) else _dumps(v)}"
-        for key, v in item.items()
-    )
-    return f"{{{','.join(members)}}}"
+        entries.append(item)
+    return _dumps({"m": report.m, "entries": entries})
 
 
 def _dumps(value) -> str:

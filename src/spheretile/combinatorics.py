@@ -88,10 +88,10 @@ def enumerate_degree3(m: int) -> list[VertexType]:
 
     Filters all (a, b, c) with a+b+c = 3 through exact linear feasibility
     over the admissibility box (:func:`_feasible_in_box`).  For m >= 6 the
-    types without any gamma are additionally excluded: the edge bound
-    forces gamma into every vertex covering of the tiling once the m-gon
-    angle crowds out beta-only fits, so such a vertex cannot appear in a
-    tiling even when the linear system alone is feasible.
+    types without any gamma are also skipped, on an unproved assumption that
+    they cannot appear in a tiling: the linear system admits alpha.beta^2 and
+    beta^3, and closure roots lie behind both at every m tried.  A checked
+    deduction in place of the skip is ROADMAP item 2.
     """
     if m < 5:
         raise ValueError(f"classification scope starts at m = 5, got {m}")

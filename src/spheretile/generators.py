@@ -318,9 +318,8 @@ def triangular_fusion(matching: Iterable) -> TilingComplex:
     triangle exactly once, so all 80 triangles pair into 40 rhombi.  The
     fused diagonal's endpoints receive beta, the other corners gamma.
     """
-    edges_used = _normalize_matching(matching)
-
     dod = dodecahedron()
+    edges_used = _normalize_matching(matching, dod)
     structure = _snub_faces(dod)
 
     consumed: set[tuple] = set()
@@ -376,8 +375,7 @@ def _fuse(
     return (q, c1, p, c2)
 
 
-def _normalize_matching(matching: Iterable) -> set[frozenset]:
-    dod = dodecahedron()
+def _normalize_matching(matching: Iterable, dod: OrientedPolyhedron) -> set[frozenset]:
     edge_set = {frozenset(e) for e in dod.undirected_edges()}
     edges = [frozenset(e) for e in matching]
     if len(edges) != 10 or len(set(edges)) != 10:

@@ -12,8 +12,8 @@ This module evaluates the identities, solves the closure equation under
 linear vertex constraints by bracketed bisection, and records nonexistence
 for constraint systems with no admissible root: as an exact edge-bound
 proof for every system with beta^2.gamma, as a dense-grid sample
-otherwise.  A record's one renderer is ``NonexistenceEvidence.to_json``,
-which writes each sample array in one pass.
+otherwise.  ``NonexistenceEvidence.payload`` gives a record as a dict, which
+reports embed; ``to_json`` is that dict as compact JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -454,8 +453,8 @@ class NonexistenceEvidence:
     ``residuals`` its values; ``violation_at`` those that fail an
     admissibility inequality and ``tags`` the first each fails; ``poles``
     those within POLE_TOL of a pole: evidence on a grid, not a proof.
-    :meth:`to_json` is the one renderer: compact JSON, the same bytes every
-    run, each float a ``.17g`` string that reads back bit for bit.
+    :meth:`payload` is the record as a dict, each float a ``.17g`` string
+    that reads back bit for bit; :meth:`to_json` writes it as compact JSON.
     """
 
     description: str
@@ -476,26 +475,30 @@ class NonexistenceEvidence:
     def sample_count(self) -> int:
         return len(self.sample_at) + len(self.violation_at) + len(self.poles)
 
-    def to_json(self) -> str:
-        """Compact JSON in a fixed key order; each array is written by one ``%``,
-        and a proof record writes its proof in place of spacing and arrays."""
-        (lo, hi), constraints = self.interval, json.dumps(self.constraints, separators=(",", ":"))
-        head = (
-            f'{{"description":{_quote(self.description)},"m":{self.m:d},'
-            f'"constraints":{constraints},"free_angle":{_quote(self.free_angle)},'
-            f'"interval":["{lo:.17g}","{hi:.17g}"],'
-        )
+    def payload(self) -> dict:
+        """The record as a dict in a fixed key order; a proof record carries its
+        proof in place of spacing and arrays."""
+        head = {
+            "description": self.description,
+            "m": self.m,
+            "constraints": [list(c) for c in self.constraints],
+            "free_angle": self.free_angle,
+            "interval": [_f17(self.interval[0]), _f17(self.interval[1])],
+        }
         if self.proof:
-            return f'{head}"sign_summary":"proof","proof":{_quote(self.proof)}}}'
-        samples = _fill('["%.17g","%.17g"]', self.sample_at, self.residuals)
-        violations = _fill('["%.17g",%s]', self.violation_at, tuple(map(_quote, self.tags)))
-        poles = _fill('"%.17g"', self.poles)
-        # An f-string copies each part once; % would copy them again as it grows.
-        return (
-            f'{head}"spacing":"{self.spacing:.17g}",'
-            f'"sign_summary":{_quote(self.sign_summary)},'
-            f'"samples":[{samples}],"violations":[{violations}],"poles":[{poles}]}}'
-        )
+            return {**head, "sign_summary": "proof", "proof": self.proof}
+        return {
+            **head,
+            "spacing": _f17(self.spacing),
+            "sign_summary": self.sign_summary,
+            "samples": [[_f17(t), _f17(r)] for t, r in zip(self.sample_at, self.residuals)],
+            "violations": [[_f17(t), tag] for t, tag in zip(self.violation_at, self.tags)],
+            "poles": [_f17(t) for t in self.poles],
+        }
+
+    def to_json(self) -> str:
+        """:meth:`payload` as compact JSON, the same bytes every run."""
+        return json.dumps(self.payload(), separators=(",", ":"))
 
 
 def edge_bound_proof(
@@ -528,35 +531,6 @@ def edge_bound_proof(
 
 def _f17(x: float) -> str:
     return format(x, ".17g")
-
-
-def _fill(item: str, *columns, sep: str = ",") -> str:
-    """``item`` once per row of ``columns``, joined by ``sep``, filled in by one ``%``."""
-    flat = [None] * (len(columns) * len(columns[0]))
-    for i, column in enumerate(columns):
-        flat[i :: len(columns)] = column
-    return sep.join([item] * len(columns[0])) % tuple(flat)
-
-
-def _math(f, x: np.ndarray, squared: bool = False) -> np.ndarray:
-    """``f`` of each element through ``math``, squared by ``pow`` if asked."""
-    values = map(f, x.tolist())
-    return np.fromiter(map(pow, values, repeat(2)) if squared else values, float, len(x))
-
-
-def _closure_residuals(m: int, alpha, beta, gamma: np.ndarray) -> np.ndarray:
-    """:func:`closure_residual` at in-box points, rounded exactly as it rounds:
-    numpy's ``tan``, ``sin`` and ``x * x`` differ from ``math`` and ``pow``
-    in the last bit at some points, and evidence keeps every bit.  Mapping
-    the scalar functions themselves, domain checks and all, was slower in
-    ten of ten classify-sweep benchmark pairs, by 2% in the median."""
-    half = alpha / 2.0
-    mgon = (_math(math.cos, half, True) + math.cos(TWO_PI / m)) / _math(math.sin, half, True)
-    return mgon - _rhombus_edge_cos(beta, gamma)
-
-
-def _rhombus_edge_cos(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    return 1.0 / (_math(math.tan, beta / 2.0) * _math(math.tan, gamma / 2.0))
 
 
 def _evidence_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -648,7 +622,9 @@ def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: in
     pole = ~violated & ((angles.min(0) < POLE_TOL) | (angles.max(0) > math.pi - POLE_TOL))
     sampled = ~(violated | pole)
     tags = _BOX_TAGS[checks.argmax(axis=0)[violated]]
-    return ts[sampled], _closure_residuals(m, *angles[:, sampled]), ts[violated], tags, ts[pole]
+    # The scalar residual, for its bits: numpy's tan and sin can differ in the last bit.
+    residuals = np.fromiter(map(closure_residual, repeat(m), *angles[:, sampled].tolist()), float)
+    return ts[sampled], residuals, ts[violated], tags, ts[pole]
 
 
 def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
@@ -659,10 +635,12 @@ def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: st
     in_range = (0.0 < gamma) & (gamma < math.pi) & (0.0 < beta) & (beta < math.pi)
     tags = np.where(in_range, "gamma below beta", "angle outside (0, pi)").astype(object)
     inside = np.flatnonzero(in_range & (gamma < beta))
-    edge = _rhombus_edge_cos(beta[inside], gamma[inside])
+    edge = np.fromiter(map(rhombus_edge_cos, beta[inside].tolist(), gamma[inside].tolist()), float)
     low = edge <= bound
-    template = f"edge bound: rhombus edge cos %.17g <= cos(2*pi/m) {_f17(bound)}\n"
-    tags[inside[low]] = _fill(template, edge[low].tolist(), sep="").split("\n")[:-1]
+    tags[inside[low]] = [
+        f"edge bound: rhombus edge cos {_f17(e)} <= cos(2*pi/m) {_f17(bound)}"
+        for e in edge[low].tolist()
+    ]
     return _split(ts, tags, inside[~low], edge[~low] - bound)
 
 
@@ -680,9 +658,10 @@ def _sample_beta_range(m: int, con: VertexTriple, ts: np.ndarray, free_angle: st
     low = np.maximum(np.maximum(alpha, gamma), math.pi - gamma)
     high = np.minimum(math.pi, TWO_PI - alpha - gamma)
     empty = low >= high
-    template = "empty beta range: needs beta > %.17g and beta <= %.17g\n"
-    text = _fill(template, low[empty].tolist(), high[empty].tolist(), sep="")
-    tags[inside[empty]] = text.split("\n")[:-1]
+    tags[inside[empty]] = [
+        f"empty beta range: needs beta > {_f17(lo)} and beta <= {_f17(hi)}"
+        for lo, hi in zip(low[empty].tolist(), high[empty].tolist())
+    ]
     return _split(ts, tags, inside[~empty], (high - low)[~empty])
 
 

@@ -1,6 +1,7 @@
 """Command-line entry points, driven in process through main(), and what
 importing the command-line module loads, seen from a fresh interpreter."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -65,8 +66,8 @@ def test_classify_file_parses_to_the_report_payload(tmp_path):
     assert json.loads(out.read_text()) == report_payload(classify(5))
 
 
-# The dict-building report payload, evidence included, as the package built it
-# before reports were written as text in one pass: the reference for report_json.
+# The dict-building report payload, evidence included, written out here apart
+# from the package's own payload methods: the reference for report_json.
 
 
 def _f17(x: float) -> str:
@@ -143,6 +144,22 @@ def test_report_json_matches_the_dict_reference_byte_for_byte(m, c_max):
 def test_classify_stdout_is_the_report_text_and_a_newline(capsys):
     assert main(["classify", "--m", "7"]) == EXIT_OK
     assert capsys.readouterr().out == report_json(classify(7)) + "\n"
+
+
+# The output bytes pinned: sha256 of ``report_json(classify(m)) + "\n"`` for
+# m = 5..64 concatenated in order, and of the stdout of ``spheretile matchings``.
+CLASSIFY_SWEEP_SHA256 = "d2d2507929c66a29ddb6d2ccfdc74ccdf0d59c5dce22225517e11070cdcec757"
+MATCHINGS_SHA256 = "1f52f465b6012080d0f78f8919d6228381196acc33cef2b091917d227aefa235"
+
+
+def test_classify_reports_for_m_5_to_64_keep_their_digest():
+    text = "".join(report_json(classify(m)) + "\n" for m in range(5, 65))
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SWEEP_SHA256
+
+
+def test_matchings_stdout_keeps_its_digest(capsys):
+    assert main(["matchings"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MATCHINGS_SHA256
 
 
 def test_generate_prism(capsys):
