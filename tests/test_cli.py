@@ -147,9 +147,12 @@ def test_classify_stdout_is_the_report_text_and_a_newline(capsys):
 
 
 # The output bytes pinned: sha256 of ``report_json(classify(m)) + "\n"`` for
-# m = 5..64 concatenated in order, and of the stdout of ``spheretile matchings``.
+# m = 5..64 concatenated in order, of the stdout of ``spheretile matchings``,
+# and of the stdout of ``spheretile generate F`` for F = snub1, snub2, snub3,
+# football concatenated in order (no --realize, so no floats).
 CLASSIFY_SWEEP_SHA256 = "d2d2507929c66a29ddb6d2ccfdc74ccdf0d59c5dce22225517e11070cdcec757"
 MATCHINGS_SHA256 = "1f52f465b6012080d0f78f8919d6228381196acc33cef2b091917d227aefa235"
+SPORADIC_GENERATE_SHA256 = "bddeb2ed72385f855bb3492ebe0e9217b24d74c096d843e6736217b50bb75f46"
 
 
 def test_classify_reports_for_m_5_to_64_keep_their_digest():
@@ -160,6 +163,13 @@ def test_classify_reports_for_m_5_to_64_keep_their_digest():
 def test_matchings_stdout_keeps_its_digest(capsys):
     assert main(["matchings"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MATCHINGS_SHA256
+
+
+def test_generate_snub_fusions_and_football_keep_their_digest(capsys):
+    for family in ("snub1", "snub2", "snub3", "football"):
+        assert main(["generate", family]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SPORADIC_GENERATE_SHA256
 
 
 def test_generate_prism(capsys):
