@@ -117,7 +117,11 @@ def cmd_classify(
     if c_max < 2:
         return _usage_error(f"--c-max must be at least 2, got {c_max}")
     report = classify(m, tol=tol)
-    _emit(report_json(report, c_max=c_max), out)
+    try:
+        text = report_json(report, c_max=c_max)
+    except ValueError as exc:
+        return _usage_error(f"--c-max {c_max} is too large: {exc}")
+    _emit(text, out)
     return EXIT_OK
 
 
@@ -169,6 +173,11 @@ def cmd_generate(
             return _usage_error("earthmap needs --c")
         if c < 2:
             return _usage_error(f"earthmap needs --c of at least 2, got {c}")
+        if realize:
+            try:
+                solution = rz.earth_map_solution(c)
+            except ValueError as exc:
+                return _usage_error(str(exc))
         t = earth_map(c)
         print(
             f"note: earth map with c={c} has {t.face_count} faces (10*c-3); "
@@ -176,8 +185,6 @@ def cmd_generate(
             "incidence check",
             file=sys.stderr,
         )
-        if realize:
-            solution = rz.earth_map_solution(c)
     elif family == "football":
         t = football()
         if realize:

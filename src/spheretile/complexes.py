@@ -548,23 +548,20 @@ def verify_combinatorial(
 # -- canonical codes ----------------------------------------------------------
 
 
-def canonical_code(
-    t: TilingComplex, include_reflections: bool = True
-) -> tuple[int, ...]:
+def canonical_code(t: TilingComplex) -> tuple[int, ...]:
     """Minimal token stream over label-aware BFS traversals of the complex.
 
     The stream lists faces in discovery order as (kind code, size,
     vertex-number/label-code pairs), with vertex numbers assigned on first
     visit.  The minimum is taken over traversals started at every half-edge
-    of every minimal-kind face, in both orientations when
-    ``include_reflections`` (so mirror images share a code).  Equal codes
+    of every minimal-kind face, in both orientations (so mirror images
+    share a code).  Equal codes
     correspond exactly to label-preserving isomorphism: the stream encodes
     enough to rebuild the face list with canonical vertex numbers.
     """
     best: Optional[list[int]] = None
-    orientations = (False, True) if include_reflections else (False,)
     for start in t._canonical_starts():
-        for mirror in orientations:
+        for mirror in (False, True):
             tokens = t._traverse(start, mirror, best)
             if tokens is not None:
                 best = tokens
@@ -572,9 +569,7 @@ def canonical_code(
     return tuple(best)
 
 
-def isomorphic(
-    t1: TilingComplex, t2: TilingComplex, include_reflections: bool = True
-) -> bool:
+def isomorphic(t1: TilingComplex, t2: TilingComplex) -> bool:
     """Label-preserving isomorphism test through canonical codes."""
     if (
         t1.vertex_count != t2.vertex_count
@@ -582,6 +577,4 @@ def isomorphic(
         or t1.face_count != t2.face_count
     ):
         return False
-    return canonical_code(t1, include_reflections) == canonical_code(
-        t2, include_reflections
-    )
+    return canonical_code(t1) == canonical_code(t2)

@@ -4,8 +4,8 @@ triangular fusions of the snub dodecahedron, and the football.
 The Archimedean-type families are built on top of a small oriented
 polyhedron helper: faces are stored as counterclockwise vertex cycles,
 and the derived arc maps (reversal, next-in-face, rotation about the
-origin vertex) drive dualization, truncation and the snub construction
-combinatorially, with no coordinates involved.
+origin vertex) give the dual and write every face of the snub fusions
+and the football in closed form, with no coordinates involved.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from .complexes import (
 )
 
 Arc = tuple[Hashable, Hashable]
-
-
-class FusionConflict(Exception):
-    """A triangle was asked to fuse with two different partners."""
 
 
 # -- oriented polyhedra -------------------------------------------------------
@@ -104,72 +100,6 @@ def dodecahedron() -> OrientedPolyhedron:
     return dual(icosahedron())
 
 
-def truncate(p: OrientedPolyhedron) -> OrientedPolyhedron:
-    """Truncation: cut every vertex, turning each k-face into a 2k-face.
-
-    The new vertex on arc a = (u, v) sits on edge {u, v} near u and is named
-    by the arc itself.  Each original face contributes the 2k-cycle
-    (a1, rev a1, a2, rev a2, ...); each original vertex contributes its
-    sigma orbit reversed (reversal keeps the orientation consistent).
-    """
-    faces: list[tuple[Arc, ...]] = []
-    for face in p.faces:
-        k = len(face)
-        cyc: list[Arc] = []
-        for i in range(k):
-            a = (face[i], face[(i + 1) % k])
-            cyc.append(a)
-            cyc.append(p.rev(a))
-        faces.append(tuple(cyc))
-    for u in sorted(p.out_arcs):
-        orbit = p.vertex_orbit(u)
-        faces.append(tuple(reversed(orbit)))
-    return OrientedPolyhedron(faces)
-
-
-def _snub_faces(p: OrientedPolyhedron) -> dict:
-    """Face cycles of the snub, with the edge triangles kept addressable.
-
-    For each original arc a the edge quad (s(a), s(sigma a), s(rev a),
-    s(sigma(rev a))) splits along the diagonal {s(a), s(rev a)} into
-
-        T1(a) = (s(a), s(sigma a), s(rev a))
-        T2(a) = (s(a), s(rev a), s(sigma(rev a)))
-
-    where s(x) is the snub vertex named by arc x.  Only the canonical arc
-    (a < rev a) of each edge is used, which fixes the T1/T2 naming.
-    """
-    polygons = [
-        tuple((face[i], face[(i + 1) % len(face)]) for i in range(len(face)))
-        for face in p.faces
-    ]
-    vertex_triangles = []
-    vertex_triangle_of: dict[Hashable, tuple[Arc, ...]] = {}
-    for u in sorted(p.out_arcs):
-        tri = tuple(reversed(p.vertex_orbit(u)))
-        vertex_triangles.append(tri)
-        vertex_triangle_of[u] = tri
-    edge_triangles = []
-    t1_of: dict[Arc, tuple[Arc, Arc, Arc]] = {}
-    t2_of: dict[Arc, tuple[Arc, Arc, Arc]] = {}
-    for a in p.undirected_edges():
-        ra = p.rev(a)
-        t1 = (a, p.sigma(a), ra)
-        t2 = (a, ra, p.sigma(ra))
-        t1_of[a] = t1
-        t2_of[a] = t2
-        edge_triangles.append(t1)
-        edge_triangles.append(t2)
-    return {
-        "polygons": polygons,
-        "vertex_triangles": vertex_triangles,
-        "edge_triangles": edge_triangles,
-        "vertex_triangle_of": vertex_triangle_of,
-        "t1_of": t1_of,
-        "t2_of": t2_of,
-    }
-
-
 # -- tiling generators ---------------------------------------------------------
 
 
@@ -246,26 +176,30 @@ def football() -> TilingComplex:
     """Football tiling: truncated icosahedron with each hexagon cut into
     three rhombi around its center.
 
-    The three beta corners meeting at each hexagon center give the beta^3
-    vertices; every original truncated-icosahedron vertex becomes
-    alpha beta gamma^2.
+    Truncation names each new vertex by the icosahedron arc it sits on.
+    Icosahedron face fi with arcs a1, a2, a3 becomes the hexagon
+    (a1, rev a1, a2, rev a2, a3, rev a3), cut into the rhombi
+    (center, a1, rev a1, a2), (center, a2, rev a2, a3) and
+    (center, a3, rev a3, a1) around ("hex-center", fi); each icosahedron
+    vertex u becomes the pentagon reversed(vertex_orbit(u)).  The three
+    beta corners meeting at each hexagon center give the beta^3 vertices;
+    every truncated-icosahedron vertex becomes alpha beta gamma^2.
     """
-    trunc = truncate(icosahedron())
+    ico = icosahedron()
     faces: list = []
-    for fi, face in enumerate(trunc.faces):
-        if len(face) == 5:
-            faces.append(("mgon", face, ("alpha",) * 5))
-            continue
+    for fi, face in enumerate(ico.faces):
         center = ("hex-center", fi)
-        c1, c2, c3, c4, c5, c6 = face
-        for triple in ((c1, c2, c3), (c3, c4, c5), (c5, c6, c1)):
+        arcs = [(face[i], face[(i + 1) % 3]) for i in range(3)]
+        for i, a in enumerate(arcs):
             faces.append(
                 (
                     "rhombus",
-                    (center,) + triple,
+                    (center, a, ico.rev(a), arcs[(i + 1) % 3]),
                     ("beta", "gamma", "beta", "gamma"),
                 )
             )
+    for u in sorted(ico.out_arcs):
+        faces.append(("mgon", tuple(reversed(ico.vertex_orbit(u))), ("alpha",) * 5))
     return build_from_faces(faces)
 
 
@@ -311,68 +245,41 @@ def dodecahedron_matchings() -> list[tuple[tuple[int, int], ...]]:
 def triangular_fusion(matching: Iterable) -> TilingComplex:
     """Fuse the snub dodecahedron's triangles into rhombi along a matching.
 
-    Each dodecahedron edge corresponds to a pair of edge triangles sharing
-    a diagonal.  An unmatched edge fuses that pair directly; a matched edge
-    {u, v} instead fuses each of its two triangles with the vertex triangle
-    at its respective endpoint.  A perfect matching uses every vertex
+    The snub's vertices are the dodecahedron's arcs, and every face is
+    written straight from the arc maps.  Each dodecahedron face becomes a
+    pentagon with every corner replaced by the arc leaving it.  Each edge,
+    with canonical arc a (a < rev a), gives the rhombi
+
+        unmatched:  (a, sigma a, rev a, sigma rev a)
+        matched:    (sigma a, rev a, a, sigma^2 a)
+                    and (sigma rev a, a, rev a, sigma^2 rev a)
+
+    An unmatched rhombus fuses the edge's two snub triangles along the
+    diagonal {a, rev a}; a matched one fuses each of them with the vertex
+    triangle at its endpoint instead.  A perfect matching uses every vertex
     triangle exactly once, so all 80 triangles pair into 40 rhombi.  The
-    fused diagonal's endpoints receive beta, the other corners gamma.
+    1st and 3rd corners, the fused diagonal's ends, take beta.
     """
     dod = dodecahedron()
     edges_used = _normalize_matching(matching, dod)
-    structure = _snub_faces(dod)
-
-    consumed: set[tuple] = set()
-
-    def take(name: tuple, tri: tuple[Arc, ...]) -> tuple[Arc, ...]:
-        if name in consumed:
-            raise FusionConflict(f"triangle {name!r} fused twice")
-        consumed.add(name)
-        return tri
-
-    rhombi: list[tuple[Arc, Arc, Arc, Arc]] = []
-    for a in dod.undirected_edges():
-        u, v = a
-        t1 = structure["t1_of"][a]
-        t2 = structure["t2_of"][a]
-        if frozenset(a) in edges_used:
-            tri_u = take(("V", u), structure["vertex_triangle_of"][u])
-            tri_v = take(("V", v), structure["vertex_triangle_of"][v])
-            rhombi.append(_fuse(take(("T1", a), t1), tri_u))
-            rhombi.append(_fuse(take(("T2", a), t2), tri_v))
-        else:
-            rhombi.append(_fuse(take(("T1", a), t1), take(("T2", a), t2)))
-
-    assert len(rhombi) == 40, f"expected 40 fused rhombi, got {len(rhombi)}"
+    sigma, rev = dod.sigma, dod.rev
     faces: list = [
-        ("mgon", poly, ("alpha",) * 5) for poly in structure["polygons"]
+        ("mgon", tuple((f[i], f[(i + 1) % 5]) for i in range(5)), ("alpha",) * 5)
+        for f in dod.faces
     ]
-    faces.extend(
-        ("rhombus", rh, ("beta", "gamma", "beta", "gamma")) for rh in rhombi
-    )
-    return build_from_faces(faces)
-
-
-def _fuse(
-    tri1: tuple[Arc, ...], tri2: tuple[Arc, ...]
-) -> tuple[Arc, Arc, Arc, Arc]:
-    """Glue two triangles along their shared edge and drop the diagonal.
-
-    tri1 holds the shared edge as (p, q), tri2 as (q, p).  Writing
-    tri1 = (p, q, c1) and tri2 = (q, p, c2) cyclically, the fused rhombus
-    is (q, c1, p, c2); p and q are the diagonal ends and take beta.
-    """
-    arcs1 = {(tri1[i], tri1[(i + 1) % 3]): tri1[(i + 2) % 3] for i in range(3)}
-    arcs2 = {(tri2[i], tri2[(i + 1) % 3]): tri2[(i + 2) % 3] for i in range(3)}
-    shared = [e for e in arcs1 if (e[1], e[0]) in arcs2]
-    if len(shared) != 1:
-        raise FusionConflict(
-            f"triangles {tri1!r} and {tri2!r} share {len(shared)} edges, expected 1"
+    for a in dod.undirected_edges():
+        ra = rev(a)
+        if frozenset(a) in edges_used:
+            rhombi = [
+                (sigma(a), ra, a, sigma(sigma(a))),
+                (sigma(ra), a, ra, sigma(sigma(ra))),
+            ]
+        else:
+            rhombi = [(a, sigma(a), ra, sigma(ra))]
+        faces.extend(
+            ("rhombus", rh, ("beta", "gamma", "beta", "gamma")) for rh in rhombi
         )
-    p, q = shared[0]
-    c1 = arcs1[(p, q)]
-    c2 = arcs2[(q, p)]
-    return (q, c1, p, c2)
+    return build_from_faces(faces)
 
 
 def _normalize_matching(matching: Iterable, dod: OrientedPolyhedron) -> set[frozenset]:

@@ -93,11 +93,18 @@ def earth_map_gamma(c: int) -> float:
 
 
 def earth_map_solution(c: int) -> AngleSolution:
-    """Angle solution of the c-block earth-map tiling."""
+    """Angle solution of the c-block earth-map tiling.
+
+    Raises ValueError naming c where the angles fail the closure check in
+    floating point, which happens from c = 212014 on.
+    """
     gamma = earth_map_gamma(c)
     alpha = _earth_map_alpha(gamma)
     beta = math.pi - gamma / 2.0
-    return AngleSolution.checked(5, alpha, beta, gamma)
+    try:
+        return AngleSolution.checked(5, alpha, beta, gamma)
+    except ValueError as exc:
+        raise ValueError(f"the earth-map solver fails at c={c}: {exc}") from exc
 
 
 # -- prisms --------------------------------------------------------------------

@@ -277,11 +277,8 @@ def in_box(m: int, alpha: float, beta: float, gamma: float) -> bool:
 # --- linear constraint reduction ------------------------------------------
 
 
-def _affine_line(
-    constraints: Sequence[VertexTriple],
-    pinned: Optional[tuple[str, float]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce 2 vertex equations (or 1 plus a pinned angle) to an affine line.
+def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce 2 vertex equations to an affine line.
 
     Returns (point, direction) with every solution of the linear system
     written as point + t * direction.  Raises ValueError when the two rows
@@ -290,24 +287,14 @@ def _affine_line(
     rows = np.array(constraints, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError("constraints must be (a, b, c) triples")
-    rhs = [TWO_PI] * len(rows)
-    if pinned is not None:
-        name, value = pinned
-        pin_row = np.zeros(3)
-        pin_row[ANGLE_NAMES.index(name)] = 1.0
-        rows = np.vstack([rows, pin_row])
-        rhs.append(value)
     if rows.shape[0] != 2:
-        raise ValueError(
-            "need exactly two independent linear conditions "
-            "(two vertex types, or one plus a pinned angle)"
-        )
+        raise ValueError("need exactly two vertex types as linear conditions")
     direction = np.cross(rows[0], rows[1])
     norm = np.linalg.norm(direction)
     if norm < 1e-12 * np.linalg.norm(rows[0]) * np.linalg.norm(rows[1]):
         raise ValueError("linearly dependent constraints")
     direction /= norm
-    point, *_ = np.linalg.lstsq(rows, np.array(rhs), rcond=None)
+    point, *_ = np.linalg.lstsq(rows, np.full(2, TWO_PI), rcond=None)
     return point, direction
 
 
@@ -337,20 +324,19 @@ def _line_box_interval(
 def solve_closure(
     m: int,
     constraints: Sequence[VertexTriple],
-    pinned: Optional[tuple[str, float]] = None,
     grid: int = 10_000,
 ) -> list[AngleSolution]:
     """Roots of the closure equation under linear vertex constraints.
 
     Each constraint (a, b, c) is read as a*alpha + b*beta + c*gamma = 2*pi.
-    Two constraints (or one plus a ``pinned`` angle, given as a name/value
-    pair) cut the angle space down to a line; the closure residual is then a
-    function of one parameter, scanned over ``grid`` subintervals of the
-    line's intersection with the admissible box, and every sign change is
-    narrowed by bisection.  An empty return means no admissible root exists,
-    which downstream code treats as a nonexistence signal.
+    Two constraints cut the angle space down to a line; the closure
+    residual is then a function of one parameter, scanned over ``grid``
+    subintervals of the line's intersection with the admissible box, and
+    every sign change is narrowed by bisection.  An empty return means no
+    admissible root exists, which downstream code treats as a nonexistence
+    signal.
     """
-    point, direction = _affine_line(constraints, pinned)
+    point, direction = _affine_line(constraints)
     span = _line_box_interval(m, point, direction)
     if span is None:
         return []

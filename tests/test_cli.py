@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from spheretile import cli
 from spheretile import realization as rz
 from spheretile.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, report_json, report_payload
 from spheretile.combinatorics import FamilyOutcome, SubsumedNote, classify
@@ -195,6 +196,37 @@ def test_generate_earthmap_notes_face_count(capsys):
     payload = json.loads(captured.out)
     assert len(payload["faces"]) == 27
     assert "8*c-2" in captured.err
+
+
+def test_generate_earthmap_beyond_the_solver_is_a_usage_error(monkeypatch, capsys):
+    # From c = 212014 on the closure residual of the earth-map angles
+    # exceeds its tolerance; the 2.1M-face complex must not be built first.
+    def no_build(c):
+        raise AssertionError(f"earth_map({c}) built before solving")
+
+    monkeypatch.setattr(cli, "earth_map", no_build)
+    assert main(["generate", "earthmap", "--c", "212014", "--realize"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c=212014" in captured.err
+
+
+def test_classify_with_an_unsolvable_earth_map_block_count_is_a_usage_error(
+    monkeypatch, capsys
+):
+    solve = rz.earth_map_solution
+
+    def fails_from_7(c):
+        if c >= 7:
+            raise ValueError(f"the earth-map solver fails at c={c}")
+        return solve(c)
+
+    monkeypatch.setattr(rz, "earth_map_solution", fails_from_7)
+    assert main(["classify", "--m", "5", "--c-max", "8"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--c-max 8" in captured.err and "c=7" in captured.err
+    assert main(["classify", "--m", "5", "--c-max", "6"]) == EXIT_OK
 
 
 def test_generate_realized_tiling_verifies(tmp_path, capsys):

@@ -11,12 +11,9 @@ from spheretile.generators import (
     football,
     fusion_classification,
     icosahedron,
-    OrientedPolyhedron,
-    _snub_faces,
     prism,
     snub_fusion,
     triangular_fusion,
-    truncate,
     trio_chain_length,
 )
 
@@ -85,31 +82,14 @@ def test_snub_fusion_rejects_bad_variant():
         snub_fusion(4)
 
 
-def test_snub_dodecahedron_intermediate():
-    structure = _snub_faces(dodecahedron())
-    polygons = structure["polygons"]
-    triangles = structure["vertex_triangles"] + structure["edge_triangles"]
-    assert [len(f) for f in polygons] == [5] * 12
-    assert [len(f) for f in triangles] == [3] * 80
-    snub = OrientedPolyhedron(polygons + triangles)
-    assert (len(snub.out_arcs), len(snub.undirected_edges())) == (60, 150)
-    # Every snub vertex meets one pentagon and four triangles.
-    for u in snub.out_arcs:
-        sizes = sorted(len(snub.faces[snub.left[a]]) for a in snub.vertex_orbit(u))
-        assert sizes == [3, 3, 3, 3, 5]
-
-
 def test_polyhedron_seeds():
     d = dodecahedron()
     assert len(d.faces) == 12
     assert all(len(f) == 5 for f in d.faces)
-    tr = truncate(icosahedron())
-    verts = set()
-    for f in tr.faces:
-        verts.update(f)
-    assert len(verts) == 60
-    assert len(tr.undirected_edges()) == 90
-    assert len(tr.faces) == 32
+    ico = icosahedron()
+    assert len(ico.out_arcs) == 12
+    assert len(ico.undirected_edges()) == 30
+    assert len(ico.faces) == 20
 
 
 # -- perfect matchings of the dodecahedron -------------------------------------------

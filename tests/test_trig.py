@@ -245,16 +245,6 @@ def test_solve_closure_grid_independence():
     assert abs(coarse.gamma - fine.gamma) < 1e-9
 
 
-def test_solve_closure_pinned_matches_prism():
-    from spheretile.realization import prism_solution
-
-    reference = prism_solution(5, 1.2)
-    roots = solve_closure(5, [(1, 1, 1)], pinned=("alpha", reference.alpha))
-    assert len(roots) == 1
-    assert roots[0].beta == pytest.approx(reference.beta, abs=1e-9)
-    assert roots[0].gamma == pytest.approx(reference.gamma, abs=1e-9)
-
-
 def test_solve_closure_rank_check():
     # Parallel constraints leave no line to scan.
     with pytest.raises(ValueError):
