@@ -14,6 +14,7 @@ from spheretile.complexes import (
     build_from_faces,
     canonical_code,
     isomorphic,
+    validate_sphere,
     verify_combinatorial,
 )
 from spheretile.generators import earth_map, football, prism
@@ -48,6 +49,17 @@ def test_build_rejects_disconnected_complex():
     ]
     with pytest.raises(NotSphere, match="disconnected"):
         build_from_faces(specs + shifted)
+
+
+def test_validate_sphere_rejects_pinched_vertex():
+    # Two tetrahedra glued at vertex 0: every edge pairs up, but the six
+    # faces at vertex 0 form two umbrellas of three.
+    two_tetrahedra = [
+        (0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3),
+        (0, 5, 4), (0, 4, 6), (0, 6, 5), (4, 5, 6),
+    ]
+    with pytest.raises(NotSphere, match=r"pinched link \(3 of 6 "):
+        validate_sphere(two_tetrahedra)
 
 
 def test_build_rejects_non_alternating_rhombus():
