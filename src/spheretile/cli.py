@@ -2,7 +2,8 @@
 
 Exit codes are the process-level contract: 0 for success, 1 for a
 verification failure, 2 for invalid parameters or unparseable input.
-Reports go to stdout or to the file named by ``--out``.
+Reports go to stdout or to the file named by ``--out``; a path that cannot
+be written is a usage error.
 """
 
 from __future__ import annotations
@@ -43,12 +44,18 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write text to the file ``out``, or to stdout when it is None; a path
+    that cannot be written is a usage error naming it."""
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        return EXIT_OK
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {out}: {exc}")
+    return EXIT_OK
 
 
 # -- classify ------------------------------------------------------------------
@@ -121,8 +128,7 @@ def cmd_classify(
         text = report_json(report, c_max=c_max)
     except ValueError as exc:
         return _usage_error(f"--c-max {c_max} is too large: {exc}")
-    _emit(text, out)
-    return EXIT_OK
+    return _emit(text, out)
 
 
 # -- generate ------------------------------------------------------------------
@@ -195,14 +201,12 @@ def cmd_generate(
             solution = rz.sporadic_solution("snub-fusion")
 
     embedding = rz.embed_generic(t, solution) if realize else None
-    _emit(serialize_tiling(t, embedding=embedding, angles=solution), out)
-    if obj is not None:
-        with open(obj, "w") as fh:
-            fh.write(export_obj(t, embedding))
-    if svg is not None:
-        with open(svg, "w") as fh:
-            fh.write(export_svg(t, embedding))
-    return EXIT_OK
+    status = _emit(serialize_tiling(t, embedding=embedding, angles=solution), out)
+    if obj is not None and status == EXIT_OK:
+        status = _emit(export_obj(t, embedding), obj)
+    if svg is not None and status == EXIT_OK:
+        status = _emit(export_svg(t, embedding), svg)
+    return status
 
 
 # -- verify --------------------------------------------------------------------
@@ -279,8 +283,7 @@ def cmd_matchings(out: Optional[str] = None) -> int:
             data["variant_of_matching"][i] for i in range(len(matchings))
         ],
     }
-    _emit(_dumps(payload), out)
-    return EXIT_OK
+    return _emit(_dumps(payload), out)
 
 
 # -- argument parsing ------------------------------------------------------------

@@ -8,6 +8,12 @@ label discipline, then hands the bare vertex cycles to
 edge-to-edge property, the manifold condition and sphericity (Euler
 characteristic 2 plus connectivity).
 
+:class:`SphereSurface`, the record :func:`validate_sphere` returns, is the
+package's one half-edge model: every surface, a tiling's or the
+icosahedron's and dodecahedron's in ``generators``, is a set of its
+arrays, and every reader indexes them directly.  :func:`vertex_orbit`
+walks them around a vertex.
+
 Corner labels live on half-edges: the label of a half-edge is the corner
 at its origin vertex inside its face.  That makes the rhombus alternation
 a purely local test and gives the canonical-code traversal direct access
@@ -61,42 +67,25 @@ class Face:
         return len(self.vertices)
 
 
-class HalfEdges(NamedTuple):
-    """The half-edge lists of a :class:`TilingComplex`, read-only.  Half-edges
-    run face by face, each face's in vertex order, and ``label[h]`` is the
-    corner at ``origin[h]`` in its face."""
-
-    origin: Sequence[int]
-    nxt: Sequence[int]
-    prev: Sequence[int]
-    twin: Sequence[int]
-    face_of: Sequence[int]
-    label: Sequence[str]
-
-
 class TilingComplex:
     """Immutable validated half-edge complex.
 
     Construct through :func:`build_from_faces`.  Vertex ids given to the
     builder may be arbitrary hashable names; they are renumbered to
     0..V-1 in order of first appearance, and the original names remain
-    available through :attr:`vertex_names`, and its half-edge lists, shared
-    and never copied, through :attr:`half_edges`.
+    available through :attr:`vertex_names`.  :attr:`half_edges` is the
+    :class:`SphereSurface` that :func:`validate_sphere` returned for the
+    faces, and ``label[h]`` is the corner at half-edge h's origin in its
+    face; readers index these lists directly and never modify them.
     """
 
-    __slots__ = ("faces", "vertex_names", "half_edges", "_face_start", "_out_edges")
+    __slots__ = ("faces", "vertex_names", "half_edges", "label")
 
     def __init__(self, faces: tuple[Face, ...], surface: SphereSurface, label: list[str]):
         self.faces = faces
         self.vertex_names = surface.vertex_names
-        prev = [0] * len(surface.nxt)
-        for h, n in enumerate(surface.nxt):
-            prev[n] = h
-        self.half_edges = HalfEdges(
-            surface.origin, surface.nxt, prev, surface.twin, surface.face_of, label
-        )
-        self._face_start = surface.face_start
-        self._out_edges = surface.out_edges
+        self.half_edges = surface
+        self.label = label
 
     # -- basic counts ------------------------------------------------------
 
@@ -128,9 +117,6 @@ class TilingComplex:
                 return f.size
         raise TilingError("complex has no m-gon face")
 
-    def degree(self, v: int) -> int:
-        return len(self._out_edges[v])
-
     def face_specs(self) -> list[tuple[str, list[int], list[str]]]:
         """Face list with internal vertex ids, suitable for re-building."""
         return [(f.kind, list(f.vertices), list(f.labels)) for f in self.faces]
@@ -140,10 +126,10 @@ class TilingComplex:
     def census(self) -> dict[VertexTriple, int]:
         """Count vertices by type (a, b, c) = corner multiplicities of each angle."""
         out: dict[VertexTriple, int] = {}
-        label = self.half_edges.label
-        for v in range(self.vertex_count):
+        label = self.label
+        for edges in self.half_edges.out_edges:
             counts = [0, 0, 0]
-            for h in self._out_edges[v]:
+            for h in edges:
                 counts[_LABEL_CODE[label[h]]] += 1
             key = (counts[0], counts[1], counts[2])
             out[key] = out.get(key, 0) + 1
@@ -151,37 +137,12 @@ class TilingComplex:
 
     def corner_counts(self) -> tuple[int, int, int]:
         counts = [0, 0, 0]
-        for lab in self.half_edges.label:
+        for lab in self.label:
             counts[_LABEL_CODE[lab]] += 1
         return counts[0], counts[1], counts[2]
 
-    # -- traversal helpers used by realization/serialization ---------------
-
-    def face_of_half_edge(self, h: int) -> int:
-        return self.half_edges.face_of[h]
-
-    def half_edges_of_face(self, f: int) -> list[int]:
-        start = self._face_start[f]
-        return list(range(start, start + self.faces[f].size))
-
-    def half_edge_endpoints(self, h: int) -> tuple[int, int]:
-        origin, nxt = self.half_edges[:2]
-        return origin[h], origin[nxt[h]]
-
-    def twin(self, h: int) -> int:
-        return self.half_edges.twin[h]
-
-    def next_half_edge(self, h: int) -> int:
-        return self.half_edges.nxt[h]
-
-    def label_of(self, h: int) -> str:
-        return self.half_edges.label[h]
-
-    def out_half_edges(self, v: int) -> list[int]:
-        return list(self._out_edges[v])
-
     def undirected_edges(self) -> list[tuple[int, int]]:
-        origin, nxt = self.half_edges[:2]
+        origin, nxt = self.half_edges.origin, self.half_edges.nxt
         return [(origin[h], origin[n]) for h, n in enumerate(nxt) if origin[h] < origin[n]]
 
     # -- canonical form ------------------------------------------------------
@@ -196,9 +157,9 @@ class TilingComplex:
         """
         best_key = min((_KIND_CODE[f.kind], f.size) for f in self.faces)
         starts: list[int] = []
-        for i, f in enumerate(self.faces):
+        for f, start in zip(self.faces, self.half_edges.face_start):
             if (_KIND_CODE[f.kind], f.size) == best_key:
-                starts.extend(self.half_edges_of_face(i))
+                starts.extend(range(start, start + f.size))
         return starts
 
     def _traverse(
@@ -211,7 +172,8 @@ class TilingComplex:
         origin becomes its head, its corner label is the one at the head,
         and the within-face successor is the predecessor.
         """
-        origin, forward, backward, twin, face_of, label = self.half_edges
+        he, label = self.half_edges, self.label
+        origin, forward, backward, twin, face_of = he.origin, he.nxt, he.prev, he.twin, he.face_of
         nxt = backward if mirror else forward
         shift = forward if mirror else None
 
@@ -302,18 +264,33 @@ class SphereSurface(NamedTuple):
 
     Vertices are numbered 0..V-1 in order of first appearance and
     ``vertex_names`` maps them back.  Half-edge ``face_start[f] + i`` runs
-    from the i-th to the (i+1)-th vertex of cycle f; ``out_edges[v]`` lists
-    the half-edges leaving v in increasing order.
+    from the i-th to the (i+1)-th vertex of cycle f; ``nxt`` and ``prev``
+    step along its face, ``twin`` reverses it, and ``out_edges[v]`` lists
+    the half-edges leaving v in increasing order.  Readers share these
+    lists and never modify them.
     """
 
     vertex_names: tuple[Hashable, ...]
     cycles: list[tuple[int, ...]]
     origin: list[int]
     nxt: list[int]
+    prev: list[int]
     twin: list[int]
     face_of: list[int]
     face_start: list[int]
     out_edges: list[list[int]]
+
+
+def vertex_orbit(nxt: Sequence[int], twin: Sequence[int], h: int) -> list[int]:
+    """Half-edges leaving h's origin in rotation order ``nxt[twin[.]]``,
+    starting at h.  The walk closes because, once every twin is set,
+    ``nxt`` after ``twin`` is a permutation."""
+    orbit = [h]
+    e = nxt[twin[h]]
+    while e != h:
+        orbit.append(e)
+        e = nxt[twin[e]]
+    return orbit
 
 
 def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
@@ -345,6 +322,7 @@ def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
 
     origin: list[int] = []
     nxt: list[int] = []
+    prev: list[int] = []
     face_of: list[int] = []
     face_start: list[int] = []
     directed: dict[tuple[int, int], int] = {}
@@ -365,6 +343,7 @@ def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
             directed[key] = base + i
             origin.append(u)
             nxt.append(base + (i + 1) % k)
+            prev.append(base + (i - 1) % k)
             face_of.append(fi)
 
     twin = [-1] * len(origin)
@@ -382,20 +361,13 @@ def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
         if len(edges) < 3:
             raise DegreeTooLow(f"vertex {names[v]!r} has degree {len(edges)}")
 
-    # Manifold link check: rotating a half-edge about its origin via
-    # next(twin(h)) must visit every out-edge of that origin in one cycle.
+    # Manifold link check: one rotation about a vertex must visit all its out-edges.
     for v, edges in enumerate(out_edges):
-        seen = {edges[0]}
-        h = edges[0]
-        for _ in range(len(edges) - 1):
-            h = nxt[twin[h]]
-            if h in seen:
-                break
-            seen.add(h)
-        if len(seen) != len(edges):
+        umbrella = len(vertex_orbit(nxt, twin, edges[0]))
+        if umbrella != len(edges):
             raise NotSphere(
                 f"vertex {names[v]!r} has a pinched link "
-                f"({len(seen)} of {len(edges)} faces in one umbrella)"
+                f"({umbrella} of {len(edges)} faces in one umbrella)"
             )
 
     # Connectivity over the face-adjacency graph.
@@ -427,7 +399,7 @@ def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
         )
 
     return SphereSurface(
-        names, numbered, origin, nxt, twin, face_of, face_start, out_edges
+        names, numbered, origin, nxt, prev, twin, face_of, face_start, out_edges
     )
 
 

@@ -1,80 +1,41 @@
 """Constructors for every tiling family: prisms, earth-map chains,
 triangular fusions of the snub dodecahedron, and the football.
 
-The Archimedean-type families are built on top of a small oriented
-polyhedron helper: faces are stored as counterclockwise vertex cycles,
-and the derived arc maps (reversal, next-in-face, rotation about the
-origin vertex) give the dual and write every face of the snub fusions
-and the football in closed form, with no coordinates involved.
+The sporadic families are written from the icosahedron's and the
+dodecahedron's arc maps, with no coordinates involved.  Both polyhedra are
+:class:`~spheretile.complexes.SphereSurface` records, the package's one
+half-edge model, and an arc is a half-edge id: its reversal is ``twin``,
+the rotation about its origin is sigma(h) = ``nxt[twin[h]]`` (walked by
+:func:`~spheretile.complexes.vertex_orbit`), the face on its left is
+``face_of``, and face f's arcs are ``face_start[f] + i``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
 from .complexes import (
+    SphereSurface,
     TilingComplex,
     build_from_faces,
     canonical_code,
     validate_sphere,
+    vertex_orbit,
 )
-
-Arc = tuple[Hashable, Hashable]
 
 
 # -- oriented polyhedra -------------------------------------------------------
 
 
-class OrientedPolyhedron:
-    """Closed surface given by consistently oriented face cycles.
+@lru_cache(maxsize=1)
+def icosahedron() -> SphereSurface:
+    """Combinatorial icosahedron, faces counterclockwise seen from outside.
 
-    Each face is a cyclic tuple of vertex ids.  The constructor validates
-    the cycles through :func:`validate_sphere` and precomputes the usual
-    arc maps: ``rev``, ``fnext`` (next arc within the face), ``left`` (face
-    index of an arc) and ``sigma`` (rotation of out-arcs about the origin
-    vertex, sigma(a) = fnext(rev(a))).
+    Built once per process; callers share the arrays and never modify them.
     """
-
-    def __init__(self, faces: Sequence[Sequence[Hashable]]):
-        self.faces: tuple[tuple[Hashable, ...], ...] = tuple(
-            tuple(f) for f in faces
-        )
-        s = validate_sphere(self.faces)
-        names = s.vertex_names
-        arcs = [(names[u], names[s.origin[n]]) for u, n in zip(s.origin, s.nxt)]
-        self.left: dict[Arc, int] = {a: s.face_of[h] for h, a in enumerate(arcs)}
-        self.fnext: dict[Arc, Arc] = {a: arcs[s.nxt[h]] for h, a in enumerate(arcs)}
-        self.out_arcs: dict[Hashable, list[Arc]] = {
-            names[v]: sorted(arcs[h] for h in out) for v, out in enumerate(s.out_edges)
-        }
-
-    @staticmethod
-    def rev(a: Arc) -> Arc:
-        return (a[1], a[0])
-
-    def sigma(self, a: Arc) -> Arc:
-        """Next out-arc of origin(a), rotating through the face right of a."""
-        return self.fnext[self.rev(a)]
-
-    def undirected_edges(self) -> list[Arc]:
-        return sorted(a for a in self.left if a < self.rev(a))
-
-    def vertex_orbit(self, u: Hashable) -> list[Arc]:
-        """Out-arcs of u in sigma order, starting from the smallest."""
-        start = self.out_arcs[u][0]
-        orbit = [start]
-        a = self.sigma(start)
-        while a != start:
-            orbit.append(a)
-            a = self.sigma(a)
-        return orbit
-
-
-def icosahedron() -> OrientedPolyhedron:
-    """Combinatorial icosahedron, faces counterclockwise seen from outside."""
-    return OrientedPolyhedron(
+    return validate_sphere(
         [
             (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
             (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
@@ -84,20 +45,35 @@ def icosahedron() -> OrientedPolyhedron:
     )
 
 
-def dual(p: OrientedPolyhedron) -> OrientedPolyhedron:
-    """Dual polyhedron: one face per vertex, listing incident faces in sigma order."""
-    faces = []
-    for u in sorted(p.out_arcs):
-        faces.append(tuple(p.left[a] for a in p.vertex_orbit(u)))
-    return OrientedPolyhedron(faces)
+def _arc_names(p: SphereSurface) -> list[tuple[Hashable, Hashable]]:
+    """(origin name, head name) of every half-edge."""
+    names = p.vertex_names
+    return [(names[u], names[p.origin[n]]) for u, n in zip(p.origin, p.nxt)]
 
 
-def dodecahedron() -> OrientedPolyhedron:
-    """Combinatorial dodecahedron as the dual of the icosahedron.
+def _orbits_by_name(p: SphereSurface) -> list[list[int]]:
+    """Out-arcs of every vertex in sigma order, vertices in order of name,
+    each orbit starting at the out-arc whose head has the least name."""
+    arcs = _arc_names(p)
+    names = p.vertex_names
+    return [
+        vertex_orbit(p.nxt, p.twin, min(p.out_edges[v], key=arcs.__getitem__))
+        for v in sorted(range(len(names)), key=names.__getitem__)
+    ]
 
-    Its 20 vertices are the icosahedron's face indices.
+
+@lru_cache(maxsize=1)
+def dodecahedron() -> SphereSurface:
+    """Combinatorial dodecahedron as the dual of the icosahedron: one face
+    per icosahedron vertex, listing its faces in sigma order.
+
+    Its 20 vertices are named by the icosahedron's face indices.  Built once
+    per process; callers share the arrays and never modify them.
     """
-    return dual(icosahedron())
+    ico = icosahedron()
+    return validate_sphere(
+        [ico.face_of[h] for h in orbit] for orbit in _orbits_by_name(ico)
+    )
 
 
 # -- tiling generators ---------------------------------------------------------
@@ -181,25 +157,25 @@ def football() -> TilingComplex:
     (a1, rev a1, a2, rev a2, a3, rev a3), cut into the rhombi
     (center, a1, rev a1, a2), (center, a2, rev a2, a3) and
     (center, a3, rev a3, a1) around ("hex-center", fi); each icosahedron
-    vertex u becomes the pentagon reversed(vertex_orbit(u)).  The three
-    beta corners meeting at each hexagon center give the beta^3 vertices;
-    every truncated-icosahedron vertex becomes alpha beta gamma^2.
+    vertex becomes the pentagon of its out-arcs in reversed sigma order.
+    The three beta corners meeting at each hexagon center give the beta^3
+    vertices; every truncated-icosahedron vertex becomes alpha beta gamma^2.
     """
     ico = icosahedron()
     faces: list = []
-    for fi, face in enumerate(ico.faces):
+    for fi, start in enumerate(ico.face_start):
         center = ("hex-center", fi)
-        arcs = [(face[i], face[(i + 1) % 3]) for i in range(3)]
-        for i, a in enumerate(arcs):
+        for i in range(3):
+            a = start + i
             faces.append(
                 (
                     "rhombus",
-                    (center, a, ico.rev(a), arcs[(i + 1) % 3]),
+                    (center, a, ico.twin[a], start + (i + 1) % 3),
                     ("beta", "gamma", "beta", "gamma"),
                 )
             )
-    for u in sorted(ico.out_arcs):
-        faces.append(("mgon", tuple(reversed(ico.vertex_orbit(u))), ("alpha",) * 5))
+    for orbit in _orbits_by_name(ico):
+        faces.append(("mgon", tuple(reversed(orbit)), ("alpha",) * 5))
     return build_from_faces(faces)
 
 
@@ -210,12 +186,11 @@ def dodecahedron_matchings() -> list[tuple[tuple[int, int], ...]]:
     sorted tuple of sorted vertex pairs; the list order is deterministic.
     """
     dod = dodecahedron()
-    adjacency: dict[int, list[int]] = {v: [] for v in sorted(dod.out_arcs)}
-    for (a, b) in dod.undirected_edges():
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for v in adjacency:
-        adjacency[v].sort()
+    adjacency: list[list[int]] = [[] for _ in dod.vertex_names]
+    for u, w in _arc_names(dod):
+        adjacency[u].append(w)
+    for neighbours in adjacency:
+        neighbours.sort()
 
     n = len(adjacency)
     matchings: list[tuple[tuple[int, int], ...]] = []
@@ -248,7 +223,7 @@ def triangular_fusion(matching: Iterable) -> TilingComplex:
     The snub's vertices are the dodecahedron's arcs, and every face is
     written straight from the arc maps.  Each dodecahedron face becomes a
     pentagon with every corner replaced by the arc leaving it.  Each edge,
-    with canonical arc a (a < rev a), gives the rhombi
+    with canonical arc a (a < rev a by vertex name), gives the rhombi
 
         unmatched:  (a, sigma a, rev a, sigma rev a)
         matched:    (sigma a, rev a, a, sigma^2 a)
@@ -261,29 +236,31 @@ def triangular_fusion(matching: Iterable) -> TilingComplex:
     1st and 3rd corners, the fused diagonal's ends, take beta.
     """
     dod = dodecahedron()
-    edges_used = _normalize_matching(matching, dod)
-    sigma, rev = dod.sigma, dod.rev
+    arcs = _arc_names(dod)
+    edges_used = _normalize_matching(matching, arcs)
+    twin = dod.twin
+    sigma = [dod.nxt[twin[h]] for h in range(len(twin))]
     faces: list = [
-        ("mgon", tuple((f[i], f[(i + 1) % 5]) for i in range(5)), ("alpha",) * 5)
-        for f in dod.faces
+        ("mgon", tuple(range(start, start + 5)), ("alpha",) * 5) for start in dod.face_start
     ]
-    for a in dod.undirected_edges():
-        ra = rev(a)
-        if frozenset(a) in edges_used:
+    # One arc per edge, from its lesser end, in order of the ends' names.
+    for a in sorted((h for h, (u, w) in enumerate(arcs) if u < w), key=arcs.__getitem__):
+        ra = twin[a]
+        if frozenset(arcs[a]) in edges_used:
             rhombi = [
-                (sigma(a), ra, a, sigma(sigma(a))),
-                (sigma(ra), a, ra, sigma(sigma(ra))),
+                (sigma[a], ra, a, sigma[sigma[a]]),
+                (sigma[ra], a, ra, sigma[sigma[ra]]),
             ]
         else:
-            rhombi = [(a, sigma(a), ra, sigma(ra))]
+            rhombi = [(a, sigma[a], ra, sigma[ra])]
         faces.extend(
             ("rhombus", rh, ("beta", "gamma", "beta", "gamma")) for rh in rhombi
         )
     return build_from_faces(faces)
 
 
-def _normalize_matching(matching: Iterable, dod: OrientedPolyhedron) -> set[frozenset]:
-    edge_set = {frozenset(e) for e in dod.undirected_edges()}
+def _normalize_matching(matching: Iterable, arcs: list[tuple]) -> set[frozenset]:
+    edge_set = {frozenset(a) for a in arcs}
     edges = [frozenset(e) for e in matching]
     if len(edges) != 10 or len(set(edges)) != 10:
         raise ValueError("matching must consist of 10 distinct edges")
@@ -305,14 +282,8 @@ def _normalize_matching(matching: Iterable, dod: OrientedPolyhedron) -> set[froz
 
 def _cyclic_labels_at(t: TilingComplex, v: int) -> list[str]:
     """Corner labels around vertex v in rotation order."""
-    out = t.out_half_edges(v)
-    start = out[0]
-    order = [start]
-    h = t.next_half_edge(t.twin(start))
-    while h != start:
-        order.append(h)
-        h = t.next_half_edge(t.twin(h))
-    return [t.label_of(h) for h in order]
+    he = t.half_edges
+    return [t.label[h] for h in vertex_orbit(he.nxt, he.twin, he.out_edges[v][0])]
 
 
 def bullet_vertices(t: TilingComplex) -> set[int]:
@@ -382,14 +353,15 @@ def trio_chain_length(t: TilingComplex) -> Optional[int]:
     trios = _trios(t)
     if len(trios) < 2:
         return None
+    he = t.half_edges
     rhombi = [i for i, f in enumerate(t.faces) if f.kind == "rhombus"]
     adj: dict[int, list[int]] = {i: [] for i in rhombi}
     edges_of: dict[int, set[frozenset]] = {}
     for i in rhombi:
         edges_of[i] = set()
-        for h in t.half_edges_of_face(i):
-            edges_of[i].add(frozenset(t.half_edge_endpoints(h)))
-            j = t.face_of_half_edge(t.twin(h))
+        for h in range(he.face_start[i], he.face_start[i] + 4):
+            edges_of[i].add(frozenset((he.origin[h], he.origin[he.nxt[h]])))
+            j = he.face_of[he.twin[h]]
             if t.faces[j].kind == "rhombus":
                 adj[i].append(j)
     best: Optional[int] = None

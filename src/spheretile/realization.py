@@ -303,20 +303,25 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     # Corner coordinates in the frame of edge 0, so a face's corners are
     # these rows times the frame of its placed entry edge.
     in_edge_frame = {lab: q @ _edge_frame(q[0], q[1]).T for lab, q in prototiles.items()}
-    best_vertex = max(range(t.vertex_count), key=t.degree)
-    seed_face = min(
-        t.face_of_half_edge(h) for h in t.out_half_edges(best_vertex)
-    )
+    he = t.half_edges
+    origin, nxt, twin, face_of, face_start = he.origin, he.nxt, he.twin, he.face_of, he.face_start
+    best_vertex = max(range(t.vertex_count), key=lambda v: len(he.out_edges[v]))
+    seed_face = min(face_of[h] for h in he.out_edges[best_vertex])
 
     positions = np.full((t.vertex_count, 3), np.nan)
     placed = [False] * t.vertex_count
     worst_defect = 0.0
     worst_vertex = -1
 
+    def face_from(entry: int) -> list[int]:
+        """Half-edges of entry's face in face order, starting at entry."""
+        start, k = face_start[face_of[entry]], t.faces[face_of[entry]].size
+        return [start + (entry - start + i) % k for i in range(k)]
+
     def place(half_edges: list[int], corners: np.ndarray) -> None:
         nonlocal worst_defect, worst_vertex
         for h, p in zip(half_edges, corners):
-            v = t.half_edge_endpoints(h)[0]
+            v = origin[h]
             if not placed[v]:
                 placed[v] = True
                 positions[v] = p
@@ -326,26 +331,23 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
                 worst_defect = d
                 worst_vertex = v
 
-    seed_edges = t.half_edges_of_face(seed_face)
-    place(seed_edges, prototiles[t.label_of(seed_edges[0])])
+    seed_edges = face_from(face_start[seed_face])
+    place(seed_edges, prototiles[t.label[seed_edges[0]]])
 
     placed_faces = {seed_face}
-    queue = [t.twin(h) for h in seed_edges]
+    queue = [twin[h] for h in seed_edges]
     head = 0
     while head < len(queue):
         entry = queue[head]
         head += 1
-        fi = t.face_of_half_edge(entry)
+        fi = face_of[entry]
         if fi in placed_faces:
             continue
         placed_faces.add(fi)
-        half_edges = t.half_edges_of_face(fi)
-        i = half_edges.index(entry)
-        half_edges = half_edges[i:] + half_edges[:i]
-        u, v = t.half_edge_endpoints(entry)
-        frame = _edge_frame(positions[u], positions[v])
-        place(half_edges, in_edge_frame[t.label_of(entry)] @ frame)
-        queue.extend(t.twin(h) for h in half_edges)
+        half_edges = face_from(entry)
+        frame = _edge_frame(positions[origin[entry]], positions[origin[nxt[entry]]])
+        place(half_edges, in_edge_frame[t.label[entry]] @ frame)
+        queue.extend(twin[h] for h in half_edges)
 
     if worst_defect > CLOSURE_TOL:
         raise ClosureDefect(worst_vertex, worst_defect)
@@ -424,7 +426,10 @@ def _measure(t: TilingComplex, e: Embedding) -> _Measurement:
         raise ValueError(
             f"placement has shape {points.shape}, the complex needs ({t.vertex_count}, 3)"
         )
-    origin, nxt, prev, twin, face_of, label = (np.asarray(a) for a in t.half_edges)
+    he = t.half_edges
+    origin, nxt, prev, twin, face_of, label = map(
+        np.asarray, (he.origin, he.nxt, he.prev, he.twin, he.face_of, t.label)
+    )
     back, head = twin[prev], origin[nxt]
     cos_arc, arc, tangent = geodesic_arcs(points[origin], points[head])
     defined = ~np.isnan(tangent[:, 0])

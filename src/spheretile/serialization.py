@@ -18,7 +18,7 @@ import numpy as np
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
 from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
-from .realization import Embedding, geodesic_arcs
+from .realization import Embedding, _dots, geodesic_arcs
 
 
 class SchemaError(Exception):
@@ -368,14 +368,12 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
         curves = [f"C {c1} {c2} {z1}" for _, c1, c2, z1 in chain]
         return " ".join([f"M {chain[0][0]}", *curves, "Z"])
 
+    # Mean depth along c per face; bincount adds corners in face order, as a scalar sum would.
     _, _, c = frame
-    order = sorted(
-        range(len(t.faces)),
-        key=lambda fi: sum(
-            float(np.dot(e.positions[v], c)) for v in t.faces[fi].vertices
-        )
-        / t.faces[fi].size,
-    )
+    depth = _dots(e.positions, np.broadcast_to(c, e.positions.shape))
+    he = t.half_edges
+    sums = np.bincount(he.face_of, weights=depth[he.origin], minlength=len(t.faces))
+    order = np.argsort(sums / [f.size for f in t.faces], kind="stable").tolist()
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',

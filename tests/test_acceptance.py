@@ -235,10 +235,10 @@ def test_criterion_5_earth_map_gamma():
 
 def _matching_count_oracle():
     dod = dodecahedron()
-    vertices = sorted(dod.out_arcs)
+    vertices = range(len(dod.vertex_names))
     index = {v: i for i, v in enumerate(vertices)}
     neighbours = [[] for _ in vertices]
-    for (a, b) in dod.undirected_edges():
+    for (a, b) in sorted({(u, w) for f in dod.cycles for u, w in zip(f, f[1:] + f[:1]) if u < w}):
         neighbours[index[a]].append(index[b])
         neighbours[index[b]].append(index[a])
     full = (1 << len(vertices)) - 1

@@ -287,6 +287,22 @@ def test_verify_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--m", "6", "--out"],
+        ["matchings", "--out"],
+        ["generate", "prism", "--m", "5", "--svg"],
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.json")
+    assert main(argv + [path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_infers_angles_from_census(tmp_path, capsys):
     out = tmp_path / "earth.json"
     assert main(["generate", "earthmap", "--c", "2", "--out", str(out)]) == EXIT_OK

@@ -108,15 +108,18 @@ def test_build_rejects_overused_edge():
 
 def test_half_edge_navigation_round_trip():
     t = prism(5)
+    he = t.half_edges
     for h in range(t.half_edge_count):
-        assert t.twin(t.twin(h)) == h
-        u, v = t.half_edge_endpoints(h)
-        assert t.half_edge_endpoints(t.twin(h)) == (v, u)
+        assert he.twin[he.twin[h]] == h
+        u, v = he.origin[h], he.origin[he.nxt[h]]
+        assert (he.origin[he.twin[h]], he.origin[he.nxt[he.twin[h]]]) == (v, u)
     for f in range(t.face_count):
-        cycle = t.half_edges_of_face(f)
+        cycle = [he.face_start[f]]
+        while he.nxt[cycle[-1]] != cycle[0]:
+            cycle.append(he.nxt[cycle[-1]])
         assert len(cycle) == t.faces[f].size
         for h in cycle:
-            assert t.face_of_half_edge(h) == f
+            assert he.face_of[h] == f
 
 
 # -- combinatorial verification ----------------------------------------------------

@@ -84,12 +84,12 @@ def test_snub_fusion_rejects_bad_variant():
 
 def test_polyhedron_seeds():
     d = dodecahedron()
-    assert len(d.faces) == 12
-    assert all(len(f) == 5 for f in d.faces)
+    assert len(d.cycles) == 12
+    assert all(len(f) == 5 for f in d.cycles)
     ico = icosahedron()
-    assert len(ico.out_arcs) == 12
-    assert len(ico.undirected_edges()) == 30
-    assert len(ico.faces) == 20
+    assert len(ico.vertex_names) == 12
+    assert len(ico.origin) // 2 == 30
+    assert len(ico.cycles) == 20
 
 
 # -- perfect matchings of the dodecahedron -------------------------------------------
@@ -98,10 +98,10 @@ def test_polyhedron_seeds():
 def _matching_count_oracle() -> int:
     """Memoized bitmask count of perfect matchings, written independently."""
     d = dodecahedron()
-    vertices = sorted(d.out_arcs)
+    vertices = range(len(d.vertex_names))
     index = {v: i for i, v in enumerate(vertices)}
     neighbours = [[] for _ in vertices]
-    for (a, b) in d.undirected_edges():
+    for (a, b) in sorted({(u, w) for f in d.cycles for u, w in zip(f, f[1:] + f[:1]) if u < w}):
         neighbours[index[a]].append(index[b])
         neighbours[index[b]].append(index[a])
 
