@@ -1,5 +1,6 @@
 """Half-edge complex construction, validation, verification, canonical codes."""
 
+import hashlib
 import math
 import random
 
@@ -17,7 +18,13 @@ from spheretile.complexes import (
     validate_sphere,
     verify_combinatorial,
 )
-from spheretile.generators import earth_map, football, prism
+from spheretile.generators import (
+    dodecahedron_matchings,
+    earth_map,
+    football,
+    prism,
+    triangular_fusion,
+)
 from spheretile.realization import earth_map_solution, prism_solution
 from spheretile.trig import AngleSolution
 
@@ -209,3 +216,21 @@ def test_isomorphic_positive_and_negative():
     copy = _permuted_copy(t, random.Random(3))
     assert isomorphic(t, copy)
     assert not isomorphic(t, earth_map(4))
+
+
+# sha256 of every code, one line of space-separated tokens per tiling: the 36
+# triangular fusions in matching order, the football, earth maps c = 2..8 and
+# prisms m = 3..16.
+CANONICAL_CODES_SHA256 = "db7db4364c79329980aa5c45c15a09f8e75498f561249c62b52be01fce8b2adf"
+
+
+def test_canonical_codes_keep_their_digest():
+    tilings = (
+        [triangular_fusion(mt) for mt in dodecahedron_matchings()]
+        + [football()]
+        + [earth_map(c) for c in range(2, 9)]
+        + [prism(m) for m in range(3, 17)]
+    )
+    assert len(tilings) == 58
+    text = "".join(" ".join(map(str, canonical_code(t))) + "\n" for t in tilings)
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_CODES_SHA256
