@@ -12,6 +12,7 @@ from spheretile.combinatorics import (
     FamilyOutcome,
     NonexistenceEvidence,
     VertexType,
+    _SEED_HANDLERS,
     _candidate_degree3,
     _feasible_in_box,
     classify,
@@ -251,6 +252,14 @@ def test_classify_high_m_is_prism_only():
         rest = [e for e in report.entries if not isinstance(e.outcome, FamilyOutcome)]
         for e in rest:
             assert isinstance(e.outcome, (NonexistenceEvidence, SubsumedNote))
+
+
+def test_seed_table_rows_are_exactly_the_enumerated_seeds():
+    """Every seed has a row and every row is some gonality's seed: a missing
+    row would raise KeyError at one m, and an unused row would go unseen."""
+    for m in range(5, 65):
+        rows = {seed for key, seed in _SEED_HANDLERS if key == min(m, 6)}
+        assert rows == set(map(tuple, enumerate_degree3(m))), m
 
 
 def test_classify_realized_families_helper():
