@@ -7,6 +7,12 @@ anglewise vertex combinations (AVCs) for a concrete angle solution, applies
 the counting and adjacency filters, and drives the per-gonality
 classification that attaches each degree-3 seed to a realized family, a
 nonexistence certificate, or a subsumption note.
+
+The classification is a finite case split, written as one table:
+``_SEED_HANDLERS`` maps ``(min(m, 6), seed)`` to the case that resolves
+it.  Each row hands one of two builders only what differs between cases:
+:func:`_family` for a realized family, :func:`_edge_bound` for a dead end
+that the edge-bound lemma rules out.  A new kind of outcome is one more row.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from . import trig
 from .trig import (
     TWO_PI,
     AngleSolution,
+    VertexTriple,
     NonexistenceEvidence,
     certify_no_root,
     edge_bound_proof,
@@ -154,12 +161,9 @@ def counting_filter(avc: AVC) -> AVC:
     b >= c.  Mixed AVCs pass through unchanged.
     """
     members = avc.members
-    if all(v.b <= v.c for v in members):
-        kept = tuple(v for v in members if v.b == v.c)
-    elif all(v.b >= v.c for v in members):
-        kept = tuple(v for v in members if v.b == v.c)
-    else:
+    if not (all(v.b <= v.c for v in members) or all(v.b >= v.c for v in members)):
         return avc
+    kept = tuple(v for v in members if v.b == v.c)
     return AVC(kept, avc.realized & {tuple(v) for v in kept}, avc.warnings)
 
 
@@ -232,191 +236,122 @@ def classify(m: int, tol: float = 1e-6) -> ClassificationReport:
     if not (5 <= m <= 64):
         raise ValueError(f"classification expects 5 <= m <= 64, got {m}")
     tol = tolerance(tol)
-    entries = []
-    for seed in enumerate_degree3(m):
-        handler = _SEED_HANDLERS[(min(m, 6), tuple(seed))]
-        entries.append(handler(m, seed, tol))
-    return ClassificationReport(m, tuple(entries))
+    entries = tuple(
+        _SEED_HANDLERS[(min(m, 6), tuple(seed))](m, seed, tol) for seed in enumerate_degree3(m)
+    )
+    return ClassificationReport(m, entries)
 
 
-def _census_keys(t) -> list[tuple[int, int, int]]:
-    return sorted(t.census().keys())
+def _family(
+    seed: VertexType, s: AngleSolution, tiling, tol: float, name: str, generator: str,
+    notes: tuple[str, ...], parameterized: bool = False, variants: int = 1,
+) -> ClassificationEntry:
+    """A realized family: the AVC of solution s, with the vertex types of the
+    sample tiling marked realized."""
+    avc = enumerate_avc(s, tol=tol).with_realized(tiling.census())
+    outcome = FamilyOutcome(name, generator, avc, (s,), parameterized, variants, notes)
+    return ClassificationEntry(seed, outcome)
 
 
-def _entry_alpha3(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
+def _edge_bound(
+    seed: VertexType, m: int, constraints: list[VertexTriple], description: str, notes=()
+) -> ClassificationEntry:
+    """A dead end that the edge-bound lemma rules out for these vertex types."""
+    return ClassificationEntry(seed, edge_bound_proof(m, constraints, description), notes)
+
+
+# The case split: (min(m, 6), seed) -> callable (m, seed, tol) -> ClassificationEntry.
+_SEED_HANDLERS = {
     # alpha^3 forces its companion type beta^2.gamma (the rhombus corners must meet
     # somewhere, and the angle bounds leave only that pairing): the lemma rules it out.
-    evidence = edge_bound_proof(
-        m,
-        [(3, 0, 0), (0, 2, 1)],
-        description=(
-            "alpha^3 fixes alpha = 2*pi/3 and forces the companion type "
-            "beta^2.gamma; the closure residual of the joint system is "
-            "positive for every gamma"
-        ),
-    )
-    return ClassificationEntry(seed, evidence)
-
-
-def _entry_alpha2gamma_m5(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
+    (5, (3, 0, 0)): lambda m, seed, tol: _edge_bound(
+        seed, m, [(3, 0, 0), (0, 2, 1)],
+        "alpha^3 fixes alpha = 2*pi/3 and forces the companion type "
+        "beta^2.gamma; the closure residual of the joint system is "
+        "positive for every gamma",
+    ),
     # alpha^2 gamma pins gamma = 2*pi - 2*alpha; every beta then violates
     # beta > alpha (needed since beta is the largest angle here) against
     # beta <= 2*pi - alpha - gamma (vertex room), an empty range.
-    evidence = certify_no_root(
-        m,
-        [(2, 0, 1)],
-        interval=(3.0 * math.pi / 5.0, math.pi),
-        free_angle="alpha",
-        require_beta_above_alpha=True,
-        description=(
-            "alpha^2.gamma fixes gamma = 2*pi - 2*alpha; the remaining "
-            "admissible range for beta is empty at every sample"
-        ),
-    )
-    return ClassificationEntry(
+    (5, (2, 0, 1)): lambda m, seed, tol: ClassificationEntry(
         seed,
-        evidence,
+        certify_no_root(
+            m, [(2, 0, 1)], interval=(3.0 * math.pi / 5.0, math.pi), free_angle="alpha",
+            require_beta_above_alpha=True,
+            description="alpha^2.gamma fixes gamma = 2*pi - 2*alpha; the remaining "
+            "admissible range for beta is empty at every sample",
+        ),
         notes=(
             "beta must exceed alpha here: beta <= alpha forces the total "
             "angle at an alpha^2.gamma vertex past 2*pi",
         ),
-    )
-
-
-def _entry_beta3(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    s = sporadic_solution("football")
-    avc = enumerate_avc(s, tol=tol)
-    avc = avc.with_realized(_census_keys(football()))
-    outcome = FamilyOutcome(
-        name="football",
-        generator="football()",
-        avc=avc,
-        solutions=(s,),
-        notes=(
+    ),
+    (5, (0, 3, 0)): lambda m, seed, tol: _family(
+        seed, sporadic_solution("football"), football(), tol, "football", "football()",
+        (
             "beta = 2*pi/3 exactly; the remaining corners split into "
             "alpha.beta.gamma^2 vertices",
         ),
-    )
-    return ClassificationEntry(seed, outcome)
-
-
-def _entry_alpha2beta(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    evidence = edge_bound_proof(
-        m,
-        [(2, 1, 0), (0, 2, 1)],
-        description=(
-            "alpha^2.beta paired with its forced companion beta^2.gamma "
-            "has a positive closure residual across the admissible alphas"
+    ),
+    (5, (2, 1, 0)): lambda m, seed, tol: _edge_bound(
+        seed, m, [(2, 1, 0), (0, 2, 1)],
+        "alpha^2.beta paired with its forced companion beta^2.gamma "
+        "has a positive closure residual across the admissible alphas",
+        (
+            "the pairings with alpha^2.gamma^2 and alpha.beta.gamma^2 do admit "
+            "closure roots, but every attempt to lay tiles around an "
+            "alpha^2.beta vertex with those angles jams on adjacent corners; "
+            "the beta^2.gamma pairing shown here is the one ruled out by the "
+            "edge-bound lemma",
         ),
-    )
-    notes = (
-        "the pairings with alpha^2.gamma^2 and alpha.beta.gamma^2 do admit "
-        "closure roots, but every attempt to lay tiles around an "
-        "alpha^2.beta vertex with those angles jams on adjacent corners; "
-        "the beta^2.gamma pairing shown here is the one ruled out by the "
-        "edge-bound lemma",
-    )
-    return ClassificationEntry(seed, evidence, notes=notes)
-
-
-def _entry_alphabeta2(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    s = sporadic_solution("snub-fusion")
-    avc = enumerate_avc(s, tol=tol)
-    first_matching = dodecahedron_matchings()[0]
-    sample = triangular_fusion(first_matching)
-    avc = avc.with_realized(_census_keys(sample))
-    side_notes = (
-        "beta = 2*gamma at this solution",
-        "the alternate pairing with alpha^2.gamma^2 also has a closure "
-        "root (alpha ~ 0.636*pi) but admits no tiling: laying rhombi "
-        "around its vertices forces a corner conflict",
-        "pairings with alpha.gamma^3, alpha.gamma^5 and alpha^2.gamma^3 "
-        "have no root; see the nonexistence evidence set",
-    )
-    outcome = FamilyOutcome(
-        name="snub-fusion",
-        generator="snub_fusion(1|2|3)",
-        avc=avc,
-        solutions=(s,),
+    ),
+    (5, (1, 2, 0)): lambda m, seed, tol: _family(
+        seed, sporadic_solution("snub-fusion"), triangular_fusion(dodecahedron_matchings()[0]),
+        tol, "snub-fusion", "snub_fusion(1|2|3)",
+        (
+            "beta = 2*gamma at this solution",
+            "the alternate pairing with alpha^2.gamma^2 also has a closure "
+            "root (alpha ~ 0.636*pi) but admits no tiling: laying rhombi "
+            "around its vertices forces a corner conflict",
+            "pairings with alpha.gamma^3, alpha.gamma^5 and alpha^2.gamma^3 "
+            "have no root; see the nonexistence evidence set",
+        ),
         variants=3,
-        notes=side_notes,
-    )
-    return ClassificationEntry(seed, outcome)
-
-
-def _entry_beta2gamma_m5(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    s2 = earth_map_solution(2)
-    avc = enumerate_avc(s2, tol=tol)
-    avc = avc.with_realized(_census_keys(earth_map(2)))
-    outcome = FamilyOutcome(
-        name="earth-map",
-        generator="earth_map(c), c >= 2",
-        avc=avc,
-        solutions=(s2,),
-        parameterized=True,
-        notes=(
+    ),
+    (5, (0, 2, 1)): lambda m, seed, tol: _family(
+        seed, earth_map_solution(2), earth_map(2), tol, "earth-map", "earth_map(c), c >= 2",
+        (
             "one tiling per integer c >= 2 with vertex types beta^2.gamma "
             "and alpha.beta.gamma^c",
             "face count is 10c-3 (2 pentagons, 5 blocks of 2c-1 rhombi); "
             "the stated count 8c-2 fails the corner-balance check",
         ),
-    )
-    return ClassificationEntry(seed, outcome)
-
-
-def _entry_alphabetagamma(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    s = prism_solution(m, prism_default_radius(m))
-    avc = enumerate_avc(s, tol=tol)
-    avc = avc.with_realized(_census_keys(prism(m)))
-    outcome = FamilyOutcome(
-        name="prism",
-        generator=f"prism({m})",
-        avc=avc,
-        solutions=(s,),
         parameterized=True,
-        notes=(
-            "a one-parameter family: any polar radius r with "
-            f"cot(r) < sin(pi/{m}) realizes the same combinatorial tiling",
+    ),
+    **dict.fromkeys(
+        [(5, (1, 1, 1)), (6, (1, 1, 1))],
+        lambda m, seed, tol: _family(
+            seed, prism_solution(m, prism_default_radius(m)), prism(m), tol,
+            "prism", f"prism({m})",
+            (
+                "a one-parameter family: any polar radius r with "
+                f"cot(r) < sin(pi/{m}) realizes the same combinatorial tiling",
+            ),
+            parameterized=True,
         ),
-    )
-    return ClassificationEntry(seed, outcome)
-
-
-def _entry_alpha2gamma_m6(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    return ClassificationEntry(
+    ),
+    (6, (2, 0, 1)): lambda m, seed, tol: ClassificationEntry(
         seed,
         SubsumedNote(
             subsumed_by=VertexType(0, 2, 1),
-            reason=(
-                "at this gonality an alpha^2.gamma vertex forces alpha = "
-                "beta, so its analysis collapses into the beta^2.gamma case"
-            ),
+            reason="at this gonality an alpha^2.gamma vertex forces alpha = "
+            "beta, so its analysis collapses into the beta^2.gamma case",
         ),
-    )
-
-
-def _entry_beta2gamma_m6(m: int, seed: VertexType, tol: float) -> ClassificationEntry:
-    evidence = edge_bound_proof(
-        m,
-        [(0, 2, 1)],
-        description=(
-            "beta^2.gamma fixes beta = pi - gamma/2; the rhombus edge "
-            "cosine then stays below cos(2*pi/m), the floor of the m-gon "
-            "edge cosine, for every admissible gamma"
-        ),
-    )
-    return ClassificationEntry(seed, evidence)
-
-
-_SEED_HANDLERS = {
-    (5, (3, 0, 0)): _entry_alpha3,
-    (5, (2, 0, 1)): _entry_alpha2gamma_m5,
-    (5, (0, 3, 0)): _entry_beta3,
-    (5, (2, 1, 0)): _entry_alpha2beta,
-    (5, (1, 2, 0)): _entry_alphabeta2,
-    (5, (0, 2, 1)): _entry_beta2gamma_m5,
-    (5, (1, 1, 1)): _entry_alphabetagamma,
-    (6, (2, 0, 1)): _entry_alpha2gamma_m6,
-    (6, (0, 2, 1)): _entry_beta2gamma_m6,
-    (6, (1, 1, 1)): _entry_alphabetagamma,
+    ),
+    (6, (0, 2, 1)): lambda m, seed, tol: _edge_bound(
+        seed, m, [(0, 2, 1)],
+        "beta^2.gamma fixes beta = pi - gamma/2; the rhombus edge "
+        "cosine then stays below cos(2*pi/m), the floor of the m-gon "
+        "edge cosine, for every admissible gamma",
+    ),
 }

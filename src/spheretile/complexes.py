@@ -17,7 +17,10 @@ walks them around a vertex.
 Corner labels live on half-edges: the label of a half-edge is the corner
 at its origin vertex inside its face.  That makes the rhombus alternation
 a purely local test and gives the canonical-code traversal direct access
-to the labels it must serialize.
+to the labels it must serialize.  :func:`canonical_code` runs one
+traversal for both orientations: each orientation is three lists (the
+vertex and label code each half-edge reads, and the step to the next
+half-edge around its face), so the walk itself never asks which one it is.
 """
 
 from __future__ import annotations
@@ -144,91 +147,6 @@ class TilingComplex:
     def undirected_edges(self) -> list[tuple[int, int]]:
         origin, nxt = self.half_edges.origin, self.half_edges.nxt
         return [(origin[h], origin[n]) for h, n in enumerate(nxt) if origin[h] < origin[n]]
-
-    # -- canonical form ------------------------------------------------------
-
-    def _canonical_starts(self) -> list[int]:
-        """Half-edges of every face whose (kind, size) key is minimal.
-
-        Any traversal opens with its start face's kind code and size, so a
-        traversal started on a non-minimal face can never beat one started
-        on a minimal face; restricting the start set this way changes
-        nothing about the resulting minimum.
-        """
-        best_key = min((_KIND_CODE[f.kind], f.size) for f in self.faces)
-        starts: list[int] = []
-        for f, start in zip(self.faces, self.half_edges.face_start):
-            if (_KIND_CODE[f.kind], f.size) == best_key:
-                starts.extend(range(start, start + f.size))
-        return starts
-
-    def _traverse(
-        self, start: int, mirror: bool, best: Optional[list[int]]
-    ) -> Optional[list[int]]:
-        """Token stream of one BFS traversal, or None when pruned by ``best``.
-
-        With ``mirror`` the traversal walks the reflected complex: half-edge
-        ids are reused, but a half-edge stands for its reversal, so its
-        origin becomes its head, its corner label is the one at the head,
-        and the within-face successor is the predecessor.
-        """
-        he, label = self.half_edges, self.label
-        origin, forward, backward, twin, face_of = he.origin, he.nxt, he.prev, he.twin, he.face_of
-        nxt = backward if mirror else forward
-        shift = forward if mirror else None
-
-        tokens: list[int] = []
-        tied = best is not None
-
-        vertex_number: dict[int, int] = {}
-        visited = [False] * len(self.faces)
-        queue: deque[int] = deque([start])
-
-        while queue:
-            h = queue.popleft()
-            fi = face_of[h]
-            if visited[fi]:
-                continue
-            visited[fi] = True
-            face = self.faces[fi]
-            walk = []
-            e = h
-            for _ in range(face.size):
-                walk.append(e)
-                e = nxt[e]
-
-            face_tokens = [_KIND_CODE[face.kind], face.size]
-            for w in walk:
-                if shift is not None:
-                    w_corner = shift[w]
-                else:
-                    w_corner = w
-                v = origin[w_corner]
-                num = vertex_number.get(v)
-                if num is None:
-                    num = len(vertex_number)
-                    vertex_number[v] = num
-                face_tokens.append(num)
-                face_tokens.append(_LABEL_CODE[label[w_corner]])
-
-            if tied:
-                pos = len(tokens)
-                for tok in face_tokens:
-                    b = best[pos]
-                    if tok > b:
-                        return None
-                    if tok < b:
-                        tied = False
-                        break
-                    pos += 1
-            tokens.extend(face_tokens)
-
-            for w in walk:
-                queue.append(twin[w])
-
-        if tied:
-            return None
-        return tokens
 
 
 # -- construction ------------------------------------------------------------
@@ -520,6 +438,52 @@ def verify_combinatorial(
 # -- canonical codes ----------------------------------------------------------
 
 
+def _traverse(
+    start: int, corner: Sequence[int], label: Sequence[int], step: Sequence[int],
+    twin: Sequence[int], face_of: Sequence[int], heads: Sequence[tuple[int, int]],
+    best: Optional[list[int]],
+) -> Optional[list[int]]:
+    """Token stream of one BFS traversal from half-edge ``start``, or None
+    when it does not beat ``best``.
+
+    Half-edge h reads vertex ``corner[h]`` and label code ``label[h]``, and
+    ``step[h]`` is the next half-edge around its face; ``heads[f]`` is face
+    f's (kind code, size).  The orientation lives in these lists alone.
+    """
+    tokens: list[int] = []
+    tied = best is not None
+    vertex_number: dict[int, int] = {}
+    visited = [False] * len(heads)
+    queue: deque[int] = deque([start])
+
+    while queue:
+        e = queue.popleft()
+        fi = face_of[e]
+        if visited[fi]:
+            continue
+        visited[fi] = True
+        head = heads[fi]
+        face_tokens = list(head)
+        for _ in range(head[1]):
+            v = corner[e]
+            num = vertex_number.get(v)
+            if num is None:
+                num = vertex_number[v] = len(vertex_number)
+            face_tokens.append(num)
+            face_tokens.append(label[e])
+            queue.append(twin[e])
+            e = step[e]
+
+        if tied:
+            pos = len(tokens)
+            ahead = best[pos : pos + len(face_tokens)]
+            if face_tokens > ahead:
+                return None
+            tied = face_tokens == ahead
+        tokens.extend(face_tokens)
+    return None if tied else tokens
+
+
 def canonical_code(t: TilingComplex) -> tuple[int, ...]:
     """Minimal token stream over label-aware BFS traversals of the complex.
 
@@ -527,14 +491,27 @@ def canonical_code(t: TilingComplex) -> tuple[int, ...]:
     vertex-number/label-code pairs), with vertex numbers assigned on first
     visit.  The minimum is taken over traversals started at every half-edge
     of every minimal-kind face, in both orientations (so mirror images
-    share a code).  Equal codes
-    correspond exactly to label-preserving isomorphism: the stream encodes
-    enough to rebuild the face list with canonical vertex numbers.
+    share a code).  A stream opens with its start face's (kind code, size),
+    so a start on any other face could never give the minimum.  The mirror
+    walks the reflected complex: half-edge h stands for its reversal, whose
+    origin and corner label are those of ``nxt[h]`` and whose successor is
+    ``prev[h]``.  Equal codes correspond exactly to label-preserving
+    isomorphism: the stream encodes enough to rebuild the face list with
+    canonical vertex numbers.
     """
+    he = t.half_edges
+    origin, nxt, twin, face_of = he.origin, he.nxt, he.twin, he.face_of
+    code = [_LABEL_CODE[lab] for lab in t.label]
+    heads = [(_KIND_CODE[f.kind], f.size) for f in t.faces]
+    least = min(heads)
+    orientations = (
+        (origin, code, nxt),
+        ([origin[n] for n in nxt], [code[n] for n in nxt], he.prev),
+    )
     best: Optional[list[int]] = None
-    for start in t._canonical_starts():
-        for mirror in (False, True):
-            tokens = t._traverse(start, mirror, best)
+    for start in [h for h, fi in enumerate(face_of) if heads[fi] == least]:
+        for corner, label, step in orientations:
+            tokens = _traverse(start, corner, label, step, twin, face_of, heads, best)
             if tokens is not None:
                 best = tokens
     assert best is not None
