@@ -3,13 +3,14 @@
 Exit codes are the process-level contract: 0 for success, 1 for a
 verification failure, 2 for invalid parameters or unparseable input.
 Reports go to stdout or to the file named by ``--out``; a path that cannot
-be written is a usage error.
+be written is a usage error, found before any output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -44,17 +45,30 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _emit(text: str, out: Optional[str]) -> int:
-    """Write text to the file ``out``, or to stdout when it is None; a path
-    that cannot be written is a usage error naming it."""
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return EXIT_OK
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _usage_error(f"cannot write {out}: {exc}")
+def _writable(path: str) -> bool:
+    """Whether ``path`` can be opened for writing, checked without creating it."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+
+
+def _emit(*outputs: tuple[str, Optional[str]]) -> int:
+    """Write each (text, path) pair to its file, or to stdout when the path
+    is None.  Every path is checked before anything is written, so a path
+    that cannot be written is a usage error naming it and leaves no output."""
+    for _, out in outputs:
+        if out is not None and not _writable(out):
+            return _usage_error(f"cannot write {out}: no such directory, or not writable")
+    for text, out in outputs:
+        if out is None:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            continue
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(f"cannot write {out}: {exc}")
     return EXIT_OK
 
 
@@ -128,7 +142,7 @@ def cmd_classify(
         text = report_json(report, c_max=c_max)
     except ValueError as exc:
         return _usage_error(f"--c-max {c_max} is too large: {exc}")
-    return _emit(text, out)
+    return _emit((text, out))
 
 
 # -- generate ------------------------------------------------------------------
@@ -201,12 +215,12 @@ def cmd_generate(
             solution = rz.sporadic_solution("snub-fusion")
 
     embedding = rz.embed_generic(t, solution) if realize else None
-    status = _emit(serialize_tiling(t, embedding=embedding, angles=solution), out)
-    if obj is not None and status == EXIT_OK:
-        status = _emit(export_obj(t, embedding), obj)
-    if svg is not None and status == EXIT_OK:
-        status = _emit(export_svg(t, embedding), svg)
-    return status
+    outputs = [(serialize_tiling(t, embedding=embedding, angles=solution), out)]
+    if obj is not None:
+        outputs.append((export_obj(t, embedding), obj))
+    if svg is not None:
+        outputs.append((export_svg(t, embedding), svg))
+    return _emit(*outputs)
 
 
 # -- verify --------------------------------------------------------------------
@@ -283,7 +297,7 @@ def cmd_matchings(out: Optional[str] = None) -> int:
             data["variant_of_matching"][i] for i in range(len(matchings))
         ],
     }
-    return _emit(_dumps(payload), out)
+    return _emit((_dumps(payload), out))
 
 
 # -- argument parsing ------------------------------------------------------------

@@ -303,6 +303,18 @@ def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_generate_writes_nothing_before_a_usage_error(tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "a.out")
+    ok = tmp_path / "ok.json"
+    for flag in ("--svg", "--obj"):
+        assert main(["generate", "prism", "--m", "5", flag, bad]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        argv = ["generate", "prism", "--m", "5", "--out", str(ok), flag, bad]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not ok.exists(), flag
+
+
 def test_verify_infers_angles_from_census(tmp_path, capsys):
     out = tmp_path / "earth.json"
     assert main(["generate", "earthmap", "--c", "2", "--out", str(out)]) == EXIT_OK
