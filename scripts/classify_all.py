@@ -15,13 +15,7 @@ import pathlib
 import time
 
 from spheretile.cli import report_json
-from spheretile.combinatorics import (
-    FamilyOutcome,
-    NonexistenceEvidence,
-    SubsumedNote,
-    classify,
-    vertex_label,
-)
+from spheretile.combinatorics import classify, vertex_label
 
 
 def summarize(m: int) -> tuple[str, str]:
@@ -35,16 +29,15 @@ def summarize(m: int) -> tuple[str, str]:
     subsumed = []
     for entry in report.entries:
         label = vertex_label(entry.seed)
-        if isinstance(entry.outcome, FamilyOutcome):
-            suffix = ""
-            if entry.outcome.variants > 1:
-                suffix = f" x{entry.outcome.variants}"
-            if entry.outcome.parameterized:
+        out = entry.outcome
+        if out.kind == "family":
+            suffix = f" x{out.variants}" if out.variants > 1 else ""
+            if out.parameterized:
                 suffix += " (1-param)"
-            families.append(f"{entry.outcome.name}[{label}]{suffix}")
-        elif isinstance(entry.outcome, NonexistenceEvidence):
-            (proved if entry.outcome.proof else sampled).append(label)
-        elif isinstance(entry.outcome, SubsumedNote):
+            families.append(f"{out.name}[{label}]{suffix}")
+        elif out.kind == "nonexistence":
+            (proved if out.proof else sampled).append(label)
+        elif out.kind == "subsumed":
             subsumed.append(label)
 
     line = (

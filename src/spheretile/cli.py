@@ -4,6 +4,9 @@ Exit codes are the process-level contract: 0 for success, 1 for a
 verification failure, 2 for invalid parameters or unparseable input.
 Reports go to stdout or to the file named by ``--out``; a path that cannot
 be written is a usage error, found before any output is written.
+
+Each classify report entry renders itself (``ClassificationEntry.payload``);
+this module wraps the entries with the gonality and writes them out.
 """
 
 from __future__ import annotations
@@ -14,19 +17,13 @@ import os
 import sys
 from typing import Optional
 
-from .trig import ClosureDomainError, NonexistenceEvidence, tolerance, vertex_label
+from .trig import ClosureDomainError, tolerance
 from .complexes import TilingError
-from .combinatorics import (
-    ClassificationReport,
-    FamilyOutcome,
-    SubsumedNote,
-    classify,
-)
+from .combinatorics import ClassificationReport, classify
 from .generators import earth_map, football, fusion_classification, prism, snub_fusion
 from . import realization as rz
 from .serialization import (
     SchemaError,
-    angles_payload,
     export_obj,
     export_svg,
     parse_tiling,
@@ -76,49 +73,9 @@ def _emit(*outputs: tuple[str, Optional[str]]) -> int:
 
 
 def report_json(report: ClassificationReport, c_max: int = 8) -> str:
-    """A classification report as compact JSON text: its one renderer.
-
-    The earth-map family is infinite, so its solution list is expanded up
-    to block count ``c_max``; everything else carries the solutions the
-    classification produced.  Evidence is embedded as its ``payload`` dict.
-    """
-    entries = []
-    for entry in report.entries:
-        item: dict = {
-            "seed": list(entry.seed),
-            "seed_label": vertex_label(entry.seed),
-        }
-        out = entry.outcome
-        if isinstance(out, FamilyOutcome):
-            solutions = list(out.solutions)
-            if out.name == "earth-map":
-                solutions = [rz.earth_map_solution(c) for c in range(2, c_max + 1)]
-            item["kind"] = "family"
-            item["family"] = {
-                "name": out.name,
-                "generator": out.generator,
-                "parameterized": out.parameterized,
-                "variants": out.variants,
-                "avc": {
-                    "members": [list(v) for v in out.avc.members],
-                    "realized": sorted(list(v) for v in out.avc.realized),
-                    "warnings": list(out.avc.warnings),
-                },
-                "solutions": [angles_payload(s) for s in solutions],
-                "notes": list(out.notes),
-            }
-        elif isinstance(out, NonexistenceEvidence):
-            item["kind"] = "nonexistence"
-            item["evidence"] = out.payload()
-        else:
-            assert isinstance(out, SubsumedNote)
-            item["kind"] = "subsumed"
-            item["subsumed_by"] = list(out.subsumed_by)
-            item["reason"] = out.reason
-        if entry.notes:
-            item["notes"] = list(entry.notes)
-        entries.append(item)
-    return _dumps({"m": report.m, "entries": entries})
+    """A classification report as compact JSON text, each entry rendered by
+    ``ClassificationEntry.payload`` with members up to block count ``c_max``."""
+    return _dumps({"m": report.m, "entries": [e.payload(c_max) for e in report.entries]})
 
 
 def _dumps(value) -> str:
@@ -130,9 +87,7 @@ def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
     return json.loads(report_json(report, c_max=c_max))
 
 
-def cmd_classify(
-    m: int, c_max: int = 8, out: Optional[str] = None, tol: float = 1e-6
-) -> int:
+def cmd_classify(m: int, c_max: int = 8, out: Optional[str] = None, tol: float = 1e-6) -> int:
     if not (5 <= m <= 64):
         return _usage_error(f"--m must be between 5 and 64, got {m}")
     if c_max < 2:

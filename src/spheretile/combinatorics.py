@@ -13,6 +13,9 @@ The classification is a finite case split, written as one table:
 it.  Each row hands one of two builders only what differs between cases:
 :func:`_family` for a realized family, :func:`_edge_bound` for a dead end
 that the edge-bound lemma rules out.  A new kind of outcome is one more row.
+Each outcome renders itself, by its ``kind`` and ``report_fields(c_max)``,
+into a report entry (:meth:`ClassificationEntry.payload`); a row hands its
+outcome what the report needs, as the earth map's hands ``earth_map_solution``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import trig
 from .trig import (
@@ -35,6 +38,7 @@ from .trig import (
 )
 from .generators import dodecahedron_matchings, earth_map, football, prism, triangular_fusion
 from .realization import earth_map_solution, prism_default_radius, prism_solution, sporadic_solution
+from .serialization import angles_payload
 
 
 class VertexType(NamedTuple):
@@ -181,7 +185,9 @@ def requires_adjacency_pair(avc: AVC) -> bool:
 
 @dataclass(frozen=True)
 class FamilyOutcome:
-    """A realized tiling family attached to a degree-3 seed."""
+    """A realized tiling family attached to a degree-3 seed.  For a family with
+    one member per block count c >= 2, ``member_solution(c)`` gives member c's
+    angles, and a report lists members 2..c_max in place of ``solutions``."""
 
     name: str
     generator: str
@@ -190,6 +196,28 @@ class FamilyOutcome:
     parameterized: bool = False
     variants: int = 1
     notes: tuple[str, ...] = ()
+    member_solution: Optional[Callable[[int], AngleSolution]] = None
+
+    kind = "family"
+
+    def report_fields(self, c_max: int) -> dict:
+        solutions = self.solutions
+        if self.member_solution is not None:
+            solutions = [self.member_solution(c) for c in range(2, c_max + 1)]
+        family = {
+            "name": self.name,
+            "generator": self.generator,
+            "parameterized": self.parameterized,
+            "variants": self.variants,
+            "avc": {
+                "members": [list(v) for v in self.avc.members],
+                "realized": sorted(list(v) for v in self.avc.realized),
+                "warnings": list(self.avc.warnings),
+            },
+            "solutions": [angles_payload(s) for s in solutions],
+            "notes": list(self.notes),
+        }
+        return {"family": family}
 
 
 @dataclass(frozen=True)
@@ -199,7 +227,13 @@ class SubsumedNote:
     subsumed_by: VertexType
     reason: str
 
+    kind = "subsumed"
 
+    def report_fields(self, c_max: int) -> dict:
+        return {"subsumed_by": list(self.subsumed_by), "reason": self.reason}
+
+
+# Each outcome has a ``kind`` and ``report_fields(c_max)``, the keys after it.
 Outcome = Union[FamilyOutcome, NonexistenceEvidence, SubsumedNote]
 
 
@@ -209,6 +243,15 @@ class ClassificationEntry:
     outcome: Outcome
     notes: tuple[str, ...] = ()
 
+    def payload(self, c_max: int) -> dict:
+        """The entry as a report dict: seed, label, the outcome's kind and
+        fields, then the entry's notes if any."""
+        item = {"seed": list(self.seed), "seed_label": vertex_label(self.seed),
+                "kind": self.outcome.kind, **self.outcome.report_fields(c_max)}
+        if self.notes:
+            item["notes"] = list(self.notes)
+        return item
+
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -216,9 +259,7 @@ class ClassificationReport:
     entries: tuple[ClassificationEntry, ...]
 
     def realized_families(self) -> list[FamilyOutcome]:
-        return [
-            e.outcome for e in self.entries if isinstance(e.outcome, FamilyOutcome)
-        ]
+        return [e.outcome for e in self.entries if e.outcome.kind == "family"]
 
 
 def classify(m: int, tol: float = 1e-6) -> ClassificationReport:
@@ -245,11 +286,13 @@ def classify(m: int, tol: float = 1e-6) -> ClassificationReport:
 def _family(
     seed: VertexType, s: AngleSolution, tiling, tol: float, name: str, generator: str,
     notes: tuple[str, ...], parameterized: bool = False, variants: int = 1,
+    member_solution: Optional[Callable[[int], AngleSolution]] = None,
 ) -> ClassificationEntry:
     """A realized family: the AVC of solution s, with the vertex types of the
     sample tiling marked realized."""
     avc = enumerate_avc(s, tol=tol).with_realized(tiling.census())
-    outcome = FamilyOutcome(name, generator, avc, (s,), parameterized, variants, notes)
+    outcome = FamilyOutcome(name, generator, avc, (s,), parameterized, variants, notes,
+                            member_solution)
     return ClassificationEntry(seed, outcome)
 
 
@@ -277,7 +320,6 @@ _SEED_HANDLERS = {
         seed,
         certify_no_root(
             m, [(2, 0, 1)], interval=(3.0 * math.pi / 5.0, math.pi), free_angle="alpha",
-            require_beta_above_alpha=True,
             description="alpha^2.gamma fixes gamma = 2*pi - 2*alpha; the remaining "
             "admissible range for beta is empty at every sample",
         ),
@@ -326,7 +368,7 @@ _SEED_HANDLERS = {
             "face count is 10c-3 (2 pentagons, 5 blocks of 2c-1 rhombi); "
             "the stated count 8c-2 fails the corner-balance check",
         ),
-        parameterized=True,
+        parameterized=True, member_solution=earth_map_solution,
     ),
     **dict.fromkeys(
         [(5, (1, 1, 1)), (6, (1, 1, 1))],

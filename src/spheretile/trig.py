@@ -299,26 +299,29 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.nd
 
 
 def _line_box_interval(
-    m: int, point: np.ndarray, direction: np.ndarray
-) -> Optional[tuple[float, float]]:
-    """Intersect the affine line with the admissible box; None when empty."""
+    m: int, constraints: Sequence[VertexTriple]
+) -> Optional[tuple[np.ndarray, np.ndarray, float, float]]:
+    """The line of two vertex equations and its span in the admissible box less
+    1e-9 of its width at each end, (point, direction, t_lo, t_hi); None unless
+    :func:`_feasible`.  A box row parallel to the line then holds along all of
+    it and is skipped; the test is exact, as both vectors hold small integers."""
+    point, direction = _affine_line(constraints)
+    axis = np.cross(*constraints)
     t_lo, t_hi = -np.inf, np.inf
     for _tag, coeffs, const, _strict in _box_rows(m):
         row = np.array(coeffs)
-        num = row @ point + const
-        den = row @ direction
-        if abs(den) < 1e-15:
-            if num <= 0.0:
-                return None
+        if row @ axis == 0:
             continue
-        bound = -num / den
+        den = row @ direction
+        bound = -(row @ point + const) / den
         if den > 0.0:
             t_lo = max(t_lo, bound)
         else:
             t_hi = min(t_hi, bound)
-    if not (t_lo < t_hi):
+    if not (t_lo < t_hi and _feasible(m, constraints)):
         return None
-    return float(t_lo), float(t_hi)
+    margin = 1e-9 * (t_hi - t_lo)
+    return point, direction, float(t_lo + margin), float(t_hi - margin)
 
 
 def solve_closure(
@@ -336,17 +339,10 @@ def solve_closure(
     admissible root exists, which downstream code treats as a nonexistence
     signal.
     """
-    point, direction = _affine_line(constraints)
-    span = _line_box_interval(m, point, direction)
-    if span is None:
+    line = _line_box_interval(m, constraints)
+    if line is None:
         return []
-    t_lo, t_hi = span
-    margin = 1e-9 * (t_hi - t_lo)
-    t_lo += margin
-    t_hi -= margin
-    if not (t_lo < t_hi):
-        return []
-
+    point, direction, t_lo, t_hi = line
     ts = np.linspace(t_lo, t_hi, grid + 1)
     angles = point[None, :] + ts[:, None] * direction[None, :]
     residuals = _residual_vec(m, angles)
@@ -457,6 +453,8 @@ class NonexistenceEvidence:
     poles: tuple[float, ...] = field(repr=False, default=())
     proof: str = ""
 
+    kind = "nonexistence"
+
     @property
     def sample_count(self) -> int:
         return len(self.sample_at) + len(self.violation_at) + len(self.poles)
@@ -485,6 +483,9 @@ class NonexistenceEvidence:
     def to_json(self) -> str:
         """:meth:`payload` as compact JSON, the same bytes every run."""
         return json.dumps(self.payload(), separators=(",", ":"))
+
+    def report_fields(self, c_max: int) -> dict:
+        return {"evidence": self.payload()}
 
 
 def edge_bound_proof(
@@ -534,13 +535,12 @@ def certify_no_root(
     interval: tuple[float, float],
     free_angle: str = "alpha",
     spacing: float = EVIDENCE_SPACING,
-    require_beta_above_alpha: bool = False,
     description: str = "",
 ) -> NonexistenceEvidence:
     """Sample a constraint system densely and certify the absence of a root.
 
-    Three shapes of argument are supported, matching the three ways a vertex
-    system fails, each sampled over the whole grid by its own function:
+    Three shapes of constraints are supported, matching the three ways a
+    vertex system fails, each sampled over the whole grid by its own function:
 
     * two constraints: the closure residual becomes a function of
       ``free_angle`` on ``interval``; every in-box sample is recorded with
@@ -549,9 +549,9 @@ def certify_no_root(
     * one constraint with no alpha term (e.g. 2*beta + gamma = 2*pi): the
       rhombus edge cosine is compared against the m-gon edge bound
       cos(2*pi/m); for m >= 6 every sample violates it.
-    * one constraint with no beta term plus ``require_beta_above_alpha``:
-      records, per sample, that the admissible beta range is empty (the
-      lower bound beta > alpha meets the upper bound from the angle sum).
+    * one constraint with alpha and no beta term (e.g. 2*alpha + gamma =
+      2*pi): records, per sample, that the admissible beta range is empty
+      (beta > alpha meets the upper bound from the angle sum).
 
     Raises ValueError if evaluated residuals change sign (no certificate).
     """
@@ -561,9 +561,9 @@ def certify_no_root(
 
     if len(cons) == 2:
         columns = _sample_line(m, cons, ts, idx)
-    elif len(cons) == 1 and cons[0][0] == 0 and not require_beta_above_alpha:
+    elif len(cons) == 1 and cons[0][0] == 0:
         columns = _sample_edge_bound(m, cons[0], ts, free_angle)
-    elif len(cons) == 1 and cons[0][1] == 0 and require_beta_above_alpha:
+    elif len(cons) == 1 and cons[0][1] == 0:
         columns = _sample_beta_range(m, cons[0], ts, free_angle)
     else:
         raise ValueError("unsupported constraint shape for certification")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from spheretile import cli
+from spheretile import combinatorics as cb
 from spheretile import realization as rz
 from spheretile.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, report_json, report_payload
 from spheretile.combinatorics import FamilyOutcome, SubsumedNote, classify
@@ -142,6 +143,13 @@ def test_report_json_matches_the_dict_reference_byte_for_byte(m, c_max):
     assert report_payload(report, c_max) == json.loads(expected)
 
 
+@pytest.mark.parametrize("c_max", [3, 8])
+@pytest.mark.parametrize("m", [5, 6, 64])
+def test_each_entry_payload_is_its_entry_of_the_report(m, c_max):
+    report = classify(m)
+    assert [e.payload(c_max) for e in report.entries] == report_payload(report, c_max)["entries"]
+
+
 def test_classify_stdout_is_the_report_text_and_a_newline(capsys):
     assert main(["classify", "--m", "7"]) == EXIT_OK
     assert capsys.readouterr().out == report_json(classify(7)) + "\n"
@@ -214,14 +222,16 @@ def test_generate_earthmap_beyond_the_solver_is_a_usage_error(monkeypatch, capsy
 def test_classify_with_an_unsolvable_earth_map_block_count_is_a_usage_error(
     monkeypatch, capsys
 ):
-    solve = rz.earth_map_solution
+    # The earth-map row of the seed table hands its outcome the solver that
+    # lists members c = 2..c_max, so that is the name to replace.
+    solve = cb.earth_map_solution
 
     def fails_from_7(c):
         if c >= 7:
             raise ValueError(f"the earth-map solver fails at c={c}")
         return solve(c)
 
-    monkeypatch.setattr(rz, "earth_map_solution", fails_from_7)
+    monkeypatch.setattr(cb, "earth_map_solution", fails_from_7)
     assert main(["classify", "--m", "5", "--c-max", "8"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

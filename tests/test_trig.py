@@ -257,6 +257,39 @@ def test_solve_closure_empty_when_no_root():
     assert solve_closure(5, [(3, 0, 0), (0, 2, 1)]) == []
 
 
+@pytest.mark.parametrize(
+    "m, constraints",
+    [
+        # The system forces beta = gamma, against the strict row gamma < beta.
+        (5, [(2, 1, 0), (2, 0, 1)]),
+        (6, [(2, 1, 0), (2, 0, 1)]),
+        (7, [(2, 1, 0), (2, 0, 1)]),
+        # Alpha lands on the m-gon bound, against the strict row above it.
+        (5, [(2, 1, 0), (2, 0, 4)]),
+        (6, [(1, 1, 2), (1, 2, 0)]),
+    ],
+)
+def test_solve_closure_finds_no_root_where_a_strict_row_holds_with_equality(m, constraints):
+    # Exact elimination rejects each system; in floats the row's value along
+    # the line is a rounding residue of either sign, which can let a root through.
+    assert not _feasible(m, constraints)
+    assert solve_closure(m, constraints) == []
+
+
+def test_solve_closure_keeps_a_root_where_the_angle_sum_row_holds_with_equality():
+    # alpha^2.gamma and beta^2.gamma force alpha = beta, so the whole line
+    # lies on alpha + beta + gamma = 2*pi, which the box allows.  The root
+    # alpha = beta = 4*pi/5, gamma = 2*pi/5 closes exactly, checked at 50 digits.
+    for constraints in ([(0, 2, 1), (2, 0, 1)], [(2, 0, 1), (0, 2, 1)]):
+        (s,) = solve_closure(5, constraints)
+        expected = (0.8 * math.pi, 0.8 * math.pi, 0.4 * math.pi)
+        assert (s.alpha, s.beta, s.gamma) == pytest.approx(expected, abs=1e-12)
+    with mpmath.workdps(50):
+        a, g = 4 * mpmath.pi / 5, 2 * mpmath.pi / 5
+        mgon = mpmath.cot(a / 2) ** 2 + mpmath.cos(2 * mpmath.pi / 5) / mpmath.sin(a / 2) ** 2
+        assert abs(mgon - mpmath.cot(a / 2) * mpmath.cot(g / 2)) < mpmath.mpf(10) ** -45
+
+
 # -- angle solutions --------------------------------------------------------------
 
 
@@ -323,6 +356,12 @@ def test_certify_refuses_sign_change():
             interval=(mgon_lower_bound(5) + 1e-6, math.pi - 1e-6),
             free_angle="alpha",
         )
+
+
+def test_certify_refuses_one_constraint_with_alpha_and_beta():
+    # The constraints select the sampler; this shape has none.
+    with pytest.raises(ValueError, match="unsupported"):
+        certify_no_root(5, [(1, 1, 1)], interval=(0.5, 3.0))
 
 
 def test_evidence_json_is_deterministic():
@@ -503,6 +542,8 @@ def _ref_certify(m, constraints, interval, free_angle="alpha", spacing=EVIDENCE_
 
 
 def _assert_matches_reference(ev, require_beta_above_alpha=False):
+    # The reference keeps the old interface, where the caller chose the
+    # empty-beta-range sampler by a flag; certify_no_root reads the shape.
     payload, count = _ref_certify(
         ev.m, ev.constraints, ev.interval, ev.free_angle, ev.spacing,
         require_beta_above_alpha, ev.description,
@@ -569,9 +610,8 @@ def test_criterion_7_evidence_matches_the_scalar_reference(m, constraints, inter
     ],
 )
 def test_evidence_shapes_match_the_scalar_reference(m, constraints, interval, free, require, expect):
-    ev = certify_no_root(
-        m, constraints, interval, free_angle=free, spacing=1e-3, require_beta_above_alpha=require
-    )
+    # ``require`` is the reference's flag for the shape; certify_no_root takes none.
+    ev = certify_no_root(m, constraints, interval, free_angle=free, spacing=1e-3)
     _assert_matches_reference(ev, require)
     if expect == "poles":
         assert ev.poles and ev.sample_at and not ev.violation_at
