@@ -384,6 +384,23 @@ def trio_chain_length(t: TilingComplex) -> Optional[int]:
     return best
 
 
+def dodecahedron_rotations() -> list[list[int]]:
+    """The dodecahedron's 60 rotations as dart maps.  Its map is regular, so
+    for each dart h one rotation sends dart 0 to h, and it follows from h
+    along ``nxt`` and ``twin``."""
+    dod = dodecahedron()
+    maps = []
+    for h in range(len(dod.twin)):
+        image, reached = {0: h}, [0]
+        for d in reached:
+            for step in (dod.nxt, dod.twin):
+                if step[d] not in image:
+                    image[step[d]] = step[image[d]]
+                    reached.append(step[d])
+        maps.append([image[d] for d in range(len(dod.twin))])
+    return maps
+
+
 @lru_cache(maxsize=1)
 def fusion_classification() -> dict:
     """Group all matchings' fusions into isomorphism classes, variant-ordered.
@@ -395,28 +412,36 @@ def fusion_classification() -> dict:
     crowded pentagons carry five bullets, never three); the remaining two
     are ordered by the shortest rhombus chain from a trio's middle bullet
     to the edge opposite another trio's middle, 3 before 2.
+
+    The classes are the orbits of the dodecahedron's 60 rotations on the
+    matchings.  A rotation carries each fusion onto its image's, as
+    :func:`triangular_fusion` reads only the arc maps.  Conversely, each
+    rhombus's beta-beta diagonal gives back the snub triangulation, so an
+    isomorphism of two fusions, in either orientation, is an automorphism
+    of the snub's map carrying one's fused triangle pairs onto the other's;
+    the snub is chiral, so it is one of the 60 rotations.
     """
     matchings = dodecahedron_matchings()
-    fusions = [triangular_fusion(mt) for mt in matchings]
-    by_code: dict[tuple, list[int]] = {}
-    for idx, fused in enumerate(fusions):
-        by_code.setdefault(canonical_code(fused), []).append(idx)
-    assert len(by_code) == 3, f"expected 3 fusion classes, got {len(by_code)}"
+    arcs = _arc_names(dodecahedron())
+    moves = [{a[0]: arcs[i][0] for a, i in zip(arcs, image)} for image in dodecahedron_rotations()]
+    index = {mt: i for i, mt in enumerate(matchings)}
+    orbits: list[list[int]] = []
+    for i, mt in enumerate(matchings):
+        if all(i not in orbit for orbit in orbits):
+            images = (tuple(sorted(tuple(sorted((to[u], to[w]))) for u, w in mt)) for to in moves)
+            orbits.append(sorted({index[image] for image in images}))
+    assert len(orbits) == 3, f"expected 3 fusion classes, got {len(orbits)}"
 
     classes = []
-    for code, members in by_code.items():
-        rep = fusions[members[0]]
-        counts = sorted(pentagon_bullet_counts(rep))
-        chain = trio_chain_length(rep)
-        classes.append(
-            {
-                "code": code,
-                "members": members,
-                "representative": rep,
-                "bullet_counts": counts,
-                "chain_length": chain,
-            }
-        )
+    for members in orbits:
+        rep = triangular_fusion(matchings[members[0]])
+        classes.append({
+            "code": canonical_code(rep),
+            "members": members,
+            "representative": rep,
+            "bullet_counts": sorted(pentagon_bullet_counts(rep)),
+            "chain_length": trio_chain_length(rep),
+        })
 
     trio_free = [cl for cl in classes if cl["chain_length"] is None]
     assert len(trio_free) == 1, (

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -298,20 +298,23 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.nd
     return point, direction
 
 
+def _crossing_rows(constraints: Sequence[VertexTriple]) -> list[bool]:
+    """Whether each ``_BOX`` row varies along the line of two vertex equations, in
+    exact integers.  A parallel row holds on all of it once :func:`_feasible` does."""
+    axis = np.cross(*constraints)
+    return [int(np.dot(coeffs, axis)) != 0 for _tag, coeffs, _const, _strict in _BOX]
+
+
 def _line_box_interval(
     m: int, constraints: Sequence[VertexTriple]
 ) -> Optional[tuple[np.ndarray, np.ndarray, float, float]]:
     """The line of two vertex equations and its span in the admissible box less
     1e-9 of its width at each end, (point, direction, t_lo, t_hi); None unless
-    :func:`_feasible`.  A box row parallel to the line then holds along all of
-    it and is skipped; the test is exact, as both vectors hold small integers."""
+    :func:`_feasible`.  Rows that do not cross the line are skipped."""
     point, direction = _affine_line(constraints)
-    axis = np.cross(*constraints)
     t_lo, t_hi = -np.inf, np.inf
-    for _tag, coeffs, const, _strict in _box_rows(m):
+    for _tag, coeffs, const, _strict in compress(_box_rows(m), _crossing_rows(constraints)):
         row = np.array(coeffs)
-        if row @ axis == 0:
-            continue
         den = row @ direction
         bound = -(row @ point + const) / den
         if den > 0.0:
@@ -335,9 +338,9 @@ def solve_closure(
     Two constraints cut the angle space down to a line; the closure
     residual is then a function of one parameter, scanned over ``grid``
     subintervals of the line's intersection with the admissible box, and
-    every sign change is narrowed by bisection.  An empty return means no
-    admissible root exists, which downstream code treats as a nonexistence
-    signal.
+    every sign change is narrowed by bisection and kept if it meets the box
+    rows that cross the line.  An empty return means no admissible root
+    exists, which downstream code treats as a nonexistence signal.
     """
     line = _line_box_interval(m, constraints)
     if line is None:
@@ -359,13 +362,14 @@ def solve_closure(
     if residuals[-1] == 0.0:
         roots.append(float(ts[-1]))
 
+    crossing = _crossing_rows(constraints)
     solutions: list[AngleSolution] = []
     kept_ts: list[float] = []
     for t in sorted(roots):
         if any(abs(t - prev) < 1e-9 for prev in kept_ts):
             continue
         alpha, beta, gamma = (point + t * direction).tolist()
-        if not in_box(m, alpha, beta, gamma):
+        if any(compress(_box_checks(m, alpha, beta, gamma), crossing)):
             continue
         if abs(closure_residual(m, alpha, beta, gamma)) >= RESIDUAL_TOL:
             continue

@@ -2,11 +2,13 @@
 
 import pytest
 
-from spheretile.complexes import isomorphic, verify_combinatorial
+from spheretile import generators
+from spheretile.complexes import canonical_code, isomorphic, verify_combinatorial
 from spheretile.generators import (
     bullet_vertices,
     dodecahedron,
     dodecahedron_matchings,
+    dodecahedron_rotations,
     earth_map,
     football,
     fusion_classification,
@@ -186,3 +188,69 @@ def test_matchings_in_same_class_fuse_isomorphically():
     rep = cls["representative"]
     other = triangular_fusion(info["matchings"][cls["members"][1]])
     assert isomorphic(rep, other)
+
+
+def _vertex_moves():
+    """Each rotation's action on the dodecahedron's vertex names."""
+    dod = dodecahedron()
+    names, origin = dod.vertex_names, dod.origin
+    return [
+        {names[origin[d]]: names[origin[image[d]]] for d in range(60)}
+        for image in dodecahedron_rotations()
+    ]
+
+
+def _moved(matching, to):
+    return tuple(sorted(tuple(sorted((to[u], to[w]))) for u, w in matching))
+
+
+def test_rotations_are_60_distinct_dart_maps_commuting_with_nxt_and_twin():
+    dod = dodecahedron()
+    maps = dodecahedron_rotations()
+    assert len(maps) == 60
+    assert len({tuple(image) for image in maps}) == 60
+    for image in maps:
+        assert sorted(image) == list(range(60))
+        for step in (dod.nxt, dod.twin):
+            assert all(image[step[d]] == step[image[d]] for d in range(60))
+
+
+def test_fusion_classes_are_the_canonical_code_classes():
+    # The old classification, kept as the oracle: all 36 fusions grouped by
+    # canonical code, classes in order of first member.
+    by_code: dict = {}
+    for idx, matching in enumerate(dodecahedron_matchings()):
+        by_code.setdefault(canonical_code(triangular_fusion(matching)), []).append(idx)
+    info = fusion_classification()
+    assert sorted(by_code.values()) == sorted(cls["members"] for cls in info["classes"])
+    for cls in info["classes"]:
+        assert by_code[cls["code"]] == cls["members"]
+
+
+def test_burnside_counts_three_orbits():
+    matchings = dodecahedron_matchings()
+    fixed = sum(_moved(mt, to) == mt for to in _vertex_moves() for mt in matchings)
+    assert fixed == 180
+    assert fixed / 60 == len(fusion_classification()["classes"]) == 3
+
+
+def test_cold_classification_builds_one_fusion_per_class(monkeypatch):
+    calls = {"triangular_fusion": 0, "canonical_code": 0}
+
+    def counted(name):
+        real = getattr(generators, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(generators, name, counted(name))
+    fusion_classification.cache_clear()
+    try:
+        fusion_classification()
+    finally:
+        fusion_classification.cache_clear()
+    assert calls == {"triangular_fusion": 3, "canonical_code": 3}

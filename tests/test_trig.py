@@ -290,6 +290,39 @@ def test_solve_closure_keeps_a_root_where_the_angle_sum_row_holds_with_equality(
         assert abs(mgon - mpmath.cot(a / 2) * mpmath.cot(g / 2)) < mpmath.mpf(10) ** -45
 
 
+def test_solve_closure_finds_a_root_on_the_angle_sum_plane_in_either_order():
+    # beta^3 and alpha.beta.gamma: the line lies on alpha + beta + gamma = 2*pi
+    # with beta = 2*pi/3, and its root is a root of the 50-digit residual.
+    orders = ([(0, 3, 0), (1, 1, 1)], [(1, 1, 1), (0, 3, 0)])
+    roots = [solve_closure(5, constraints) for constraints in orders]
+    assert [len(r) for r in roots] == [1, 1]
+    with mpmath.workdps(50):
+        c = mpmath.cos(2 * mpmath.pi / 5)
+
+        def residual(a):
+            g = 4 * mpmath.pi / 3 - a
+            mgon = mpmath.cot(a / 2) ** 2 + c / mpmath.sin(a / 2) ** 2
+            return mgon - mpmath.cot(mpmath.pi / 3) * mpmath.cot(g / 2)
+
+        alpha = mpmath.findroot(residual, 0.777 * mpmath.pi)
+    for (s,) in roots:
+        expected = (float(alpha), 2 * math.pi / 3, 4 * math.pi / 3 - float(alpha))
+        assert (s.alpha, s.beta, s.gamma) == pytest.approx(expected, abs=1e-12)
+
+
+def test_solve_closure_roots_do_not_depend_on_constraint_order_at_m5():
+    types = [(a, b, d - a - b) for d in range(3, 7) for a in range(d + 1) for b in range(d + 1 - a)]
+    for i, p in enumerate(types):
+        for q in types[i + 1:]:
+            if not np.cross(p, q).any():
+                continue
+            forward, backward = solve_closure(5, [p, q]), solve_closure(5, [q, p])
+            assert len(forward) == len(backward), (p, q)
+            for s, r in zip(forward, backward):
+                angles = (r.alpha, r.beta, r.gamma)
+                assert (s.alpha, s.beta, s.gamma) == pytest.approx(angles, abs=1e-9), (p, q)
+
+
 # -- angle solutions --------------------------------------------------------------
 
 
