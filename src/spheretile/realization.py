@@ -3,7 +3,10 @@
 Every family is embedded by :func:`embed_generic`: each face is a rigid
 copy of its prototile, a regular m-gon or a rhombus built in closed form
 from the angle solution, and faces are placed breadth-first, each rotated
-onto an already-embedded edge.  A corner that lands on a placed vertex is
+onto an already-embedded edge.  The walk runs one BFS layer at a time:
+the layer's faces are found in integer work, in the FIFO queue's order,
+and then placed in one array step, so the first placement of a vertex in
+queue order is the one kept.  A corner that lands on a placed vertex is
 checked against the stored position, so an inconsistent angle solution or
 a wrong complex surfaces as a closure defect instead of a silently
 distorted picture.  :func:`embed_prism` places prisms in closed form as a
@@ -234,19 +237,33 @@ def sporadic_solution(kind: str) -> AngleSolution:
 # -- generic embedding by rigid prototiles -------------------------------------
 
 
-def _tangent_toward(p_from: np.ndarray, p_to: np.ndarray) -> np.ndarray:
-    """Unit tangent at p_from pointing along the geodesic to p_to."""
-    t = p_to - np.dot(p_to, p_from) * p_from
-    n = np.linalg.norm(t)
-    if n < 1e-14:
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded as ``np.dot`` rounds it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each value, in order: a stable sort
+    keeps equal values in their order, so each run's first is the one."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[order[1:]] = ordered[1:] != ordered[:-1]
+    return first
+
+
+def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal frames, one (3, 3) block per row of a and b: rows a, the
+    unit tangent at a toward b, and their cross product.  Raises ValueError
+    when any tangent is undefined (a and b coincident or antipodal)."""
+    t = b - _dots(b, a)[:, None] * a
+    n = np.sqrt(_dots(t, t))
+    if (n < 1e-14).any():
         raise ValueError("tangent undefined between coincident or antipodal points")
-    return t / n
-
-
-def _edge_frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal rows: a, the unit tangent at a toward b, and their cross product."""
-    t = _tangent_toward(a, b)
-    return np.array([a, t, np.cross(a, t)])
+    t = t / n[:, None]
+    # a x t, spelled out as np.cross computes it but without its set-up cost
+    cross = a[:, [1, 2, 0]] * t[:, [2, 0, 1]] - a[:, [2, 0, 1]] * t[:, [1, 2, 0]]
+    return np.stack([a, t, cross], axis=1)
 
 
 def _polar_polygon(colatitudes: list[float]) -> np.ndarray:
@@ -290,64 +307,83 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     The seed is a face at a highest-degree vertex (lowest index breaking
     ties), placed as its prototile: centred on the north pole with its
     first edge's midpoint on the prime meridian.  Every other face is
-    entered breadth-first across one already-placed edge, and the
-    prototile starting with the entry corner's label is rotated so that
-    its edge 0 lies on that edge.  A corner landing on a placed vertex,
-    the entry edge's ends included, keeps the first position and the
-    distance is tracked.  Since every face is placed whole, no error
-    compounds along the walk, and the worst distance measures how far the
-    angles are from closing; beyond ``CLOSURE_TOL`` it raises
-    :class:`ClosureDefect`.
+    entered breadth-first, from a FIFO queue of the twins of each placed
+    face's half-edges, across its first queued edge, and the prototile
+    starting with the entry corner's label is rotated so that its edge 0
+    lies on that edge.
+
+    The walk runs one BFS layer at a time.  A face of layer k is entered
+    across an edge of a face of layer k - 1, whose ends are placed by then,
+    so every face of a layer is placed in one array step: the frames of
+    all entry edges, then the corners of each prototile as one stacked
+    product.  A corner landing on a placed vertex, the entry edge's ends
+    included, keeps the first position in queue order and the distance is
+    tracked.  Since every face is placed whole, no error compounds along
+    the walk, and the worst distance measures how far the angles are from
+    closing; beyond ``CLOSURE_TOL`` it raises :class:`ClosureDefect`,
+    naming the first vertex in queue order at that distance.
     """
     prototiles = _prototiles(t.gonality, s)
     # Corner coordinates in the frame of edge 0, so a face's corners are
     # these rows times the frame of its placed entry edge.
-    in_edge_frame = {lab: q @ _edge_frame(q[0], q[1]).T for lab, q in prototiles.items()}
+    shapes = prototiles.values()
+    edge0 = _edge_frames(np.array([q[0] for q in shapes]), np.array([q[1] for q in shapes]))
+    in_edge_frame = {lab: q @ frame.T for (lab, q), frame in zip(prototiles.items(), edge0)}
     he = t.half_edges
-    origin, nxt, twin, face_of, face_start = he.origin, he.nxt, he.twin, he.face_of, he.face_start
+    origin, nxt, twin, face_of, face_start, label = map(
+        np.asarray, (he.origin, he.nxt, he.twin, he.face_of, he.face_start, t.label)
+    )
+    size = np.diff(face_start, append=len(origin))
     best_vertex = max(range(t.vertex_count), key=lambda v: len(he.out_edges[v]))
-    seed_face = min(face_of[h] for h in he.out_edges[best_vertex])
+    seed_face = min(he.face_of[h] for h in he.out_edges[best_vertex])
 
     positions = np.full((t.vertex_count, 3), np.nan)
-    placed = [False] * t.vertex_count
+    placed = np.zeros(t.vertex_count, dtype=bool)
+    entered = np.zeros(len(size), dtype=bool)
     worst_defect = 0.0
     worst_vertex = -1
 
-    def face_from(entry: int) -> list[int]:
-        """Half-edges of entry's face in face order, starting at entry."""
-        start, k = face_start[face_of[entry]], t.faces[face_of[entry]].size
-        return [start + (entry - start + i) % k for i in range(k)]
+    def faces_from(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half-edges of each entry's face in face order, starting at the
+        entry, face after face, and each face's size."""
+        k = size[face_of[entries]]
+        start = np.repeat(face_start[face_of[entries]], k)
+        i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        return start + (np.repeat(entries, k) - start + i) % np.repeat(k, k), k
 
-    def place(half_edges: list[int], corners: np.ndarray) -> None:
+    def place(vertices: np.ndarray, corners: np.ndarray) -> None:
         nonlocal worst_defect, worst_vertex
-        for h, p in zip(half_edges, corners):
-            v = origin[h]
-            if not placed[v]:
-                placed[v] = True
-                positions[v] = p
-                continue
-            d = float(np.linalg.norm(positions[v] - p))
-            if d > worst_defect:
-                worst_defect = d
-                worst_vertex = v
+        first = ~placed[vertices] & _first_occurrences(vertices)
+        positions[vertices[first]] = corners[first]
+        placed[vertices[first]] = True
+        gap = positions[vertices] - corners
+        distance = np.fmax(np.sqrt(_dots(gap, gap)), 0.0)  # NaN never counts as worse
+        j = int(np.argmax(distance))
+        if distance[j] > worst_defect:
+            worst_defect = float(distance[j])
+            worst_vertex = int(vertices[j])
 
-    seed_edges = face_from(face_start[seed_face])
-    place(seed_edges, prototiles[t.label[seed_edges[0]]])
-
-    placed_faces = {seed_face}
-    queue = [twin[h] for h in seed_edges]
-    head = 0
-    while head < len(queue):
-        entry = queue[head]
-        head += 1
-        fi = face_of[entry]
-        if fi in placed_faces:
-            continue
-        placed_faces.add(fi)
-        half_edges = face_from(entry)
-        frame = _edge_frame(positions[origin[entry]], positions[origin[nxt[entry]]])
-        place(half_edges, in_edge_frame[t.label[entry]] @ frame)
-        queue.extend(twin[h] for h in half_edges)
+    seed_edges, _ = faces_from(face_start[[seed_face]])
+    place(origin[seed_edges], prototiles[t.label[face_start[seed_face]]])
+    entered[seed_face] = True
+    queue = twin[seed_edges]
+    while True:
+        # The layer's faces not yet placed, each at its first place in the queue.
+        faces = face_of[queue]
+        entries = queue[~entered[faces] & _first_occurrences(faces)]
+        if not len(entries):
+            break
+        entered[face_of[entries]] = True
+        half_edges, k = faces_from(entries)
+        frames = _edge_frames(positions[origin[entries]], positions[origin[nxt[entries]]])
+        corners = np.empty((len(half_edges), 3))
+        entry_label = label[entries]
+        for lab, shape in in_edge_frame.items():
+            group = entry_label == lab
+            if group.any():
+                corners[np.repeat(group, k)] = (shape @ frames[group]).reshape(-1, 3)
+        place(origin[half_edges], corners)
+        queue = twin[half_edges]
 
     if worst_defect > CLOSURE_TOL:
         raise ClosureDefect(worst_vertex, worst_defect)
@@ -379,11 +415,6 @@ class GeometricReport:
     total_area: float
     area_defect: float
     orientation_failures: list[tuple[int, int]] = field(default_factory=list)
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each rounded as ``np.dot`` rounds it."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def geodesic_arcs(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

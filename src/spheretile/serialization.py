@@ -276,7 +276,8 @@ def _trace_edges(
     curve by more than 2e-4 of the knots' extent (five times tighter than
     the 1e-3 drawing tolerance) is bisected, up to depth 14, which keeps
     arcs near the projection point (where curvature explodes) accurate.
-    Every edge is refined at once, level by level.
+    Every edge is refined at once, level by level, until no piece is left
+    to split.
     """
     e1, e2, c = frame
     p0, p1 = e.positions[np.array(edges).T]
@@ -313,6 +314,8 @@ def _trace_edges(
     done = []
     for depth in range(15):
         k, t0, z0, d0, t1, z1, d1 = pending
+        if not len(k):
+            break
         c1 = z0 + d0 * (t1 - t0) / 3.0
         c2 = z1 - d1 * (t1 - t0) / 3.0
         tm = 0.5 * (t0 + t1)

@@ -234,21 +234,25 @@ def test_embed_sporadics_verify():
         _assert_clean_geometry(ts, embed_generic(ts, s), s)
 
 
-def test_embed_generic_rejects_wrong_angles():
-    t = earth_map(3)
-    wrong = earth_map_solution(2)
-    with pytest.raises(ClosureDefect):
-        embed_generic(t, wrong)
-    # One angle or the edge off a prism solution: no prototile fits its
-    # neighbours, whichever quantity was perturbed.
+def _wrong_angles():
+    """(tiling, solution) pairs that do not close: another c's earth-map
+    angles, and one angle or the edge off a prism solution, so that no
+    prototile fits its neighbours, whichever quantity was perturbed."""
     s = prism_solution(5, prism_default_radius(5))
-    for perturbed in (
-        AngleSolution(5, s.alpha + 1e-4, s.beta, s.gamma, s.cos_x),
-        AngleSolution(5, s.alpha, s.beta + 1e-4, s.gamma, s.cos_x),
-        AngleSolution(5, s.alpha, s.beta, s.gamma, s.cos_x + 1e-6),
-    ):
+    return [(earth_map(3), earth_map_solution(2))] + [
+        (prism(5), perturbed)
+        for perturbed in (
+            AngleSolution(5, s.alpha + 1e-4, s.beta, s.gamma, s.cos_x),
+            AngleSolution(5, s.alpha, s.beta + 1e-4, s.gamma, s.cos_x),
+            AngleSolution(5, s.alpha, s.beta, s.gamma, s.cos_x + 1e-6),
+        )
+    ]
+
+
+def test_embed_generic_rejects_wrong_angles():
+    for t, wrong in _wrong_angles():
         with pytest.raises(ClosureDefect):
-            embed_generic(prism(5), perturbed)
+            embed_generic(t, wrong)
 
 
 def _gram(t, e):
@@ -271,7 +275,7 @@ def test_embed_generic_closes_prisms_like_the_closed_form(m, fraction):
     assert np.abs(_gram(t, e) - _gram(t, closed)).max() < 1e-10
 
 
-@pytest.mark.parametrize("c", [2, 8, 32, 64])
+@pytest.mark.parametrize("c", [2, 8, 32, 64, 1024])
 def test_embed_generic_closes_large_earth_maps(c):
     t = earth_map(c)
     s = earth_map_solution(c)
@@ -668,3 +672,132 @@ def test_measured_solution_matches_the_scalar_reference(name):
     reference = _reference_measured_solution(t, e)
     for key in ("alpha", "beta", "gamma", "cos_x"):
         assert getattr(measured, key) == pytest.approx(getattr(reference, key), abs=1e-12)
+
+
+# -- the scalar embedder, kept as a reference ---------------------------------------
+#
+# embed_generic as it was before it placed one BFS layer per array step: a
+# FIFO queue of half-edges, one face and one frame at a time, and each
+# corner checked against the first placement of its vertex.
+
+
+def _reference_edge_frame(a, b):
+    t = _reference_tangent(a, b)
+    return np.array([a, t, np.cross(a, t)])
+
+
+def _reference_embed_generic(t, s):
+    prototiles = realization._prototiles(t.gonality, s)
+    in_edge_frame = {
+        lab: q @ _reference_edge_frame(q[0], q[1]).T for lab, q in prototiles.items()
+    }
+    he = t.half_edges
+    origin, nxt, twin, face_of, face_start = he.origin, he.nxt, he.twin, he.face_of, he.face_start
+    best_vertex = max(range(t.vertex_count), key=lambda v: len(he.out_edges[v]))
+    seed_face = min(face_of[h] for h in he.out_edges[best_vertex])
+    positions = np.full((t.vertex_count, 3), np.nan)
+    placed = [False] * t.vertex_count
+    worst = {"distance": 0.0, "vertex": -1}
+
+    def face_from(entry):
+        start, k = face_start[face_of[entry]], t.faces[face_of[entry]].size
+        return [start + (entry - start + i) % k for i in range(k)]
+
+    def place(half_edges, corners):
+        for h, p in zip(half_edges, corners):
+            v = origin[h]
+            if not placed[v]:
+                placed[v] = True
+                positions[v] = p
+                continue
+            d = float(np.linalg.norm(positions[v] - p))
+            if d > worst["distance"]:
+                worst.update(distance=d, vertex=v)
+
+    seed_edges = face_from(face_start[seed_face])
+    place(seed_edges, prototiles[t.label[seed_edges[0]]])
+    placed_faces = {seed_face}
+    queue = [twin[h] for h in seed_edges]
+    head = 0
+    while head < len(queue):
+        entry = queue[head]
+        head += 1
+        fi = face_of[entry]
+        if fi in placed_faces:
+            continue
+        placed_faces.add(fi)
+        half_edges = face_from(entry)
+        frame = _reference_edge_frame(positions[origin[entry]], positions[origin[nxt[entry]]])
+        place(half_edges, in_edge_frame[t.label[entry]] @ frame)
+        queue.extend(twin[h] for h in half_edges)
+
+    if worst["distance"] > realization.CLOSURE_TOL:
+        raise ClosureDefect(worst["vertex"], worst["distance"])
+    return Embedding(positions, worst_defect=worst["distance"])
+
+
+def _embedder_case(name):
+    family, _, size = name.partition("-")
+    if family == "prism":
+        m, _, fraction = size.partition("@")
+        m = int(m)
+        lo, hi = prism_geometric_bounds(m)
+        return prism(m), prism_solution(m, lo + float(fraction or 0.5) * (hi - lo))
+    if family == "earthmap":
+        return earth_map(int(size)), earth_map_solution(int(size))
+    if family == "football":
+        return football(), sporadic_solution("football")
+    return snub_fusion(int(size)), sporadic_solution("snub-fusion")
+
+
+EMBEDDER_CASES = (
+    [f"prism-{m}" for m in range(3, 65)]
+    + [f"prism-{m}@{f}" for m in (5, 64) for f in ("1e-3", "0.999")]
+    + [f"earthmap-{c}" for c in range(2, 65)]
+    + ["snub-1", "snub-2", "snub-3", "football"]
+)
+
+
+@pytest.mark.parametrize("name", EMBEDDER_CASES)
+def test_embed_generic_matches_the_scalar_embedder(name):
+    t, s = _embedder_case(name)
+    e = embed_generic(t, s)
+    ref = _reference_embed_generic(t, s)
+    assert e.positions.shape == ref.positions.shape == (t.vertex_count, 3)
+    assert np.abs(e.positions - ref.positions).max() <= 1e-14
+    assert abs(e.worst_defect - ref.worst_defect) <= 1e-14
+
+
+def test_embed_generic_names_the_defect_as_the_scalar_embedder_does():
+    for t, wrong in _wrong_angles():
+        with pytest.raises(ClosureDefect) as batched:
+            embed_generic(t, wrong)
+        with pytest.raises(ClosureDefect) as scalar:
+            _reference_embed_generic(t, wrong)
+        assert batched.value.vertex == scalar.value.vertex
+        assert abs(batched.value.distance - scalar.value.distance) <= 1e-12
+
+
+def _unit_rows(n, seed):
+    p = np.random.default_rng(seed).normal(size=(n, 3))
+    return p / np.linalg.norm(p, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n", [1, 50])
+def test_edge_frames_match_the_scalar_frame(n):
+    a, b = _unit_rows(n, 1), _unit_rows(n, 2)
+    frames = realization._edge_frames(a, b)
+    assert frames.shape == (n, 3, 3)
+    for frame, p, q in zip(frames, a, b):
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-14
+        assert np.abs(frame - _reference_edge_frame(p, q)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("far_end", ["coincident", "antipodal"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_edge_frames_name_a_degenerate_row(far_end, n):
+    # The degenerate row is the last of the batch; the others are regular.
+    a, b = _unit_rows(n, 3), _unit_rows(n, 4)
+    b[-1] = a[-1] if far_end == "coincident" else -a[-1]
+    with pytest.raises(ValueError, match="coincident or antipodal"):
+        realization._edge_frames(a, b)
