@@ -1,6 +1,7 @@
 """JSON round trips, schema strictness, and the OBJ/SVG exporters."""
 
 import functools
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -20,6 +21,7 @@ from spheretile.realization import (
     embed_generic,
     embed_prism,
     prism_default_radius,
+    prism_geometric_bounds,
     prism_solution,
     sporadic_solution,
 )
@@ -346,6 +348,24 @@ SHIPPED = (
 def test_export_svg_matches_the_scalar_tracer_byte_for_byte(name):
     t, e = _embedded(name)
     assert export_svg(t, e) == _oracle_svg(name)
+
+
+# sha256 of export_svg for earth map c = 256, then prism m = 64 at radius
+# fractions 1e-3 and 0.999 of its geometric range, concatenated: sizes and
+# shapes past the reach of the scalar oracle above.
+LARGE_SVG_SHA256 = "94e9b20e495234625ed3923117210027ae6aaea14140742d36b2ed2576823687"
+
+
+def test_export_svg_of_large_and_extreme_tilings_keeps_its_digest():
+    digest = hashlib.sha256()
+    t = earth_map(256)
+    digest.update(export_svg(t, embed_generic(t, earth_map_solution(256))).encode())
+    lo, hi = prism_geometric_bounds(64)
+    for fraction in (1e-3, 0.999):
+        t = prism(64)
+        e = embed_generic(t, prism_solution(64, lo + fraction * (hi - lo)))
+        digest.update(export_svg(t, e).encode())
+    assert digest.hexdigest() == LARGE_SVG_SHA256
 
 
 @pytest.mark.parametrize("name", ["prism_m64", "earthmap_c16", "football"])
