@@ -12,6 +12,7 @@ this module wraps the entries with the gonality and writes them out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,10 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing leaves
+    it unchanged, and building it costs about a millisecond a call."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 

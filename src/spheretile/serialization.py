@@ -8,7 +8,6 @@ with a :class:`SchemaError` naming the offending field.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -251,7 +250,9 @@ _POLE_CLEARANCE = 1e-9
 
 def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal frame (e1, e2, c) with c the centroid of the first m-gon."""
-    face = next(f for f in t.faces if f.kind == "mgon")
+    face = next((f for f in t.faces if f.kind == "mgon"), None)
+    if face is None:
+        raise ValueError("the tiling has no m-gon to centre the projection on")
     c = sum(e.positions[v] for v in face.vertices)
     c = c / np.linalg.norm(c)
     ref = np.array([1.0, 0.0, 0.0])
@@ -332,6 +333,53 @@ def _trace_edges(
     return cubics[np.lexsort((t0, k))], np.bincount(k, minlength=len(edges))
 
 
+def _fixed3(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".3f")`` of each value, as the non-NUL bytes of a uint8 row.
+
+    Where |v| < 1e6 and the fraction of w = 1000 v is more than 1e-6 from
+    1/2, the product's rounding error (below 6e-8) cannot carry w across a
+    rounding boundary, so rounding w gives the thousandths; their digits
+    come from integer arithmetic and the sign from ``signbit`` (-0.0004
+    gives "-0.000").  ``format`` writes every other value: ties such as odd
+    multiples of 1/16, nan, +-inf and huge values.
+    """
+    small = np.abs(values) < 1e6
+    w = np.where(small, values, 0.0) * 1000.0
+    floor = np.floor(w)
+    frac = w - floor
+    exact = small & (np.abs(frac - 0.5) > 1e-6)
+    q = np.abs(floor + (frac > 0.5)).astype(np.int32)
+    # Columns: the sign, n_int integer digits, the point and three decimals.
+    n_int = len(str(int(q.max(initial=0)) // 1000))
+    chars = np.zeros((len(q), n_int + 5), np.uint8)
+    chars[:, 0] = 45 * np.signbit(values)
+    chars[:, n_int + 1] = 46
+    for col in (n_int + 4, n_int + 3, n_int + 2, *range(n_int, 0, -1)):
+        # q is the value in units of this column's place; integer digits
+        # left of the units column stay NUL once it reaches 0.
+        rest = q // 10
+        digit = q - 10 * rest + 48
+        chars[:, col] = digit if col >= n_int else np.where(q > 0, digit, 0)
+        q = rest
+    inexact = np.flatnonzero(~exact)
+    if len(inexact):
+        text = [format(v, ".3f").encode() for v in values[inexact].tolist()]
+        pad = max(map(len, text)) - chars.shape[1]
+        if pad > 0:
+            chars = np.concatenate([np.zeros((len(chars), pad), np.uint8), chars], axis=1)
+        chars[inexact] = 0
+        for i, row in zip(inexact.tolist(), text):
+            chars[i, chars.shape[1] - len(row) :] = np.frombuffer(row, np.uint8)
+    return chars
+
+
+def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
+    """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated."""
+    before = np.cumsum(count) - count
+    step = np.broadcast_to(step, count.shape)
+    return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
+
+
 def export_svg(t: TilingComplex, e: Embedding) -> str:
     """SVG drawing of an embedded tiling, faces filled by kind.
 
@@ -342,7 +390,15 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     Faces are painted far-to-near; the face wrapping the projection point
     projects to the region outside its own boundary and, painted first,
     becomes the backdrop for everything else.  An edge through the
-    projection pole raises :class:`ValueError` naming it.
+    projection pole, or a tiling with no m-gon, raises :class:`ValueError`.
+
+    The path text is built in arrays.  A piece starts bit for bit where the
+    one before it ends, so each point is formatted once, by :func:`_fixed3`:
+    integer digits where the rounding to thousandths is certain and
+    ``format(v, ".3f")`` elsewhere, the bytes ``format`` writes.  The faces'
+    half-edges, in paint order, gather these by index: a forward half-edge
+    reads its pieces as "C c1 c2 z1", a reversed one as "C c2 c1 z0" from
+    the last piece back.
     """
     frame = _projection_frame(t, e)
     edges = t.undirected_edges()
@@ -354,38 +410,65 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     cx = 0.5 * (ends.real.min() + ends.real.max())
     cy = 0.5 * (ends.imag.min() + ends.imag.max())
 
-    # Each control point is formatted once, for both faces of its edge.
-    points = cubics.ravel()
-    xs = ((points.real - cx) * scale + _VIEW / 2.0).tolist()
-    ys = ((cy - points.imag) * scale + _VIEW / 2.0).tolist()
-    text = [f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys)]
-    rows = iter([text[j : j + 4] for j in range(0, len(text), 4)])
-    edge_text = {}
-    for (u, v), count in zip(edges, counts.tolist()):
-        edge_text[u, v] = list(itertools.islice(rows, count))
-        edge_text[v, u] = [row[::-1] for row in reversed(edge_text[u, v])]
-
-    def path_of(face) -> str:
-        cycle = face.vertices
-        chain = [row for u, v in zip(cycle, cycle[1:] + cycle[:1]) for row in edge_text[u, v]]
-        curves = [f"C {c1} {c2} {z1}" for _, c1, c2, z1 in chain]
-        return " ".join([f"M {chain[0][0]}", *curves, "Z"])
+    # Point 3j + i is control point i + 1 of piece j, point 3s + k starts
+    # edge k.  Table row p is point p's text "x,y " with NUL padding, and
+    # rows n, n + 1 and n + 2 are "M ", "C " and "Z\n".
+    s = len(cubics)
+    first = np.cumsum(counts) - counts
+    points = np.concatenate([cubics[:, 1:].ravel(), cubics[first, 0]])
+    xy = np.stack([points.real - cx, cy - points.imag], axis=1) * scale + _VIEW / 2.0
+    chars = _fixed3(xy.ravel()).reshape(len(points), -1)
+    n, width = len(points), chars.shape[1] // 2
+    table = np.zeros((n + 3, 2 * width + 2), np.uint8)
+    table[:n, :width] = chars[:, :width]
+    table[:n, width] = ord(",")
+    table[:n, width + 1 : -1] = chars[:, width:]
+    table[:n, -1] = ord(" ")
+    table[n:, :2] = np.frombuffer(b"M C Z\n", np.uint8).reshape(3, 2)
+    z0 = 3 * np.arange(s) - 1
+    z0[first] = 3 * s + np.arange(len(edges))
 
     # Mean depth along c per face; bincount adds corners in face order, as a scalar sum would.
     _, _, c = frame
     depth = _dots(e.positions, np.broadcast_to(c, e.positions.shape))
     he = t.half_edges
+    sizes = np.diff(he.face_start, append=len(he.origin))
     sums = np.bincount(he.face_of, weights=depth[he.origin], minlength=len(t.faces))
-    order = np.argsort(sums / [f.size for f in t.faces], kind="stable").tolist()
+    order = np.argsort(sums / sizes, kind="stable")
+
+    # The faces' half-edges in paint order, then the pieces each one draws.
+    origin = np.array(he.origin)
+    forward = origin < origin[he.nxt]
+    edge_of = np.empty(len(origin), np.int64)
+    edge_of[forward] = np.arange(len(edges))
+    edge_of[~forward] = edge_of[np.array(he.twin)[~forward]]
+    h = _ranges(np.array(he.face_start)[order], sizes[order], 1)
+    k, step = edge_of[h], np.where(forward[h], 1, -1)
+    piece = _ranges(first[k] + (step < 0) * (counts[k] - 1), counts[k], step)
+    fwd = np.repeat(step > 0, counts[k])
+    z1 = 3 * piece + 2
+    # Tokens "M start C a b end Z" per drawn piece; "M start" only at a
+    # face's first piece and "Z" only at its last.
+    rows = np.stack([
+        np.full_like(piece, n), np.where(fwd, z0[piece], z1), np.full_like(piece, n + 1),
+        3 * piece + ~fwd, 3 * piece + fwd, np.where(fwd, z1, z0[piece]), np.full_like(piece, n + 2),
+    ], axis=1)
+    keep = np.ones(rows.shape, bool)
+    keep[:, [0, 1, 6]] = False
+    starts = (np.cumsum(counts[k]) - counts[k])[np.cumsum(sizes[order]) - sizes[order]]
+    keep[starts, :2] = True
+    keep[np.append(starts[1:], len(piece)) - 1, 6] = True
+    text = np.take(table, rows[keep], axis=0).tobytes().translate(None, b"\0")
+    paths = text.decode("ascii").split("\n")
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',
         f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="white"/>',
     ]
-    for fi in order:
+    for fi, d in zip(order.tolist(), paths):
         fill = _SVG_FILL[t.faces[fi].kind]
         lines.append(
-            f'<path d="{path_of(t.faces[fi])}" fill="{fill}" '
+            f'<path d="{d}" fill="{fill}" '
             f'stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>'
         )
     lines.append("</svg>")

@@ -436,3 +436,33 @@ def test_importing_the_cli_loads_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    argvs = [
+        ["generate", "prism", "--m", "5"],
+        ["classify"],
+        ["--help"],
+        ["generate", "--help"],
+        ["verify", "--in", str(tmp_path / "missing.json")],
+        ["generate", "earthmap", "--c", "2", "--realize"],
+    ]
+
+    def run_all(fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    cached = run_all(fresh=False)
+    assert len(builds) == 1
+    assert run_all(fresh=True) == cached
+    assert [code for code, _, _ in cached] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert cli.build_parser() is not cli.build_parser()

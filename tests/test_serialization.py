@@ -17,6 +17,7 @@ from spheretile.generators import (
     snub_fusion,
 )
 from spheretile.realization import (
+    Embedding,
     earth_map_solution,
     embed_generic,
     embed_prism,
@@ -27,6 +28,7 @@ from spheretile.realization import (
 )
 from spheretile.serialization import (
     SchemaError,
+    _fixed3,
     _projection_frame,
     export_obj,
     export_svg,
@@ -470,3 +472,50 @@ def test_export_svg_names_an_edge_through_the_projection_pole(name, monkeypatch)
     monkeypatch.setattr(serialization, "_projection_frame", lambda t, e: (e1, np.cross(c, e1), c))
     with pytest.raises(ValueError, match=f"edge {u}-{v} passes through the projection pole"):
         export_svg(t, e)
+
+
+def test_export_svg_names_a_tiling_without_an_m_gon():
+    # The rhombic dodecahedron: 12 rhombi, beta at the 8 cube corners and
+    # gamma at the 6 octahedron corners.  It builds, but leaves the
+    # projection no m-gon to centre on.
+    cube = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    octa = [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (-1, 1)]
+    points = np.array(cube + octa, dtype=float)
+    specs = []
+    for a in range(8, 14):
+        for b in range(a + 1, 14):
+            if np.dot(points[a], points[b]) != 0:
+                continue
+            u, v = (i for i in range(8) if np.dot(points[i], points[a] + points[b]) == 2)
+            cycle = [a, u, b, v]
+            normal = np.cross(points[u] - points[a], points[b] - points[u])
+            if np.dot(normal, points[a] + points[b]) < 0:
+                cycle = [a, v, b, u]
+            specs.append(("rhombus", cycle, ["gamma", "beta", "gamma", "beta"]))
+    t = build_from_faces(specs)
+    assert t.face_count == 12 and t.census() == {(0, 3, 0): 8, (0, 0, 4): 6}
+    positions = points[list(t.vertex_names)]
+    e = Embedding(positions / np.linalg.norm(positions, axis=1)[:, None])
+    with pytest.raises(ValueError, match="no m-gon"):
+        export_svg(t, e)
+
+
+def _fixed3_text(values):
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _fixed3(np.array(values, dtype=float))]
+
+
+def test_fixed3_writes_what_format_writes():
+    rng = np.random.default_rng(3)
+    k = np.arange(-40000, 40000)
+    big = 2.0**30 / 1000
+    values = np.concatenate([
+        rng.uniform(-1000.0, 2000.0, 100_000),
+        k / 16,
+        (k + 0.5) / 1000,
+        [0.0, -0.0, -0.0004, 0.0004, 0.0005, -0.0005, 999.9995, -999.9995],
+        [999999.9994, 999999.9996, -999999.9996, 1e6, -1e6, big, -big, np.nextafter(big, 0)],
+        [1e7, -3e9, 1e15, 1e300, -1e300, 5e-324, -5e-324],
+        [np.nan, np.inf, -np.inf],
+    ])
+    assert _fixed3_text(values) == [format(v, ".3f") for v in values.tolist()]
+    assert _fixed3(np.array([])).shape[0] == 0
