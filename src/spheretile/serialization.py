@@ -352,7 +352,8 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
     # Columns: the sign, n_int integer digits, the point and three decimals.
     n_int = len(str(int(q.max(initial=0)) // 1000))
     chars = np.zeros((len(q), n_int + 5), np.uint8)
-    chars[:, 0] = 45 * np.signbit(values)
+    negative = np.signbit(values)
+    chars[:, 0] = 45 * negative
     chars[:, n_int + 1] = 46
     for col in (n_int + 4, n_int + 3, n_int + 2, *range(n_int, 0, -1)):
         # q is the value in units of this column's place; integer digits
@@ -361,6 +362,8 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
         digit = q - 10 * rest + 48
         chars[:, col] = digit if col >= n_int else np.where(q > 0, digit, 0)
         q = rest
+    if not negative.any():
+        chars = chars[:, 1:]
     inexact = np.flatnonzero(~exact)
     if len(inexact):
         text = [format(v, ".3f").encode() for v in values[inexact].tolist()]
@@ -417,12 +420,12 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     first = np.cumsum(counts) - counts
     points = np.concatenate([cubics[:, 1:].ravel(), cubics[first, 0]])
     xy = np.stack([points.real - cx, cy - points.imag], axis=1) * scale + _VIEW / 2.0
-    chars = _fixed3(xy.ravel()).reshape(len(points), -1)
-    n, width = len(points), chars.shape[1] // 2
+    chars = _fixed3(xy.ravel())
+    n, width = len(points), chars.shape[1]
     table = np.zeros((n + 3, 2 * width + 2), np.uint8)
-    table[:n, :width] = chars[:, :width]
+    table[:n, :width] = chars[0::2]
     table[:n, width] = ord(",")
-    table[:n, width + 1 : -1] = chars[:, width:]
+    table[:n, width + 1 : -1] = chars[1::2]
     table[:n, -1] = ord(" ")
     table[n:, :2] = np.frombuffer(b"M C Z\n", np.uint8).reshape(3, 2)
     z0 = 3 * np.arange(s) - 1

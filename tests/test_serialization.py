@@ -510,6 +510,7 @@ def test_fixed3_writes_what_format_writes():
     big = 2.0**30 / 1000
     values = np.concatenate([
         rng.uniform(-1000.0, 2000.0, 100_000),
+        rng.choice([-1.0, 1.0], 20_000) * 10 ** rng.uniform(-4.0, 6.2, 20_000),
         k / 16,
         (k + 0.5) / 1000,
         [0.0, -0.0, -0.0004, 0.0004, 0.0005, -0.0005, 999.9995, -999.9995],
@@ -518,4 +519,6 @@ def test_fixed3_writes_what_format_writes():
         [np.nan, np.inf, -np.inf],
     ])
     assert _fixed3_text(values) == [format(v, ".3f") for v in values.tolist()]
+    positive = np.abs(values[:1000])
+    assert _fixed3_text(positive) == [format(v, ".3f") for v in positive.tolist()]
     assert _fixed3(np.array([])).shape[0] == 0
