@@ -132,15 +132,13 @@ def enumerate_avc(
     near: list[tuple[VertexType, float]] = []
     for a in range(min(limits[0], max_degree) + 1):
         for b in range(min(limits[1], max_degree - a) + 1):
-            for c in range(min(limits[2], max_degree - a - b) + 1):
-                if a + b + c < 3:
-                    continue
-                total = a * angles[0] + b * angles[1] + c * angles[2]
-                v = VertexType(a, b, c)
+            ab = a * angles[0] + b * angles[1]
+            for c in range(max(3 - a - b, 0), min(limits[2], max_degree - a - b) + 1):
+                total = ab + c * angles[2]
                 if abs(total - TWO_PI) < tol:
-                    members.append(v)
+                    members.append(VertexType(a, b, c))
                 elif abs(total - TWO_PI) < 4.0 * tol:
-                    near.append((v, total))
+                    near.append((VertexType(a, b, c), total))
     notes = []
     for mem in members:
         mem_sum = vertex_angle_sum(mem, s)

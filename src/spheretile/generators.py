@@ -20,7 +20,6 @@ from .complexes import (
     SphereSurface,
     TilingComplex,
     build_from_faces,
-    canonical_code,
     validate_sphere,
     vertex_orbit,
 )
@@ -386,18 +385,22 @@ def trio_chain_length(t: TilingComplex) -> Optional[int]:
 
 def dodecahedron_rotations() -> list[list[int]]:
     """The dodecahedron's 60 rotations as dart maps.  Its map is regular, so
-    for each dart h one rotation sends dart 0 to h, and it follows from h
-    along ``nxt`` and ``twin``."""
+    for each dart h one rotation sends dart 0 to h; one breadth-first tree of
+    ``nxt`` and ``twin`` steps from dart 0, replayed from h, gives it."""
     dod = dodecahedron()
+    n = len(dod.twin)
+    tree, seen = [(0, None, None)], {0}
+    for d, _parent, _step in tree:
+        for step in (dod.nxt, dod.twin):
+            if step[d] not in seen:
+                seen.add(step[d])
+                tree.append((step[d], d, step))
     maps = []
-    for h in range(len(dod.twin)):
-        image, reached = {0: h}, [0]
-        for d in reached:
-            for step in (dod.nxt, dod.twin):
-                if step[d] not in image:
-                    image[step[d]] = step[image[d]]
-                    reached.append(step[d])
-        maps.append([image[d] for d in range(len(dod.twin))])
+    for h in range(n):
+        image = [h] * n
+        for d, parent, step in tree[1:]:
+            image[d] = step[image[parent]]
+        maps.append(image)
     return maps
 
 
@@ -405,13 +408,15 @@ def dodecahedron_rotations() -> list[list[int]]:
 def fusion_classification() -> dict:
     """Group all matchings' fusions into isomorphism classes, variant-ordered.
 
-    Returns a dict with the matchings, a class index per matching, and the
-    ordered classes, each holding its representative complex plus
-    diagnostics (size, pentagon bullet distribution, trio chain length).
-    Variant 1 is the class whose bullet distribution is trio-free (its
-    crowded pentagons carry five bullets, never three); the remaining two
-    are ordered by the shortest rhombus chain from a trio's middle bullet
-    to the edge opposite another trio's middle, 3 before 2.
+    Returns a dict with the matchings, a variant per matching, and the
+    ordered classes, each holding its members, its representative complex
+    and two isomorphism invariants: the pentagon bullet distribution and
+    the trio chain length.  Variant 1 is the one trio-free class (its
+    crowded pentagons carry five bullets, never three); the other two are
+    ordered by the shortest rhombus chain from a trio's middle bullet to
+    the edge opposite another trio's middle, 3 before 2.  These invariants,
+    asserted to differ, tell the classes apart, so no canonical code is
+    computed and a class has no ``"code"`` key.
 
     The classes are the orbits of the dodecahedron's 60 rotations on the
     matchings.  A rotation carries each fusion onto its image's, as
@@ -436,7 +441,6 @@ def fusion_classification() -> dict:
     for members in orbits:
         rep = triangular_fusion(matchings[members[0]])
         classes.append({
-            "code": canonical_code(rep),
             "members": members,
             "representative": rep,
             "bullet_counts": sorted(pentagon_bullet_counts(rep)),
@@ -457,11 +461,7 @@ def fusion_classification() -> dict:
     rest.sort(key=lambda cl: -cl["chain_length"])
     ordered = [first] + rest
 
-    variant_of_matching = {}
-    for variant, cl in enumerate(ordered, start=1):
-        for idx in cl["members"]:
-            variant_of_matching[idx] = variant
-
+    variant_of_matching = {i: v for v, cl in enumerate(ordered, start=1) for i in cl["members"]}
     return {
         "matchings": matchings,
         "classes": ordered,

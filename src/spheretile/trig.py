@@ -240,20 +240,27 @@ def _feasible(m: int, equations: Sequence[VertexTriple], extra=()) -> bool:
     rows meet the admissibility box, by exact Fourier-Motzkin elimination.  In
     units of pi/m each box or extra row reads coeffs . x + const > 0 (>= 0 if
     not strict) in integers, an equation two >= rows with constant -+2m.  Each
-    pair of rows with opposite signs on an angle combines, with positive
-    weights, into a row without it, strict when either is; no rounding."""
-    rows = set(_box_rows_exact(m)) | set(extra)
-    for eq in equations:
-        rows |= {(tuple(eq), -2 * m, False), (tuple(-e for e in eq), 2 * m, False)}
+    pair of rows with opposite signs on an angle combines, with positive weights,
+    into a row without it, strict when either is; no rounding.  A combined row
+    with no angle left returns False at once if its constant breaks it."""
+    rows = [*_box_rows_exact(m), *extra]
+    for a, b, c in equations:
+        rows += [((a, b, c), -2 * m, False), ((-a, -b, -c), 2 * m, False)]
     for j in range(3):
-        pos = [r for r in rows if r[0][j] > 0]
-        neg = [r for r in rows if r[0][j] < 0]
-        rows = {r for r in rows if r[0][j] == 0}
+        pos, neg, rest = [], [], []
+        for row in rows:
+            (pos if row[0][j] > 0 else neg if row[0][j] < 0 else rest).append(row)
         for p, kp, sp in pos:
+            wn = p[j]
             for n, kn, sn in neg:
-                wp, wn = -n[j], p[j]
-                coeffs = tuple(wp * x + wn * y for x, y in zip(p, n))
-                rows.add((coeffs, wp * kp + wn * kn, sp or sn))
+                wp = -n[j]
+                coeffs = (wp * p[0] + wn * n[0], wp * p[1] + wn * n[1], wp * p[2] + wn * n[2])
+                k = wp * kp + wn * kn
+                if coeffs != (0, 0, 0):
+                    rest.append((coeffs, k, sp or sn))
+                elif k < 0 or (k == 0 and (sp or sn)):
+                    return False
+        rows = rest
     return all(k > 0 if strict else k >= 0 for _coeffs, k, strict in rows)
 
 

@@ -1,8 +1,10 @@
 """Tiling generators: counts, censuses, matchings, and the fusion variants."""
 
+import sys
+
 import pytest
 
-from spheretile import generators
+from spheretile import complexes, generators
 from spheretile.complexes import canonical_code, isomorphic, verify_combinatorial
 from spheretile.generators import (
     bullet_vertices,
@@ -154,7 +156,8 @@ def test_fusion_classes():
     info = fusion_classification()
     assert len(info["matchings"]) == 36
     classes = info["classes"]
-    assert len({cls["code"] for cls in classes}) == 3
+    assert "code" not in classes[0]
+    assert len({canonical_code(cls["representative"]) for cls in classes}) == 3
     assert [len(cls["members"]) for cls in classes] == [6, 15, 15]
     assert [cls["chain_length"] for cls in classes] == [None, 3, 2]
     reps = [cls["representative"] for cls in classes]
@@ -204,6 +207,28 @@ def _moved(matching, to):
     return tuple(sorted(tuple(sorted((to[u], to[w]))) for u, w in matching))
 
 
+def _rotations_by_bfs():
+    """The 60 separate breadth-first searches ``dodecahedron_rotations`` used
+    to run, kept as its oracle: one dict BFS from dart 0 per image h."""
+    dod = dodecahedron()
+    maps = []
+    for h in range(len(dod.twin)):
+        image, reached = {0: h}, [0]
+        for d in reached:
+            for step in (dod.nxt, dod.twin):
+                if step[d] not in image:
+                    image[step[d]] = step[image[d]]
+                    reached.append(step[d])
+        maps.append([image[d] for d in range(len(dod.twin))])
+    return maps
+
+
+def test_rotations_equal_the_per_dart_searches():
+    maps = dodecahedron_rotations()
+    assert maps == _rotations_by_bfs()
+    assert [image[0] for image in maps] == list(range(60))
+
+
 def test_rotations_are_60_distinct_dart_maps_commuting_with_nxt_and_twin():
     dod = dodecahedron()
     maps = dodecahedron_rotations()
@@ -224,7 +249,7 @@ def test_fusion_classes_are_the_canonical_code_classes():
     info = fusion_classification()
     assert sorted(by_code.values()) == sorted(cls["members"] for cls in info["classes"])
     for cls in info["classes"]:
-        assert by_code[cls["code"]] == cls["members"]
+        assert by_code[canonical_code(cls["representative"])] == cls["members"]
 
 
 def test_burnside_counts_three_orbits():
@@ -235,22 +260,28 @@ def test_burnside_counts_three_orbits():
 
 
 def test_cold_classification_builds_one_fusion_per_class(monkeypatch):
+    # Each function is wrapped in every spheretile module that binds it, so a
+    # call through any import path is counted.
     calls = {"triangular_fusion": 0, "canonical_code": 0}
 
-    def counted(name):
-        real = getattr(generators, name)
-
+    def counted(name, real):
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(generators, name, counted(name))
+    modules = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "spheretile"]
+    for name, home in (("triangular_fusion", generators), ("canonical_code", complexes)):
+        real = getattr(home, name)
+        wrapper = counted(name, real)
+        for mod in modules:
+            for binding, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, binding, wrapper)
     fusion_classification.cache_clear()
     try:
         fusion_classification()
     finally:
         fusion_classification.cache_clear()
-    assert calls == {"triangular_fusion": 3, "canonical_code": 3}
+    assert calls == {"triangular_fusion": 3, "canonical_code": 0}

@@ -36,6 +36,7 @@ from spheretile.trig import (
     POLE_TOL,
     _affine_line,
     _box_rows,
+    _box_rows_exact,
     _default_description,
     _evidence_grid,
     _feasible,
@@ -738,6 +739,57 @@ def test_three_alpha_row_is_decided_exactly():
     assert not _feasible(5, [(3, 0, 0), (0, 2, 1)], [((3, 0, 0), -10, True)])
     assert _feasible(5, [(3, 0, 0), (0, 2, 1)], [((3, 0, 0), -10, False)])
     assert _feasible(5, [(3, 0, 0), (0, 2, 1)])
+
+
+def _feasible_by_sets(m, equations, extra=()):
+    """The set-based elimination ``_feasible`` used to run, kept as its oracle:
+    rows deduplicated in sets, every combined row kept to the end."""
+    rows = set(_box_rows_exact(m)) | set(extra)
+    for eq in equations:
+        rows |= {(tuple(eq), -2 * m, False), (tuple(-e for e in eq), 2 * m, False)}
+    for j in range(3):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        rows = {r for r in rows if r[0][j] == 0}
+        for p, kp, sp in pos:
+            for n, kn, sn in neg:
+                wp, wn = -n[j], p[j]
+                coeffs = tuple(wp * x + wn * y for x, y in zip(p, n))
+                rows.add((coeffs, wp * kp + wn * kn, sp or sn))
+    return all(k > 0 if strict else k >= 0 for _coeffs, k, strict in rows)
+
+
+_TYPES_OF_DEGREE_3_TO_6 = [
+    (a, b, d - a - b) for d in range(3, 7) for a in range(d + 1) for b in range(d - a + 1)
+]
+
+
+def test_feasible_matches_the_set_based_elimination_on_every_single_type():
+    admitted = 0
+    for m in range(5, 65):
+        for v in _TYPES_OF_DEGREE_3_TO_6:
+            got = _feasible(m, [v])
+            assert got == _feasible_by_sets(m, [v]), (m, v)
+            admitted += got
+    # Both answers occur, so neither side can pass by being constant.
+    assert 0 < admitted < 60 * len(_TYPES_OF_DEGREE_3_TO_6)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 9, 64])
+def test_feasible_matches_the_set_based_elimination_on_every_pair_of_types(m):
+    answers = set()
+    for i, u in enumerate(_TYPES_OF_DEGREE_3_TO_6):
+        for v in _TYPES_OF_DEGREE_3_TO_6[i + 1:]:
+            got = _feasible(m, [u, v])
+            assert got == _feasible_by_sets(m, [u, v]), (m, u, v)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def test_feasible_matches_the_set_based_elimination_with_extra_rows():
+    for extra in ([((3, 0, 0), -10, True)], [((3, 0, 0), -10, False)], []):
+        cons = [(3, 0, 0), (0, 2, 1)]
+        assert _feasible(5, cons, extra) == _feasible_by_sets(5, cons, extra)
 
 
 @pytest.mark.parametrize(
