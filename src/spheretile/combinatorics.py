@@ -6,23 +6,25 @@ the degree-3 types that can occur for a given gonality, enumerates full
 anglewise vertex combinations (AVCs) for a concrete angle solution, applies
 the counting and adjacency filters, and drives the per-gonality
 classification that attaches each degree-3 seed to a realized family, a
-nonexistence certificate, or a subsumption note.
+nonexistence certificate, or a subsumption note.  No tiling is built here: a
+family row states the vertex types its family realizes.
 
 The classification is a finite case split, written as one table:
 ``_SEED_HANDLERS`` maps ``(min(m, 6), seed)`` to the case that resolves
 it.  Each row hands one of two builders only what differs between cases:
-:func:`_family` for a realized family, :func:`_edge_bound` for a dead end
-that the edge-bound lemma rules out.  A new kind of outcome is one more row.
-Each outcome renders itself, by its ``kind`` and ``report_fields(c_max)``,
-into a report entry (:meth:`ClassificationEntry.payload`); a row hands its
-outcome what the report needs, as the earth map's hands ``earth_map_solution``.
+:func:`_family` for a realized family and the vertex types it realizes,
+:func:`_edge_bound` for a dead end that the edge-bound lemma rules out.  A
+new kind of outcome is one more row.  Each outcome renders itself, by its
+``kind`` and ``report_fields(c_max)``, into a report entry
+(:meth:`ClassificationEntry.payload`); a row hands its outcome what the
+report needs, as the earth map's hands ``earth_map_solution``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import trig
@@ -36,7 +38,6 @@ from .trig import (
     tolerance,
     vertex_label,
 )
-from .generators import dodecahedron_matchings, earth_map, football, prism, triangular_fusion
 from .realization import earth_map_solution, prism_default_radius, prism_solution, sporadic_solution
 from .serialization import angles_payload
 
@@ -66,19 +67,15 @@ class AVC:
     """Anglewise vertex combination: admissible types, with realized flags.
 
     ``members`` holds every type whose angle sum hits 2*pi within the
-    enumeration tolerance; ``realized`` marks the subset actually observed
-    in a tiling's census (the distinction between listing a type and
-    using it).  Warnings record tolerance collisions between members and
-    near-miss candidates.
+    enumeration tolerance; ``realized`` marks the subset that a tiling of
+    the family actually uses, as its classification row states (the
+    distinction between listing a type and using it).  Warnings record
+    tolerance collisions between members and near-miss candidates.
     """
 
     members: tuple[VertexType, ...]
     realized: frozenset = frozenset()
     warnings: tuple[str, ...] = ()
-
-    def with_realized(self, census_keys) -> "AVC":
-        realized = frozenset(VertexType(*k) for k in census_keys)
-        return AVC(self.members, realized, self.warnings)
 
 
 def _candidate_degree3() -> list[VertexType]:
@@ -89,16 +86,11 @@ def _candidate_degree3() -> list[VertexType]:
     ]
 
 
-def _feasible_in_box(m: int, v: VertexType) -> bool:
-    """Whether a*alpha + b*beta + c*gamma = 2*pi meets the box, by :func:`trig._feasible`."""
-    return trig._feasible(m, [tuple(v)])
-
-
 def enumerate_degree3(m: int) -> list[VertexType]:
     """Degree-3 vertex types admissible at gonality m.
 
     Filters all (a, b, c) with a+b+c = 3 through exact linear feasibility
-    over the admissibility box (:func:`_feasible_in_box`).  For m >= 6 the
+    over the admissibility box (:func:`trig._feasible`).  For m >= 6 the
     types without any gamma are also skipped, on an unproved assumption that
     they cannot appear in a tiling: the linear system admits alpha.beta^2 and
     beta^3, and closure roots lie behind both at every m tried.  A checked
@@ -110,7 +102,7 @@ def enumerate_degree3(m: int) -> list[VertexType]:
     for v in _candidate_degree3():
         if m >= 6 and v.c == 0:
             continue
-        if _feasible_in_box(m, v):
+        if trig._feasible(m, [tuple(v)]):
             out.append(v)
     return out
 
@@ -282,13 +274,13 @@ def classify(m: int, tol: float = 1e-6) -> ClassificationReport:
 
 
 def _family(
-    seed: VertexType, s: AngleSolution, tiling, tol: float, name: str, generator: str,
-    notes: tuple[str, ...], parameterized: bool = False, variants: int = 1,
+    seed: VertexType, s: AngleSolution, realized: list[VertexTriple], tol: float, name: str,
+    generator: str, notes: tuple[str, ...], parameterized: bool = False, variants: int = 1,
     member_solution: Optional[Callable[[int], AngleSolution]] = None,
 ) -> ClassificationEntry:
-    """A realized family: the AVC of solution s, with the vertex types of the
-    sample tiling marked realized."""
-    avc = enumerate_avc(s, tol=tol).with_realized(tiling.census())
+    """A realized family: the AVC of solution s, with the vertex types that the
+    family's tilings use marked realized (the keys of their ``census()``)."""
+    avc = replace(enumerate_avc(s, tol=tol), realized=frozenset(map(VertexType._make, realized)))
     outcome = FamilyOutcome(name, generator, avc, (s,), parameterized, variants, notes,
                             member_solution)
     return ClassificationEntry(seed, outcome)
@@ -327,7 +319,7 @@ _SEED_HANDLERS = {
         ),
     ),
     (5, (0, 3, 0)): lambda m, seed, tol: _family(
-        seed, sporadic_solution("football"), football(), tol, "football", "football()",
+        seed, sporadic_solution("football"), [(0, 3, 0), (1, 1, 2)], tol, "football", "football()",
         (
             "beta = 2*pi/3 exactly; the remaining corners split into "
             "alpha.beta.gamma^2 vertices",
@@ -346,8 +338,8 @@ _SEED_HANDLERS = {
         ),
     ),
     (5, (1, 2, 0)): lambda m, seed, tol: _family(
-        seed, sporadic_solution("snub-fusion"), triangular_fusion(dodecahedron_matchings()[0]),
-        tol, "snub-fusion", "snub_fusion(1|2|3)",
+        seed, sporadic_solution("snub-fusion"), [(1, 2, 0), (1, 1, 2)], tol, "snub-fusion",
+        "snub_fusion(1|2|3)",
         (
             "beta = 2*gamma at this solution",
             "the alternate pairing with alpha^2.gamma^2 also has a closure "
@@ -359,7 +351,8 @@ _SEED_HANDLERS = {
         variants=3,
     ),
     (5, (0, 2, 1)): lambda m, seed, tol: _family(
-        seed, earth_map_solution(2), earth_map(2), tol, "earth-map", "earth_map(c), c >= 2",
+        seed, earth_map_solution(2), [(0, 2, 1), (1, 1, 2)], tol, "earth-map",
+        "earth_map(c), c >= 2",
         (
             "one tiling per integer c >= 2 with vertex types beta^2.gamma "
             "and alpha.beta.gamma^c",
@@ -371,7 +364,7 @@ _SEED_HANDLERS = {
     **dict.fromkeys(
         [(5, (1, 1, 1)), (6, (1, 1, 1))],
         lambda m, seed, tol: _family(
-            seed, prism_solution(m, prism_default_radius(m)), prism(m), tol,
+            seed, prism_solution(m, prism_default_radius(m)), [(1, 1, 1)], tol,
             "prism", f"prism({m})",
             (
                 "a one-parameter family: any polar radius r with "

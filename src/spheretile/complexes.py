@@ -97,10 +97,6 @@ class TilingComplex:
         return len(self.vertex_names)
 
     @property
-    def half_edge_count(self) -> int:
-        return len(self.half_edges.origin)
-
-    @property
     def edge_count(self) -> int:
         return len(self.half_edges.origin) // 2
 

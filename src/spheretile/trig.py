@@ -277,10 +277,6 @@ def box_violations(m: int, alpha: float, beta: float, gamma: float) -> list[str]
     return [tag for tag, bad in zip(_BOX_TAGS, _box_checks(m, alpha, beta, gamma)) if bad]
 
 
-def in_box(m: int, alpha: float, beta: float, gamma: float) -> bool:
-    return not box_violations(m, alpha, beta, gamma)
-
-
 # --- linear constraint reduction ------------------------------------------
 
 

@@ -1,12 +1,15 @@
 """Degree-3 seed enumeration, anglewise vertex sets, and classification."""
 
+import hashlib
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy import optimize
 
-from spheretile import trig
+from spheretile import complexes, trig
+from spheretile.cli import report_json
 from spheretile.combinatorics import (
     AVC,
     FamilyOutcome,
@@ -14,7 +17,6 @@ from spheretile.combinatorics import (
     VertexType,
     _SEED_HANDLERS,
     _candidate_degree3,
-    _feasible_in_box,
     classify,
     counting_filter,
     enumerate_avc,
@@ -22,8 +24,16 @@ from spheretile.combinatorics import (
     requires_adjacency_pair,
     vertex_angle_sum,
 )
+from spheretile.generators import (
+    dodecahedron_matchings,
+    earth_map,
+    football,
+    prism,
+    triangular_fusion,
+)
 from spheretile.realization import earth_map_solution, prism_solution, sporadic_solution
 from spheretile.trig import solve_closure
+from test_cli import CLASSIFY_SWEEP_SHA256
 
 
 M5_SEEDS = {
@@ -90,7 +100,7 @@ def test_exact_seed_check_agrees_with_the_lp_oracle():
     """Every degree-3 candidate, the gamma-free ones included, for m = 5..64."""
     for m in range(5, 65):
         for v in _candidate_degree3():
-            assert _feasible_in_box(m, v) == _lp_feasible_in_box(m, v), (m, v)
+            assert trig._feasible(m, [tuple(v)]) == _lp_feasible_in_box(m, v), (m, v)
 
 
 def test_box_rows_keep_their_float_constants_bit_for_bit():
@@ -260,6 +270,39 @@ def test_seed_table_rows_are_exactly_the_enumerated_seeds():
     for m in range(5, 65):
         rows = {seed for key, seed in _SEED_HANDLERS if key == min(m, 6)}
         assert rows == set(map(tuple, enumerate_degree3(m))), m
+
+
+def test_classify_builds_no_complex(monkeypatch):
+    """Each family row states the vertex types its family realizes, so the
+    sweep keeps its report bytes with every surface check made to raise."""
+
+    def built(*args):
+        raise AssertionError("classify built a complex")
+
+    real = complexes.validate_sphere
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "spheretile":
+            for binding, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, binding, built)
+    text = "".join(report_json(classify(m)) + "\n" for m in range(5, 65))
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_SWEEP_SHA256
+
+
+def _realized(report, name):
+    (family,) = [f for f in report.realized_families() if f.name == name]
+    return set(family.avc.realized)
+
+
+def test_each_family_row_states_its_generators_census():
+    for m in range(5, 65):
+        assert _realized(classify(m), "prism") == set(prism(m).census()), m
+    report = classify(5)
+    assert _realized(report, "earth-map") == set(earth_map(2).census())
+    assert _realized(report, "football") == set(football().census())
+    fusion = _realized(report, "snub-fusion")
+    for matching in dodecahedron_matchings():
+        assert set(triangular_fusion(matching).census()) == fusion, matching
 
 
 def test_classify_realized_families_helper():

@@ -116,7 +116,7 @@ def test_build_rejects_overused_edge():
 def test_half_edge_navigation_round_trip():
     t = prism(5)
     he = t.half_edges
-    for h in range(t.half_edge_count):
+    for h in range(len(t.half_edges.origin)):
         assert he.twin[he.twin[h]] == h
         u, v = he.origin[h], he.origin[he.nxt[h]]
         assert (he.origin[he.twin[h]], he.origin[he.nxt[he.twin[h]]]) == (v, u)

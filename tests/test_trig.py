@@ -23,7 +23,6 @@ from spheretile.trig import (
     certify_no_root,
     closure_residual,
     edge_bound_proof,
-    in_box,
     mgon_edge_cos,
     mgon_lower_bound,
     rhombus_edge_cos,
@@ -155,18 +154,18 @@ def test_rhombus_edge_cos_in_range(beta, gamma):
 
 
 def test_box_accepts_known_solution():
-    assert in_box(5, 1.944051137388356, 2.0943951023931953, 1.122369533699016)
+    assert not box_violations(5, 1.944051137388356, 2.0943951023931953, 1.122369533699016)
     assert box_violations(5, 1.944051137388356, 2.0943951023931953, 1.122369533699016) == []
 
 
 def test_box_rejects_each_side():
     ok = (0.65 * math.pi, 0.7 * math.pi, 0.4 * math.pi)
-    assert in_box(5, *ok)
-    assert not in_box(5, 0.55 * math.pi, ok[1], ok[2])  # below m-gon bound
-    assert not in_box(5, ok[0], 0.3 * math.pi, 0.4 * math.pi)  # gamma >= beta
-    assert not in_box(5, ok[0], ok[1], 0.7 * math.pi)  # gamma above beta
-    assert not in_box(5, ok[0], 0.55 * math.pi, 0.42 * math.pi)  # beta+gamma <= pi
-    assert not in_box(5, 0.9 * math.pi, 0.9 * math.pi, 0.4 * math.pi)  # sum > 2*pi
+    assert not box_violations(5, *ok)
+    assert box_violations(5, 0.55 * math.pi, ok[1], ok[2])  # below m-gon bound
+    assert box_violations(5, ok[0], 0.3 * math.pi, 0.4 * math.pi)  # gamma >= beta
+    assert box_violations(5, ok[0], ok[1], 0.7 * math.pi)  # gamma above beta
+    assert box_violations(5, ok[0], 0.55 * math.pi, 0.42 * math.pi)  # beta+gamma <= pi
+    assert box_violations(5, 0.9 * math.pi, 0.9 * math.pi, 0.4 * math.pi)  # sum > 2*pi
     assert "angle sum" in " ".join(
         box_violations(5, 0.9 * math.pi, 0.9 * math.pi, 0.4 * math.pi)
     )
