@@ -19,6 +19,10 @@ each), and every check, the certificate's determinants included, reads
 that table; angles measured from coordinates come from the same table.
 :func:`verify_tiling` re-checks a tiling and its optional placement from
 scratch, inferring the angles when none are given.
+
+numpy is imported inside the functions that place, measure or check a
+placement, not at module level: the command-line front end imports this
+module, and ``classify`` for m >= 6 and ``matchings`` run without numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .trig import TWO_PI, ANGLE_NAMES, AngleSolution, ClosureDomainError, solve_closure, tolerance
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
@@ -197,6 +199,8 @@ def embed_prism(m: int, r: float) -> tuple[TilingComplex, Embedding]:
     The north ring trails by xi1 (rather than leading) so that the short
     rhombus diagonal joins the two corners carrying the larger angle.
     """
+    import numpy as np
+
     xi1 = prism_params(m, r)
     t = prism(m)
     rows = []
@@ -239,12 +243,16 @@ def sporadic_solution(kind: str) -> AngleSolution:
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, each rounded as ``np.dot`` rounds it."""
+    import numpy as np
+
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Mask of the first occurrence of each value, in order: a stable sort
     keeps equal values in their order, so each run's first is the one."""
+    import numpy as np
+
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     first = np.ones(len(values), dtype=bool)
@@ -256,6 +264,8 @@ def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames, one (3, 3) block per row of a and b: rows a, the
     unit tangent at a toward b, and their cross product.  Raises ValueError
     when any tangent is undefined (a and b coincident or antipodal)."""
+    import numpy as np
+
     t = b - _dots(b, a)[:, None] * a
     n = np.sqrt(_dots(t, t))
     if (n < 1e-14).any():
@@ -270,6 +280,8 @@ def _polar_polygon(colatitudes: list[float]) -> np.ndarray:
     """Corners at the given colatitudes, evenly spaced clockwise seen from
     outside, turned about the pole so that edge 0's midpoint lies on the
     prime meridian."""
+    import numpy as np
+
     rho = np.array(colatitudes)
     lon = -TWO_PI / len(rho) * np.arange(len(rho))
     lon -= math.atan2(np.sin(rho[:2]) @ np.sin(lon[:2]), np.sin(rho[:2]) @ np.cos(lon[:2]))
@@ -323,6 +335,8 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     closing; beyond ``CLOSURE_TOL`` it raises :class:`ClosureDefect`,
     naming the first vertex in queue order at that distance.
     """
+    import numpy as np
+
     prototiles = _prototiles(t.gonality, s)
     # Corner coordinates in the frame of edge 0, so a face's corners are
     # these rows times the frame of its placed entry edge.
@@ -422,6 +436,8 @@ def geodesic_arcs(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the unit tangent at p0 along it: p1 less its part along p0, normalised.
     The tangent is NaN where that part is shorter than 1e-14 (a zero or pi
     arc has no direction) or overflows."""
+    import numpy as np
+
     cos_arc = _dots(p0, p1)
     tangent = p1 - cos_arc[:, None] * p0
     norm = np.sqrt(_dots(tangent, tangent))[:, None]
@@ -447,27 +463,30 @@ class _Measurement(NamedTuple):
     angle: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")  # far-off points overflow; see the norm check
 def _measure(t: TilingComplex, e: Embedding) -> _Measurement:
     """Arc, tangent and corner angle of every half-edge, in one array pass;
     the corner at h's origin lies between h and twin(prev(h)).  A placement
     that is not (V, 3) for the complex's V vertices raises ValueError."""
-    points = e.positions
-    if points.shape != (t.vertex_count, 3):
-        raise ValueError(
-            f"placement has shape {points.shape}, the complex needs ({t.vertex_count}, 3)"
+    import numpy as np
+
+    # Far-off points overflow; see the norm check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = e.positions
+        if points.shape != (t.vertex_count, 3):
+            raise ValueError(
+                f"placement has shape {points.shape}, the complex needs ({t.vertex_count}, 3)"
+            )
+        he = t.half_edges
+        origin, nxt, prev, twin, face_of, label = map(
+            np.asarray, (he.origin, he.nxt, he.prev, he.twin, he.face_of, t.label)
         )
-    he = t.half_edges
-    origin, nxt, prev, twin, face_of, label = map(
-        np.asarray, (he.origin, he.nxt, he.prev, he.twin, he.face_of, t.label)
-    )
-    back, head = twin[prev], origin[nxt]
-    cos_arc, arc, tangent = geodesic_arcs(points[origin], points[head])
-    defined = ~np.isnan(tangent[:, 0])
-    edge_ok = defined & defined[twin]
-    cos_angle = np.clip(_dots(tangent, tangent[back]), -1.0, 1.0)
-    angle = np.where(edge_ok & edge_ok[back], np.arccos(cos_angle), np.nan)
-    return _Measurement(points, origin, head, face_of, label, cos_arc, arc, edge_ok, angle)
+        back, head = twin[prev], origin[nxt]
+        cos_arc, arc, tangent = geodesic_arcs(points[origin], points[head])
+        defined = ~np.isnan(tangent[:, 0])
+        edge_ok = defined & defined[twin]
+        cos_angle = np.clip(_dots(tangent, tangent[back]), -1.0, 1.0)
+        angle = np.where(edge_ok & edge_ok[back], np.arccos(cos_angle), np.nan)
+        return _Measurement(points, origin, head, face_of, label, cos_arc, arc, edge_ok, angle)
 
 
 def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int, int]]:
@@ -475,6 +494,8 @@ def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int,
     det(p, q, r) = (p x q) . r is the side of edge (p, q) that corner r of
     its face lies on.  The sign is read from the data, so mirrored
     placements pass; 1e-12 is far above the rounding error."""
+    import numpy as np
+
     k = sizes[m.face_of]
     start = (np.cumsum(sizes) - sizes)[m.face_of]  # first half-edge of h's face
     h = np.repeat(np.arange(len(k)), k - 2)  # each half-edge once per corner off it
@@ -510,66 +531,74 @@ def verify_geometric(
     return _geometric_report(_measure(t, e), s, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _geometric_report(m: _Measurement, s: AngleSolution, tol: float) -> GeometricReport:
-    norms = np.linalg.norm(m.points, axis=1)
-    failures = [
-        f"vertex {v} has norm {norms[v]:.15f}" for v in np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
-    ]
-    failures += [
-        f"edge {m.origin[h]}-{m.head[h]} has a zero or pi arc; its corners are not measured"
-        for h in np.flatnonzero((m.origin < m.head) & ~m.edge_ok)
-    ]
-    x = s.x
-    edge_min, edge_max = float(m.arc.min()), float(m.arc.max())
-    if abs(edge_min - x) > tol or abs(edge_max - x) > tol:
-        failures.append(f"edge arcs range [{edge_min:.12f}, {edge_max:.12f}], expected {x:.12f}")
+    import numpy as np
 
-    expected = np.where(m.label == "alpha", s.alpha, np.where(m.label == "beta", s.beta, s.gamma))
-    defect = np.abs(m.angle - expected)
-    failures += [
-        f"corner {m.label[h]} at vertex {m.origin[h]} measures "
-        f"{m.angle[h]:.12f}, expected {expected[h]:.12f}"
-        for h in np.flatnonzero(defect > tol)  # an unmeasured corner's NaN compares false
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(m.points, axis=1)
+        failures = [
+            f"vertex {v} has norm {norms[v]:.15f}"
+            for v in np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        ]
+        failures += [
+            f"edge {m.origin[h]}-{m.head[h]} has a zero or pi arc; its corners are not measured"
+            for h in np.flatnonzero((m.origin < m.head) & ~m.edge_ok)
+        ]
+        x = s.x
+        edge_min, edge_max = float(m.arc.min()), float(m.arc.max())
+        if abs(edge_min - x) > tol or abs(edge_max - x) > tol:
+            failures.append(
+                f"edge arcs range [{edge_min:.12f}, {edge_max:.12f}], expected {x:.12f}"
+            )
 
-    angles = np.nan_to_num(m.angle)  # unmeasured corners add nothing
-    worst_vertex_sum = float(np.abs(np.bincount(m.origin, weights=angles) - TWO_PI).max())
-    # The pi bound holds whatever tol is: the certificate needs it to know
-    # that the faces wrap each vertex exactly once.
-    if worst_vertex_sum > max(tol, 1e-6) or worst_vertex_sum >= math.pi:
-        failures.append(f"worst vertex angle sum is off 2*pi by {worst_vertex_sum:.3e}")
-
-    sizes = np.bincount(m.face_of)
-    face_excess = np.bincount(m.face_of, weights=angles) - (sizes - 2) * math.pi
-    face_excess_total = float(face_excess.sum())
-    area_defect = abs(face_excess_total - 4.0 * math.pi)
-    if area_defect > max(tol, 1e-6):
-        failures.append(
-            f"total spherical excess {face_excess_total:.12f} differs from "
-            f"4*pi by {area_defect:.3e}"
+        expected = np.where(
+            m.label == "alpha", s.alpha, np.where(m.label == "beta", s.beta, s.gamma)
         )
+        defect = np.abs(m.angle - expected)
+        failures += [
+            f"corner {m.label[h]} at vertex {m.origin[h]} measures "
+            f"{m.angle[h]:.12f}, expected {expected[h]:.12f}"
+            for h in np.flatnonzero(defect > tol)  # an unmeasured corner's NaN compares false
+        ]
 
-    misoriented = _orientation_failures(m, sizes)
-    if misoriented:
-        named = ", ".join(f"face {fi} vertex {v}" for fi, v in misoriented[:10])
-        more = ", ..." if len(misoriented) > 10 else ""
-        failures.append(
-            f"{len(misoriented)} (face, vertex) pairs break the convex orientation: {named}{more}"
+        angles = np.nan_to_num(m.angle)  # unmeasured corners add nothing
+        worst_vertex_sum = float(np.abs(np.bincount(m.origin, weights=angles) - TWO_PI).max())
+        # The pi bound holds whatever tol is: the certificate needs it to know
+        # that the faces wrap each vertex exactly once.
+        if worst_vertex_sum > max(tol, 1e-6) or worst_vertex_sum >= math.pi:
+            failures.append(f"worst vertex angle sum is off 2*pi by {worst_vertex_sum:.3e}")
+
+        sizes = np.bincount(m.face_of)
+        face_excess = np.bincount(m.face_of, weights=angles) - (sizes - 2) * math.pi
+        face_excess_total = float(face_excess.sum())
+        area_defect = abs(face_excess_total - 4.0 * math.pi)
+        if area_defect > max(tol, 1e-6):
+            failures.append(
+                f"total spherical excess {face_excess_total:.12f} differs from "
+                f"4*pi by {area_defect:.3e}"
+            )
+
+        misoriented = _orientation_failures(m, sizes)
+        if misoriented:
+            named = ", ".join(f"face {fi} vertex {v}" for fi, v in misoriented[:10])
+            more = ", ..." if len(misoriented) > 10 else ""
+            failures.append(
+                f"{len(misoriented)} (face, vertex) pairs break the convex orientation: "
+                f"{named}{more}"
+            )
+
+        return GeometricReport(
+            ok=not failures,
+            failures=failures,
+            edge_arc_min=edge_min,
+            edge_arc_max=edge_max,
+            edge_spread=edge_max - edge_min,
+            worst_corner_defect=float(np.fmax.reduce(defect, initial=0.0)),
+            worst_vertex_sum_defect=worst_vertex_sum,
+            total_area=face_excess_total,
+            area_defect=area_defect,
+            orientation_failures=misoriented,
         )
-
-    return GeometricReport(
-        ok=not failures,
-        failures=failures,
-        edge_arc_min=edge_min,
-        edge_arc_max=edge_max,
-        edge_spread=edge_max - edge_min,
-        worst_corner_defect=float(np.fmax.reduce(defect, initial=0.0)),
-        worst_vertex_sum_defect=worst_vertex_sum,
-        total_area=face_excess_total,
-        area_defect=area_defect,
-        orientation_failures=misoriented,
-    )
 
 
 # -- verification from scratch ------------------------------------------------
@@ -642,6 +671,8 @@ def _measured_solution(t: TilingComplex, m: _Measurement) -> AngleSolution:
     every other corner and edge against them, which is exactly internal
     consistency of the document.
     """
+    import numpy as np
+
     first = {name: np.flatnonzero((m.label == name) & ~np.isnan(m.angle)) for name in ANGLE_NAMES}
     angles = {name: float(m.angle[h[0]]) if h.size else 0.0 for name, h in first.items()}
     cos_x = float(m.cos_arc[np.argmax(m.origin < m.head)])

@@ -4,6 +4,11 @@ The JSON document is the interchange format between the generate and
 verify commands.  Its schema is deliberately rigid (no extra fields, no
 alternative spellings) so a document either parses completely or fails
 with a :class:`SchemaError` naming the offending field.
+
+numpy is imported inside the functions that turn coordinates into arrays
+or draw them (:meth:`TilingDocument.embedding_for` and the SVG writer),
+not at module level: the command-line front end imports this module, and
+``classify`` for m >= 6 and ``matchings`` run without numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
 from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
@@ -49,6 +52,8 @@ class TilingDocument:
 
     def embedding_for(self, t: TilingComplex) -> Embedding:
         """The coordinates in the complex's internal vertex order."""
+        import numpy as np
+
         if self.coordinates is None:
             raise ValueError("document has no coordinates")
         return Embedding(np.array(self.coordinates)[list(t.vertex_names)])
@@ -250,6 +255,8 @@ _POLE_CLEARANCE = 1e-9
 
 def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal frame (e1, e2, c) with c the centroid of the first m-gon."""
+    import numpy as np
+
     face = next((f for f in t.faces if f.kind == "mgon"), None)
     if face is None:
         raise ValueError("the tiling has no m-gon to centre the projection on")
@@ -280,6 +287,8 @@ def _trace_edges(
     Every edge is refined at once, level by level, until no piece is left
     to split.
     """
+    import numpy as np
+
     e1, e2, c = frame
     p0, p1 = e.positions[np.array(edges).T]
     _, arc, tangent = geodesic_arcs(p0, p1)
@@ -343,6 +352,8 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
     gives "-0.000").  ``format`` writes every other value: ties such as odd
     multiples of 1/16, nan, +-inf and huge values.
     """
+    import numpy as np
+
     small = np.abs(values) < 1e6
     w = np.where(small, values, 0.0) * 1000.0
     floor = np.floor(w)
@@ -378,6 +389,8 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
 
 def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
     """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated."""
+    import numpy as np
+
     before = np.cumsum(count) - count
     step = np.broadcast_to(step, count.shape)
     return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
@@ -403,6 +416,8 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     reads its pieces as "C c1 c2 z1", a reversed one as "C c2 c1 z0" from
     the last piece back.
     """
+    import numpy as np
+
     frame = _projection_frame(t, e)
     edges = t.undirected_edges()
     cubics, counts = _trace_edges(edges, e, frame)

@@ -14,6 +14,11 @@ for constraint systems with no admissible root: as an exact edge-bound
 proof for every system with beta^2.gamma, as a dense-grid sample
 otherwise.  ``NonexistenceEvidence.payload`` gives a record as a dict, which
 reports embed; ``to_json`` is that dict as compact JSON.
+
+numpy is imported inside the functions that sample a line or a grid
+(:func:`solve_closure`, :func:`certify_no_root` and their helpers), not
+at module level: ``classify`` for m >= 6 never calls them, so it runs
+without paying for numpy's import.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from typing import Literal, Optional, Sequence
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -216,7 +219,7 @@ _BOX = (
     ("beta+gamma above pi", (0, 1, 1), (-1, 0), True),
     ("angle sum at most 2*pi", (-1, -1, -1), (2, 0), False),
 )
-_BOX_TAGS = np.array([row[0] for row in _BOX], dtype=object)
+_BOX_TAGS = tuple(row[0] for row in _BOX)
 
 
 @lru_cache(maxsize=64)
@@ -287,6 +290,8 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.nd
     written as point + t * direction.  Raises ValueError when the two rows
     are linearly dependent.
     """
+    import numpy as np
+
     rows = np.array(constraints, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError("constraints must be (a, b, c) triples")
@@ -304,8 +309,9 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.nd
 def _crossing_rows(constraints: Sequence[VertexTriple]) -> list[bool]:
     """Whether each ``_BOX`` row varies along the line of two vertex equations, in
     exact integers.  A parallel row holds on all of it once :func:`_feasible` does."""
-    axis = np.cross(*constraints)
-    return [int(np.dot(coeffs, axis)) != 0 for _tag, coeffs, _const, _strict in _BOX]
+    (a0, b0, c0), (a1, b1, c1) = constraints
+    axis = (b0 * c1 - c0 * b1, c0 * a1 - a0 * c1, a0 * b1 - b0 * a1)
+    return [sum(p * q for p, q in zip(coeffs, axis)) != 0 for _tag, coeffs, _const, _strict in _BOX]
 
 
 def _line_box_interval(
@@ -314,6 +320,8 @@ def _line_box_interval(
     """The line of two vertex equations and its span in the admissible box less
     1e-9 of its width at each end, (point, direction, t_lo, t_hi); None unless
     :func:`_feasible`.  Rows that do not cross the line are skipped."""
+    import numpy as np
+
     point, direction = _affine_line(constraints)
     t_lo, t_hi = -np.inf, np.inf
     for _tag, coeffs, const, _strict in compress(_box_rows(m), _crossing_rows(constraints)):
@@ -345,6 +353,8 @@ def solve_closure(
     rows that cross the line.  An empty return means no admissible root
     exists, which downstream code treats as a nonexistence signal.
     """
+    import numpy as np
+
     line = _line_box_interval(m, constraints)
     if line is None:
         return []
@@ -390,6 +400,8 @@ def solve_closure(
 
 def _residual_vec(m: int, angles: np.ndarray) -> np.ndarray:
     """Vectorized closure residual; NaN outside the box or near poles."""
+    import numpy as np
+
     alpha, beta, gamma = angles[:, 0], angles[:, 1], angles[:, 2]
     bad = (
         (alpha <= mgon_lower_bound(m)) | (alpha >= math.pi)
@@ -531,6 +543,8 @@ def _evidence_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     """Fixed midpoint grid covering (lo, hi) at most ``spacing`` apart."""
     if not (hi > lo):
         raise ValueError("empty interval")
+    import numpy as np
+
     n = max(3, int(math.ceil((hi - lo) / spacing)))
     i = np.arange(n, dtype=float)
     return lo + (i + 0.5) * (hi - lo) / n
@@ -605,6 +619,8 @@ def certify_no_root(
 
 
 def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: int):
+    import numpy as np
+
     point, direction = _affine_line(cons)
     if abs(direction[idx]) < 1e-12:
         raise ValueError(f"{ANGLE_NAMES[idx]} is fixed by the constraints, pick another")
@@ -614,13 +630,15 @@ def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: in
     violated = checks.any(axis=0)
     pole = ~violated & ((angles.min(0) < POLE_TOL) | (angles.max(0) > math.pi - POLE_TOL))
     sampled = ~(violated | pole)
-    tags = _BOX_TAGS[checks.argmax(axis=0)[violated]]
+    tags = np.array(_BOX_TAGS, dtype=object)[checks.argmax(axis=0)[violated]]
     # The scalar residual, for its bits: numpy's tan and sin can differ in the last bit.
     residuals = np.fromiter(map(closure_residual, repeat(m), *angles[:, sampled].tolist()), float)
     return ts[sampled], residuals, ts[violated], tags, ts[pole]
 
 
 def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
+    import numpy as np
+
     _, b, c = con
     if free_angle != "gamma" or b == 0:
         raise ValueError("single-constraint edge-bound mode expects gamma free, beta derived")
@@ -638,6 +656,8 @@ def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: st
 
 
 def _sample_beta_range(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
+    import numpy as np
+
     a, _, c = con
     if free_angle != "alpha" or a == 0:
         raise ValueError("empty-beta-range mode expects alpha free, gamma derived")
@@ -660,6 +680,8 @@ def _sample_beta_range(m: int, con: VertexTriple, ts: np.ndarray, free_angle: st
 
 def _split(ts: np.ndarray, tags: np.ndarray, sampled_at: np.ndarray, values: np.ndarray):
     """Evidence columns, in field order: ``ts[sampled_at]`` hold ``values``, the rest violate."""
+    import numpy as np
+
     sampled = np.zeros(len(ts), dtype=bool)
     sampled[sampled_at] = True
     return ts[sampled], values, ts[~sampled], tags[~sampled], ts[:0]

@@ -425,17 +425,49 @@ def test_generate_large_prism_verifies(tmp_path, capsys):
     assert "geometric: ok" in capsys.readouterr().out
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """The runtime needs numpy alone; scipy is a test-only dependency."""
+def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports spheretile from this tree."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """A bare import of the command-line module loads neither scipy, a
+    test-only dependency, nor numpy, which only the array paths import when
+    first called; it does load every spheretile module, so no command
+    compiles one later."""
+    modules = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
     code = (
         "import spheretile.cli, sys; "
-        "bad = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'); "
-        "assert not bad, bad"
+        "bad = sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'numpy')); "
+        "assert not bad, bad; "
+        "missing = [n for n in sys.argv[1:] if 'spheretile.' + n not in sys.modules]; "
+        "assert not missing, missing"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _run_fresh(code, *modules)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_classify_from_m6_and_matchings_load_no_numpy(tmp_path):
+    """classify for m = 6..64 and matchings are angle and integer work, so a
+    cold process runs them without importing numpy; classify at m = 5 and a
+    realized snub fusion then import it on first use, and still succeed."""
+    code = (
+        "import spheretile.cli as c, sys; out = sys.argv[1]; "
+        "codes = [c.main(['classify', '--m', str(m), '--out', f'{out}/c{m}.json']) "
+        "for m in range(6, 65)]; "
+        "codes.append(c.main(['matchings', '--out', out + '/matchings.json'])); "
+        "assert codes == [0] * 60, codes; "
+        "assert 'numpy' not in sys.modules; "
+        "codes = [c.main(['classify', '--m', '5', '--out', out + '/c5.json']), "
+        "c.main(['generate', 'snub2', '--realize', '--out', out + '/snub2.json'])]; "
+        "assert codes == [0, 0], codes"
+    )
+    proc = _run_fresh(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "snub2.json").read_text())["coordinates"]
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

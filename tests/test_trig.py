@@ -33,9 +33,11 @@ from spheretile.combinatorics import classify
 from spheretile.trig import (
     EVIDENCE_SPACING,
     POLE_TOL,
+    _BOX,
     _affine_line,
     _box_rows,
     _box_rows_exact,
+    _crossing_rows,
     _default_description,
     _evidence_grid,
     _feasible,
@@ -321,6 +323,18 @@ def test_solve_closure_roots_do_not_depend_on_constraint_order_at_m5():
             for s, r in zip(forward, backward):
                 angles = (r.alpha, r.beta, r.gamma)
                 assert (s.alpha, s.beta, s.gamma) == pytest.approx(angles, abs=1e-9), (p, q)
+
+
+def test_crossing_rows_match_numpy_cross_and_dot_at_m5():
+    # The numpy form that the integer arithmetic replaced, as the reference.
+    def reference(constraints):
+        axis = np.cross(*constraints)
+        return [int(np.dot(coeffs, axis)) != 0 for _tag, coeffs, _const, _strict in _BOX]
+
+    types = [(a, b, d - a - b) for d in range(3, 7) for a in range(d + 1) for b in range(d + 1 - a)]
+    for p in types:
+        for q in types:
+            assert _crossing_rows([p, q]) == reference([p, q]), (p, q)
 
 
 # -- angle solutions --------------------------------------------------------------
