@@ -200,7 +200,6 @@ def embed_prism(m: int, r: float) -> tuple[TilingComplex, Embedding]:
     rhombus diagonal joins the two corners carrying the larger angle.
     """
     import numpy as np
-
     xi1 = prism_params(m, r)
     t = prism(m)
     rows = []
@@ -243,8 +242,6 @@ def sporadic_solution(kind: str) -> AngleSolution:
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, each rounded as ``np.dot`` rounds it."""
-    import numpy as np
-
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -252,7 +249,6 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Mask of the first occurrence of each value, in order: a stable sort
     keeps equal values in their order, so each run's first is the one."""
     import numpy as np
-
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     first = np.ones(len(values), dtype=bool)
@@ -265,7 +261,6 @@ def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     unit tangent at a toward b, and their cross product.  Raises ValueError
     when any tangent is undefined (a and b coincident or antipodal)."""
     import numpy as np
-
     t = b - _dots(b, a)[:, None] * a
     n = np.sqrt(_dots(t, t))
     if (n < 1e-14).any():
@@ -281,7 +276,6 @@ def _polar_polygon(colatitudes: list[float]) -> np.ndarray:
     outside, turned about the pole so that edge 0's midpoint lies on the
     prime meridian."""
     import numpy as np
-
     rho = np.array(colatitudes)
     lon = -TWO_PI / len(rho) * np.arange(len(rho))
     lon -= math.atan2(np.sin(rho[:2]) @ np.sin(lon[:2]), np.sin(rho[:2]) @ np.cos(lon[:2]))
@@ -336,7 +330,6 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     naming the first vertex in queue order at that distance.
     """
     import numpy as np
-
     prototiles = _prototiles(t.gonality, s)
     # Corner coordinates in the frame of edge 0, so a face's corners are
     # these rows times the frame of its placed entry edge.
@@ -437,7 +430,6 @@ def geodesic_arcs(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarra
     The tangent is NaN where that part is shorter than 1e-14 (a zero or pi
     arc has no direction) or overflows."""
     import numpy as np
-
     cos_arc = _dots(p0, p1)
     tangent = p1 - cos_arc[:, None] * p0
     norm = np.sqrt(_dots(tangent, tangent))[:, None]
@@ -468,7 +460,6 @@ def _measure(t: TilingComplex, e: Embedding) -> _Measurement:
     the corner at h's origin lies between h and twin(prev(h)).  A placement
     that is not (V, 3) for the complex's V vertices raises ValueError."""
     import numpy as np
-
     # Far-off points overflow; see the norm check.
     with np.errstate(over="ignore", invalid="ignore"):
         points = e.positions
@@ -495,7 +486,6 @@ def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int,
     its face lies on.  The sign is read from the data, so mirrored
     placements pass; 1e-12 is far above the rounding error."""
     import numpy as np
-
     k = sizes[m.face_of]
     start = (np.cumsum(sizes) - sizes)[m.face_of]  # first half-edge of h's face
     h = np.repeat(np.arange(len(k)), k - 2)  # each half-edge once per corner off it
@@ -533,7 +523,6 @@ def verify_geometric(
 
 def _geometric_report(m: _Measurement, s: AngleSolution, tol: float) -> GeometricReport:
     import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(m.points, axis=1)
         failures = [
@@ -672,7 +661,6 @@ def _measured_solution(t: TilingComplex, m: _Measurement) -> AngleSolution:
     consistency of the document.
     """
     import numpy as np
-
     first = {name: np.flatnonzero((m.label == name) & ~np.isnan(m.angle)) for name in ANGLE_NAMES}
     angles = {name: float(m.angle[h[0]]) if h.size else 0.0 for name, h in first.items()}
     cos_x = float(m.cos_arc[np.argmax(m.origin < m.head)])

@@ -53,7 +53,6 @@ class TilingDocument:
     def embedding_for(self, t: TilingComplex) -> Embedding:
         """The coordinates in the complex's internal vertex order."""
         import numpy as np
-
         if self.coordinates is None:
             raise ValueError("document has no coordinates")
         return Embedding(np.array(self.coordinates)[list(t.vertex_names)])
@@ -256,7 +255,6 @@ _POLE_CLEARANCE = 1e-9
 def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal frame (e1, e2, c) with c the centroid of the first m-gon."""
     import numpy as np
-
     face = next((f for f in t.faces if f.kind == "mgon"), None)
     if face is None:
         raise ValueError("the tiling has no m-gon to centre the projection on")
@@ -288,7 +286,6 @@ def _trace_edges(
     to split.
     """
     import numpy as np
-
     e1, e2, c = frame
     p0, p1 = e.positions[np.array(edges).T]
     _, arc, tangent = geodesic_arcs(p0, p1)
@@ -353,7 +350,6 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
     multiples of 1/16, nan, +-inf and huge values.
     """
     import numpy as np
-
     small = np.abs(values) < 1e6
     w = np.where(small, values, 0.0) * 1000.0
     floor = np.floor(w)
@@ -390,7 +386,6 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
 def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
     """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated."""
     import numpy as np
-
     before = np.cumsum(count) - count
     step = np.broadcast_to(step, count.shape)
     return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
@@ -417,7 +412,6 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     the last piece back.
     """
     import numpy as np
-
     frame = _projection_frame(t, e)
     edges = t.undirected_edges()
     cubics, counts = _trace_edges(edges, e, frame)

@@ -291,7 +291,6 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.nd
     are linearly dependent.
     """
     import numpy as np
-
     rows = np.array(constraints, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError("constraints must be (a, b, c) triples")
@@ -321,7 +320,6 @@ def _line_box_interval(
     1e-9 of its width at each end, (point, direction, t_lo, t_hi); None unless
     :func:`_feasible`.  Rows that do not cross the line are skipped."""
     import numpy as np
-
     point, direction = _affine_line(constraints)
     t_lo, t_hi = -np.inf, np.inf
     for _tag, coeffs, const, _strict in compress(_box_rows(m), _crossing_rows(constraints)):
@@ -354,7 +352,6 @@ def solve_closure(
     exists, which downstream code treats as a nonexistence signal.
     """
     import numpy as np
-
     line = _line_box_interval(m, constraints)
     if line is None:
         return []
@@ -401,7 +398,6 @@ def solve_closure(
 def _residual_vec(m: int, angles: np.ndarray) -> np.ndarray:
     """Vectorized closure residual; NaN outside the box or near poles."""
     import numpy as np
-
     alpha, beta, gamma = angles[:, 0], angles[:, 1], angles[:, 2]
     bad = (
         (alpha <= mgon_lower_bound(m)) | (alpha >= math.pi)
@@ -544,7 +540,6 @@ def _evidence_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     if not (hi > lo):
         raise ValueError("empty interval")
     import numpy as np
-
     n = max(3, int(math.ceil((hi - lo) / spacing)))
     i = np.arange(n, dtype=float)
     return lo + (i + 0.5) * (hi - lo) / n
@@ -620,7 +615,6 @@ def certify_no_root(
 
 def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: int):
     import numpy as np
-
     point, direction = _affine_line(cons)
     if abs(direction[idx]) < 1e-12:
         raise ValueError(f"{ANGLE_NAMES[idx]} is fixed by the constraints, pick another")
@@ -638,7 +632,6 @@ def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: in
 
 def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
     import numpy as np
-
     _, b, c = con
     if free_angle != "gamma" or b == 0:
         raise ValueError("single-constraint edge-bound mode expects gamma free, beta derived")
@@ -657,7 +650,6 @@ def _sample_edge_bound(m: int, con: VertexTriple, ts: np.ndarray, free_angle: st
 
 def _sample_beta_range(m: int, con: VertexTriple, ts: np.ndarray, free_angle: str):
     import numpy as np
-
     a, _, c = con
     if free_angle != "alpha" or a == 0:
         raise ValueError("empty-beta-range mode expects alpha free, gamma derived")
@@ -681,7 +673,6 @@ def _sample_beta_range(m: int, con: VertexTriple, ts: np.ndarray, free_angle: st
 def _split(ts: np.ndarray, tags: np.ndarray, sampled_at: np.ndarray, values: np.ndarray):
     """Evidence columns, in field order: ``ts[sampled_at]`` hold ``values``, the rest violate."""
     import numpy as np
-
     sampled = np.zeros(len(ts), dtype=bool)
     sampled[sampled_at] = True
     return ts[sampled], values, ts[~sampled], tags[~sampled], ts[:0]
