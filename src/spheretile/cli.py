@@ -186,7 +186,7 @@ def cmd_verify(path: str, tol: Optional[float] = None) -> int:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"cannot read {path}: {exc}")
     try:
         doc = parse_tiling(text)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import trig
@@ -62,8 +61,7 @@ def vertex_angle_sum(v: VertexType, s: AngleSolution) -> float:
     return v[0] * s.alpha + v[1] * s.beta + v[2] * s.gamma
 
 
-@dataclass(frozen=True)
-class AVC:
+class AVC(NamedTuple):
     """Anglewise vertex combination: admissible types, with realized flags.
 
     ``members`` holds every type whose angle sum hits 2*pi within the
@@ -173,8 +171,7 @@ def requires_adjacency_pair(avc: AVC) -> bool:
 # -- classification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyOutcome:
+class FamilyOutcome(NamedTuple):
     """A realized tiling family attached to a degree-3 seed.  For a family with
     one member per block count c >= 2, ``member_solution(c)`` gives member c's
     angles, and a report lists members 2..c_max in place of ``solutions``."""
@@ -210,8 +207,7 @@ class FamilyOutcome:
         return {"family": family}
 
 
-@dataclass(frozen=True)
-class SubsumedNote:
+class SubsumedNote(NamedTuple):
     """The seed's analysis is covered by another seed's entry."""
 
     subsumed_by: VertexType
@@ -227,8 +223,7 @@ class SubsumedNote:
 Outcome = Union[FamilyOutcome, NonexistenceEvidence, SubsumedNote]
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(NamedTuple):
     seed: VertexType
     outcome: Outcome
     notes: tuple[str, ...] = ()
@@ -243,8 +238,7 @@ class ClassificationEntry:
         return item
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     m: int
     entries: tuple[ClassificationEntry, ...]
 
@@ -280,7 +274,7 @@ def _family(
 ) -> ClassificationEntry:
     """A realized family: the AVC of solution s, with the vertex types that the
     family's tilings use marked realized (the keys of their ``census()``)."""
-    avc = replace(enumerate_avc(s, tol=tol), realized=frozenset(map(VertexType._make, realized)))
+    avc = enumerate_avc(s, tol=tol)._replace(realized=frozenset(map(VertexType._make, realized)))
     outcome = FamilyOutcome(name, generator, avc, (s,), parameterized, variants, notes,
                             member_solution)
     return ClassificationEntry(seed, outcome)

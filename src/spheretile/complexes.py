@@ -26,7 +26,6 @@ half-edge around its face), so the walk itself never asks which one it is.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .trig import TWO_PI, ANGLE_NAMES, AngleSolution
@@ -59,8 +58,7 @@ class DegreeTooLow(TilingError):
     """Some vertex has fewer than three incident faces."""
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
     labels: tuple[str, ...]
@@ -346,8 +344,7 @@ def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
 # -- combinatorial verification ----------------------------------------------
 
 
-@dataclass
-class CombinatorialReport:
+class CombinatorialReport(NamedTuple):
     """Outcome of checking a complex against an angle solution.
 
     Failures are accumulated as messages; ``ok`` is their absence.  The
@@ -363,7 +360,7 @@ class CombinatorialReport:
     face_count: int
     euler_characteristic: int
     worst_vertex_defect: float = 0.0
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
 
 def verify_combinatorial(

@@ -28,9 +28,8 @@ module, and ``classify`` for m >= 6 and ``matchings`` run without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .trig import TWO_PI, ANGLE_NAMES, AngleSolution, ClosureDomainError, solve_closure, tolerance
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
@@ -51,8 +50,7 @@ class ClosureDefect(Exception):
         )
 
 
-@dataclass
-class Embedding:
+class Embedding(NamedTuple):
     """Unit-sphere positions, a float (V, 3) array with row v for vertex v,
     plus placement metadata."""
 
@@ -407,8 +405,7 @@ def embed_earth_map(c: int) -> tuple[TilingComplex, Embedding]:
 # -- geometric verification -----------------------------------------------------
 
 
-@dataclass
-class GeometricReport:
+class GeometricReport(NamedTuple):
     """Measured edge lengths, corner angles, vertex sums and area, plus the
     (face, vertex) pairs that break the common convex orientation."""
 
@@ -421,7 +418,7 @@ class GeometricReport:
     worst_vertex_sum_defect: float
     total_area: float
     area_defect: float
-    orientation_failures: list[tuple[int, int]] = field(default_factory=list)
+    orientation_failures: Sequence[tuple[int, int]] = ()
 
 
 def geodesic_arcs(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -593,8 +590,7 @@ def _geometric_report(m: _Measurement, s: AngleSolution, tol: float) -> Geometri
 # -- verification from scratch ------------------------------------------------
 
 
-@dataclass
-class TilingVerification:
+class TilingVerification(NamedTuple):
     """Outcome of :func:`verify_tiling`.
 
     ``angle_source`` says where ``solution`` came from.  When no angles

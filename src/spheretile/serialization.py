@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
 from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
@@ -27,8 +26,7 @@ class SchemaError(Exception):
     """The document does not match the tiling JSON schema."""
 
 
-@dataclass
-class TilingDocument:
+class TilingDocument(NamedTuple):
     """Parsed tiling JSON: face specs plus optional coordinates and angles.
 
     Building the half-edge complex is a separate step (:meth:`build`), so
@@ -119,7 +117,7 @@ def parse_tiling(text: str) -> TilingDocument:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, deep nesting
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     allowed = {"m", "vertices", "faces", "coordinates", "angles"}
@@ -141,34 +139,35 @@ def parse_tiling(text: str) -> TilingDocument:
         isinstance(raw_faces, list) and raw_faces,
         "'faces' must be a non-empty array",
     )
+    # The loops below run once per face, vertex or coordinate, so each check
+    # builds its message only when it fails.
     face_specs = []
     seen_ids: set[int] = set()
     for i, rf in enumerate(raw_faces):
-        _require(isinstance(rf, dict), f"face {i} must be an object")
+        if not isinstance(rf, dict):
+            raise SchemaError(f"face {i} must be an object")
         extra = set(rf) - {"kind", "vertices", "labels"}
-        _require(not extra, f"face {i} has unknown field(s): {sorted(extra)}")
+        if extra:
+            raise SchemaError(f"face {i} has unknown field(s): {sorted(extra)}")
         for key in ("kind", "vertices", "labels"):
-            _require(key in rf, f"face {i} is missing {key!r}")
+            if key not in rf:
+                raise SchemaError(f"face {i} is missing {key!r}")
         kind = rf["kind"]
-        _require(kind in KINDS, f"face {i} kind must be one of {KINDS}")
+        if kind not in KINDS:
+            raise SchemaError(f"face {i} kind must be one of {KINDS}")
         verts = rf["vertices"]
         labels = rf["labels"]
-        _require(
-            isinstance(verts, list) and len(verts) >= 3,
-            f"face {i} needs at least 3 vertices",
-        )
-        _require(
-            isinstance(labels, list) and len(labels) == len(verts),
-            f"face {i} labels must align with its vertices",
-        )
+        if not (isinstance(verts, list) and len(verts) >= 3):
+            raise SchemaError(f"face {i} needs at least 3 vertices")
+        if not (isinstance(labels, list) and len(labels) == len(verts)):
+            raise SchemaError(f"face {i} labels must align with its vertices")
         for v in verts:
-            _require(
-                _is_int(v) and 0 <= v < count,
-                f"face {i} vertex id {v!r} outside [0, {count})",
-            )
+            if not (_is_int(v) and 0 <= v < count):
+                raise SchemaError(f"face {i} vertex id {v!r} outside [0, {count})")
             seen_ids.add(v)
         for lab in labels:
-            _require(lab in ANGLE_NAMES, f"face {i} label {lab!r} is not an angle name")
+            if lab not in ANGLE_NAMES:
+                raise SchemaError(f"face {i} label {lab!r} is not an angle name")
         face_specs.append((kind, list(verts), list(labels)))
     _require(
         len(seen_ids) == count,
@@ -184,15 +183,14 @@ def parse_tiling(text: str) -> TilingDocument:
         )
         coordinates = []
         for i, p in enumerate(raw):
-            _require(
-                isinstance(p, list) and len(p) == 3 and all(_is_number(c) for c in p),
-                f"coordinate {i} must be [x, y, z] numbers",
-            )
-            triple = [float(c) for c in p]
-            _require(
-                all(math.isfinite(c) for c in triple),
-                f"coordinate {i} must be finite",
-            )
+            if not (isinstance(p, list) and len(p) == 3 and all(_is_number(c) for c in p)):
+                raise SchemaError(f"coordinate {i} must be [x, y, z] numbers")
+            try:
+                triple = [float(c) for c in p]
+            except OverflowError:  # an integer beyond the float range
+                raise SchemaError(f"coordinate {i} must be finite") from None
+            if not all(math.isfinite(c) for c in triple):
+                raise SchemaError(f"coordinate {i} must be finite")
             coordinates.append(triple)
 
     angles = None

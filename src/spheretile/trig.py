@@ -24,15 +24,11 @@ without paying for numpy's import.
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+import warnings
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import Literal, Optional, Sequence
-
-log = logging.getLogger(__name__)
+from typing import Literal, NamedTuple, Optional, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,15 +115,29 @@ def closure_residual(m: int, alpha: float, beta: float, gamma: float) -> float:
     return mgon_edge_cos(m, alpha) - rhombus_edge_cos(beta, gamma)
 
 
-def pi_fraction(value: float, max_den: int = 120, tol: float = 1e-9) -> Optional[Fraction]:
+def pi_fraction(value: float, max_den: int = 120, tol: float = 1e-9) -> Optional[tuple[int, int]]:
     """Recognize ``value`` as a rational multiple of pi for pretty-printing.
 
-    Returns the Fraction q with value == q*pi within ``tol`` and denominator
-    at most ``max_den``, or None.  Used only for display, never computation.
+    Returns (p, q) in lowest terms, with 0 < q <= ``max_den`` and value == p/q*pi
+    within ``tol``, or None.  p/q is the best approximation of value/pi with such
+    a denominator, reached by the steps of ``Fraction.limit_denominator`` on the
+    float's exact integer ratio.  Used only for display, never computation.
     """
-    q = Fraction(value / math.pi).limit_denominator(max_den)
-    if abs(float(q) * math.pi - value) <= tol:
-        return q
+    p, q = (value / math.pi).as_integer_ratio()
+    if q > max_den:
+        # The continued fraction of p/q up to its last convergent p1/q1 within
+        # max_den, then the closer of p1/q1 and the semiconvergent after it.
+        n, d = p, q
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while q0 + n // d * q1 <= max_den:
+            a = n // d
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        k = (max_den - q0) // q1
+        # p1/q1 lies d/(q1*q) from p/q, and 1/(q1*(q0 + k*q1)) from the semiconvergent.
+        p, q = (p1, q1) if 2 * d * (q0 + k * q1) <= q else (p0 + k * p1, q0 + k * q1)
+    if abs(p / q * math.pi - value) <= tol:
+        return p, q
     return None
 
 
@@ -135,14 +145,14 @@ def format_angle(value: float) -> str:
     """Format an angle in radians as a multiple of pi, exact when recognizable."""
     q = pi_fraction(value)
     if q is not None:
-        if q.denominator == 1:
-            return f"{q.numerator}*pi" if q.numerator != 1 else "pi"
-        return f"{q.numerator}/{q.denominator}*pi"
+        num, den = q
+        if den == 1:
+            return f"{num}*pi" if num != 1 else "pi"
+        return f"{num}/{den}*pi"
     return f"{value / math.pi:.6f}*pi"
 
 
-@dataclass(frozen=True)
-class AngleSolution:
+class AngleSolution(NamedTuple):
     """Angles (alpha, beta, gamma), gonality m and edge cosine satisfying closure.
 
     The plain constructor stores whatever it is given (tests build perturbed
@@ -161,10 +171,6 @@ class AngleSolution:
     @classmethod
     def checked(cls, m: int, alpha: float, beta: float, gamma: float) -> "AngleSolution":
         if beta < gamma:
-            log.info(
-                "swapping beta=%s and gamma=%s to keep beta > gamma",
-                format_angle(beta), format_angle(gamma),
-            )
             beta, gamma = gamma, beta
         from_rhombus = rhombus_edge_cos(beta, gamma)
         from_mgon = mgon_edge_cos(m, alpha)
@@ -386,9 +392,9 @@ def solve_closure(
         kept_ts.append(t)
         sol = AngleSolution.checked(m, alpha, beta, gamma)
         if not sol.edge_valid:
-            log.warning(
-                "closure root with degenerate edge cosine %.6f kept but flagged: %s",
-                sol.cos_x, sol.describe(),
+            warnings.warn(
+                f"closure root with degenerate edge cosine {sol.cos_x:.6f} kept but flagged: "
+                f"{sol.describe()}"
             )
         solutions.append(sol)
     solutions.sort(key=lambda s: s.alpha)
@@ -439,8 +445,7 @@ def _bisect(
 SignSummary = Literal["constant-positive", "constant-negative", "all-violate", "proof"]
 
 
-@dataclass(frozen=True)
-class NonexistenceEvidence:
+class NonexistenceEvidence(NamedTuple):
     """Record showing a constraint system admits no tiling angles.
 
     A proof record (:func:`edge_bound_proof`) has sign summary ``"proof"``,
@@ -461,11 +466,11 @@ class NonexistenceEvidence:
     interval: tuple[float, float]
     spacing: float
     sign_summary: SignSummary
-    sample_at: tuple[float, ...] = field(repr=False, default=())
-    residuals: tuple[float, ...] = field(repr=False, default=())
-    violation_at: tuple[float, ...] = field(repr=False, default=())
-    tags: tuple[str, ...] = field(repr=False, default=())
-    poles: tuple[float, ...] = field(repr=False, default=())
+    sample_at: tuple[float, ...] = ()
+    residuals: tuple[float, ...] = ()
+    violation_at: tuple[float, ...] = ()
+    tags: tuple[str, ...] = ()
+    poles: tuple[float, ...] = ()
     proof: str = ""
 
     kind = "nonexistence"

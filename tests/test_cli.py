@@ -297,6 +297,47 @@ def test_verify_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+def test_verify_of_a_file_that_is_not_utf8_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": 5, "vertices": 3, "faces": [], "note": "\xe9"}')
+    assert main(["verify", "--in", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("field", ["m", "vertices", "coordinate"])
+def test_verify_of_an_integer_past_the_parser_digit_limit_is_a_schema_error(tmp_path, capsys, field):
+    big = "9" * 5000  # beyond the 4,300 digits json.loads converts by default
+    values = {"m": "5", "vertices": "5", "coordinate": "0"}
+    values[field] = big
+    path = tmp_path / "big.json"
+    path.write_text(
+        f'{{"m": {values["m"]}, "vertices": {values["vertices"]}, "faces": '
+        '[{"kind": "mgon", "vertices": [0, 1, 2, 3, 4], "labels": ["alpha", "alpha", '
+        '"alpha", "alpha", "alpha"]}], "coordinates": '
+        f'[[{values["coordinate"]}, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1], [0, -1, 0]]}}'
+    )
+    assert main(["verify", "--in", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("schema error: not valid JSON: ")
+
+
+def test_verify_of_an_integer_coordinate_past_the_float_range_is_a_schema_error(tmp_path, capsys):
+    out = tmp_path / "prism.json"
+    assert main(["generate", "prism", "--m", "5", "--realize", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    payload["coordinates"][2][1] = 10 ** 400
+    out.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "schema error: coordinate 2 must be finite\n"
+
+
+def test_verify_of_deeply_nested_arrays_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["verify", "--in", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("schema error: not valid JSON: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -433,15 +474,21 @@ def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(argv, env=env, capture_output=True, text=True)
 
 
+# Standard-library modules the package does without, so that start-up, most of
+# a one-shot command, does not import them.
+_STARTUP_FREE = ("dataclasses", "logging", "fractions")
+
+
 def test_importing_the_cli_loads_no_scipy():
     """A bare import of the command-line module loads neither scipy, a
     test-only dependency, nor numpy, which only the array paths import when
-    first called; it does load every spheretile module, so no command
+    first called, nor dataclasses, logging or fractions, which the package
+    does not use; it does load every spheretile module, so no command
     compiles one later."""
     modules = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
     code = (
         "import spheretile.cli, sys; "
-        "bad = sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'numpy')); "
+        f"bad = sorted(k for k in sys.modules if k.split('.')[0] in {('scipy', 'numpy', *_STARTUP_FREE)!r}); "
         "assert not bad, bad; "
         "missing = [n for n in sys.argv[1:] if 'spheretile.' + n not in sys.modules]; "
         "assert not missing, missing"
@@ -452,15 +499,17 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_classify_from_m6_and_matchings_load_no_numpy(tmp_path):
     """classify for m = 6..64 and matchings are angle and integer work, so a
-    cold process runs them without importing numpy; classify at m = 5 and a
-    realized snub fusion then import it on first use, and still succeed."""
+    cold process runs them without importing numpy, dataclasses, logging or
+    fractions; classify at m = 5 and a realized snub fusion then import numpy
+    on first use, and still succeed."""
     code = (
         "import spheretile.cli as c, sys; out = sys.argv[1]; "
         "codes = [c.main(['classify', '--m', str(m), '--out', f'{out}/c{m}.json']) "
         "for m in range(6, 65)]; "
         "codes.append(c.main(['matchings', '--out', out + '/matchings.json'])); "
         "assert codes == [0] * 60, codes; "
-        "assert 'numpy' not in sys.modules; "
+        f"bad = sorted(k for k in sys.modules if k.split('.')[0] in {('numpy', *_STARTUP_FREE)!r}); "
+        "assert not bad, bad; "
         "codes = [c.main(['classify', '--m', '5', '--out', out + '/c5.json']), "
         "c.main(['generate', 'snub2', '--realize', '--out', out + '/snub2.json'])]; "
         "assert codes == [0, 0], codes"

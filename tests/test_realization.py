@@ -9,7 +9,7 @@ import pytest
 from scipy import optimize
 
 from spheretile import realization
-from spheretile.complexes import build_from_faces
+from spheretile.complexes import CombinatorialReport, build_from_faces
 from spheretile.generators import earth_map, football, prism, snub_fusion
 from spheretile.realization import (
     ClosureDefect,
@@ -801,3 +801,18 @@ def test_edge_frames_name_a_degenerate_row(far_end, n):
     b[-1] = a[-1] if far_end == "coincident" else -a[-1]
     with pytest.raises(ValueError, match="coincident or antipodal"):
         realization._edge_frames(a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CombinatorialReport(True, [], {}, (0, 0, 0), 0, 0, 0, 2),
+        lambda: GeometricReport(True, [], 0.0, 0.0, 0.0, 0.0, 0.0, 4 * math.pi, 0.0),
+    ],
+)
+def test_reports_built_with_defaults_share_no_mutable_default(make):
+    a, b = make(), make()
+    assert a._field_defaults
+    for name in a._field_defaults:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x is not y or isinstance(x, (float, tuple)), name

@@ -8,6 +8,7 @@ the code under test.
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,8 +24,10 @@ from spheretile.trig import (
     certify_no_root,
     closure_residual,
     edge_bound_proof,
+    format_angle,
     mgon_edge_cos,
     mgon_lower_bound,
+    pi_fraction,
     rhombus_edge_cos,
     solve_closure,
     vertex_label,
@@ -358,6 +361,55 @@ def test_angle_lookup_and_x():
     with pytest.raises(KeyError):
         s.angle("delta")
     assert math.cos(s.x) == pytest.approx(s.cos_x, abs=1e-15)
+
+
+def test_solve_closure_warns_of_a_root_with_a_degenerate_edge(monkeypatch):
+    checked = AngleSolution.checked.__func__
+
+    def degenerate(cls, m, alpha, beta, gamma):
+        return checked(cls, m, alpha, beta, gamma)._replace(cos_x=1.0, edge_valid=False)
+
+    monkeypatch.setattr(AngleSolution, "checked", classmethod(degenerate))
+    with pytest.warns(UserWarning, match="degenerate edge cosine 1.000000 kept but flagged: m=5"):
+        roots = solve_closure(5, [(0, 3, 0), (1, 1, 2)])
+    assert len(roots) == 1 and not roots[0].edge_valid
+
+
+# -- display -------------------------------------------------------------------------
+
+
+def _ref_pi_fraction(value, max_den=120, tol=1e-9):
+    """The display fraction through fractions.Fraction, as (numerator, denominator)."""
+    q = Fraction(value / math.pi).limit_denominator(max_den)
+    return (q.numerator, q.denominator) if abs(float(q) * math.pi - value) <= tol else None
+
+
+def _ref_format_angle(value, q):
+    """format_angle's text, given the reference fraction q of ``value``."""
+    if q is None:
+        return f"{value / math.pi:.6f}*pi"
+    if q[1] == 1:
+        return f"{q[0]}*pi" if q[0] != 1 else "pi"
+    return f"{q[0]}/{q[1]}*pi"
+
+
+def test_pi_fraction_and_format_angle_match_the_fraction_reference():
+    """Every exact k/q*pi with q <= 100 and |k| <= 2q, each moved by 1e-9, by
+    1e-12 and by one ulp, plus uniform values: denominators past the 120 cap,
+    results on both sides of the 1e-9 tolerance and ties in the
+    best-approximation step all occur."""
+    exact = [k / q * math.pi for q in range(1, 101) for k in range(-2 * q, 2 * q + 1)]
+    values = [v + d for v in exact for d in (0.0, 1e-9, -1e-9, 1e-12)]
+    values += [math.nextafter(v, math.inf) for v in exact]
+    values += np.random.default_rng(23).uniform(-4 * math.pi, 4 * math.pi, 5_000).tolist()
+    assert len(values) >= 100_000
+    expected = list(map(_ref_pi_fraction, values))
+    got = list(map(pi_fraction, values))
+    assert got == expected, next(v for v, g, e in zip(values, got, expected) if g != e)
+    texts = list(map(format_angle, values))
+    assert texts == list(map(_ref_format_angle, values, expected))
+    assert texts[values.index(math.pi)] == "pi" and format_angle(-math.pi / 3) == "-1/3*pi"
+    assert format_angle(0.0) == "0*pi" and format_angle(1.0) == "0.318310*pi"
 
 
 def test_vertex_label_format():
