@@ -475,6 +475,12 @@ class NonexistenceEvidence(NamedTuple):
 
     kind = "nonexistence"
 
+    def __repr__(self) -> str:
+        # Without the sample columns: the m = 5 alpha^2.gamma record holds 360 KB of them.
+        columns = ("sample_at", "residuals", "violation_at", "tags", "poles")
+        shown = (f"{name}={value!r}" for name, value in zip(self._fields, self) if name not in columns)
+        return f"NonexistenceEvidence({', '.join(shown)})"
+
     @property
     def sample_count(self) -> int:
         return len(self.sample_at) + len(self.violation_at) + len(self.poles)

@@ -396,8 +396,8 @@ def _ref_format_angle(value, q):
 def test_pi_fraction_and_format_angle_match_the_fraction_reference():
     """Every exact k/q*pi with q <= 100 and |k| <= 2q, each moved by 1e-9, by
     1e-12 and by one ulp, plus uniform values: denominators past the 120 cap,
-    results on both sides of the 1e-9 tolerance and ties in the
-    best-approximation step all occur."""
+    results on both sides of the 1e-9 tolerance, and best approximations that
+    are the last convergent and that are the semiconvergent after it all occur."""
     exact = [k / q * math.pi for q in range(1, 101) for k in range(-2 * q, 2 * q + 1)]
     values = [v + d for v in exact for d in (0.0, 1e-9, -1e-9, 1e-12)]
     values += [math.nextafter(v, math.inf) for v in exact]
@@ -741,6 +741,10 @@ def test_to_json_escapes_text_and_writes_empty_arrays_like_the_reference():
     empty = NonexistenceEvidence(*fields, (), (), (), (), ())
     assert empty.to_json() == json.dumps(_ref_payload(*fields, [], [], []), separators=(",", ":"))
     assert empty.sample_count == 0
+    assert repr(ev) == (
+        f"NonexistenceEvidence(description={fields[0]!r}, m=5, constraints=((1, 2, 0), (0, 2, 1)), "
+        "free_angle='alpha', interval=(0.0, 1.0), spacing=0.1, sign_summary='all-violate', proof='')"
+    )
 
 
 # -- the edge-bound lemma ---------------------------------------------------------------
