@@ -360,7 +360,6 @@ class CombinatorialReport(NamedTuple):
     face_count: int
     euler_characteristic: int
     worst_vertex_defect: float = 0.0
-    notes: tuple[str, ...] = ()
 
 
 def verify_combinatorial(

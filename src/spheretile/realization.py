@@ -243,6 +243,12 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis, each rounded as ``np.cross`` rounds it,
+    spelled out without its set-up cost."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Mask of the first occurrence of each value, in order: a stable sort
     keeps equal values in their order, so each run's first is the one."""
@@ -264,9 +270,7 @@ def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if (n < 1e-14).any():
         raise ValueError("tangent undefined between coincident or antipodal points")
     t = t / n[:, None]
-    # a x t, spelled out as np.cross computes it but without its set-up cost
-    cross = a[:, [1, 2, 0]] * t[:, [2, 0, 1]] - a[:, [2, 0, 1]] * t[:, [1, 2, 0]]
-    return np.stack([a, t, cross], axis=1)
+    return np.stack([a, t, _cross(a, t)], axis=1)
 
 
 def _polar_polygon(colatitudes: list[float]) -> np.ndarray:
@@ -488,7 +492,7 @@ def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int,
     h = np.repeat(np.arange(len(k)), k - 2)  # each half-edge once per corner off it
     step = 2 + np.arange(len(h)) - np.repeat(np.cumsum(k - 2) - (k - 2), k - 2)
     corner = start[h] + (h - start[h] + step) % k[h]
-    normal = np.cross(m.points[m.origin], m.points[m.head])
+    normal = _cross(m.points[m.origin], m.points[m.head])
     det = _dots(normal[h], m.points[m.origin[corner]])
     sign = 1.0 if np.nansum(det) > 0.0 else -1.0
     fails = np.bincount(corner, weights=sign * det <= 1e-12, minlength=len(k))  # NaN never fails

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
 from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
-from .realization import Embedding, _dots, geodesic_arcs
+from .realization import Embedding, _cross, _dots, geodesic_arcs
 
 
 class SchemaError(Exception):
@@ -263,7 +263,7 @@ def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.nd
         ref = np.array([0.0, 1.0, 0.0])
     e1 = ref - np.dot(ref, c) * c
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(c, e1)
+    e2 = _cross(c, e1)
     return e1, e2, c
 
 

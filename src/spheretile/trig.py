@@ -9,16 +9,15 @@ when both prototiles have the same edge length x.  The two identities
 
 combine into a single closure equation linking alpha, beta, gamma and m.
 This module evaluates the identities, solves the closure equation under
-linear vertex constraints by bracketed bisection, and records nonexistence
-for constraint systems with no admissible root: as an exact edge-bound
-proof for every system with beta^2.gamma, as a dense-grid sample
+linear vertex constraints by a bracketed scan and bisection, and records
+nonexistence for constraint systems with no admissible root: as an exact
+edge-bound proof for every system with beta^2.gamma, as a dense-grid sample
 otherwise.  ``NonexistenceEvidence.payload`` gives a record as a dict, which
 reports embed; ``to_json`` is that dict as compact JSON.
 
-numpy is imported inside the functions that sample a line or a grid
-(:func:`solve_closure`, :func:`certify_no_root` and their helpers), not
-at module level: ``classify`` for m >= 6 never calls them, so it runs
-without paying for numpy's import.
+numpy is imported inside the functions that use it, not at module level:
+:func:`solve_closure` for its line and a few cell ends, :func:`certify_no_root`
+for its samples.  ``classify`` for m >= 6 calls neither, so it never imports it.
 """
 
 from __future__ import annotations
@@ -298,24 +297,26 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.nd
     """
     import numpy as np
     rows = np.array(constraints, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError("constraints must be (a, b, c) triples")
-    if rows.shape[0] != 2:
-        raise ValueError("need exactly two vertex types as linear conditions")
-    direction = np.cross(rows[0], rows[1])
-    norm = np.linalg.norm(direction)
-    if norm < 1e-12 * np.linalg.norm(rows[0]) * np.linalg.norm(rows[1]):
+    if rows.shape != (2, 3):
+        raise ValueError("need exactly two vertex types, each an (a, b, c) triple")
+    direction = np.array(_line_axis(constraints), dtype=float)
+    if not direction.any():
         raise ValueError("linearly dependent constraints")
-    direction /= norm
+    direction /= np.linalg.norm(direction)
     point, *_ = np.linalg.lstsq(rows, np.full(2, TWO_PI), rcond=None)
     return point, direction
+
+
+def _line_axis(constraints: Sequence[VertexTriple]) -> VertexTriple:
+    """The exact cross product of two vertex equations' rows: their line's direction."""
+    (a0, b0, c0), (a1, b1, c1) = constraints
+    return (b0 * c1 - c0 * b1, c0 * a1 - a0 * c1, a0 * b1 - b0 * a1)
 
 
 def _crossing_rows(constraints: Sequence[VertexTriple]) -> list[bool]:
     """Whether each ``_BOX`` row varies along the line of two vertex equations, in
     exact integers.  A parallel row holds on all of it once :func:`_feasible` does."""
-    (a0, b0, c0), (a1, b1, c1) = constraints
-    axis = (b0 * c1 - c0 * b1, c0 * a1 - a0 * c1, a0 * b1 - b0 * a1)
+    axis = _line_axis(constraints)
     return [sum(p * q for p, q in zip(coeffs, axis)) != 0 for _tag, coeffs, _const, _strict in _BOX]
 
 
@@ -325,13 +326,12 @@ def _line_box_interval(
     """The line of two vertex equations and its span in the admissible box less
     1e-9 of its width at each end, (point, direction, t_lo, t_hi); None unless
     :func:`_feasible`.  Rows that do not cross the line are skipped."""
-    import numpy as np
     point, direction = _affine_line(constraints)
-    t_lo, t_hi = -np.inf, np.inf
-    for _tag, coeffs, const, _strict in compress(_box_rows(m), _crossing_rows(constraints)):
-        row = np.array(coeffs)
-        den = row @ direction
-        bound = -(row @ point + const) / den
+    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
+    t_lo, t_hi = -math.inf, math.inf
+    for _tag, (c0, c1, c2), const, _strict in compress(_box_rows(m), _crossing_rows(constraints)):
+        den = 0.0 + c0 * d0 + c1 * d1 + c2 * d2  # exact products (c is 0 or +-1), summed as np.dot
+        bound = -(0.0 + c0 * p0 + c1 * p1 + c2 * p2 + const) / den
         if den > 0.0:
             t_lo = max(t_lo, bound)
         else:
@@ -339,7 +339,7 @@ def _line_box_interval(
     if not (t_lo < t_hi and _feasible(m, constraints)):
         return None
     margin = 1e-9 * (t_hi - t_lo)
-    return point, direction, float(t_lo + margin), float(t_hi - margin)
+    return point, direction, t_lo + margin, t_hi - margin
 
 
 def solve_closure(
@@ -350,82 +350,99 @@ def solve_closure(
     """Roots of the closure equation under linear vertex constraints.
 
     Each constraint (a, b, c) is read as a*alpha + b*beta + c*gamma = 2*pi.
-    Two constraints cut the angle space down to a line; the closure
-    residual is then a function of one parameter, scanned over ``grid``
-    subintervals of the line's intersection with the admissible box, and
-    every sign change is narrowed by bisection and kept if it meets the box
-    rows that cross the line.  An empty return means no admissible root
-    exists, which downstream code treats as a nonexistence signal.
+    Two cut the angles to a line p + t*d, whose span in the admissible box is
+    cut into ``grid`` cells (an int >= 1, else ValueError) at ``np.linspace(
+    t_lo, t_hi, grid + 1)``.  Each cell where :func:`_residual_vec` is finite at
+    both ends and starts on a zero or changes sign is bisected; its root is
+    kept if it meets the box rows crossing the line.  [] means no root exists.
+
+    A scan of index ranges finds those cells.  Point i is i*step + t_lo (t_hi
+    at i = grid) with angles p_k + t*d_k, rounded as linspace and numpy's
+    broadcast round them; rounding is monotone and (grid - 1)*step < t_hi -
+    t_lo, so each angle is monotone in i and a range's points lie between its
+    ends.  M(alpha) = (1 + c)cot^2(alpha/2) + c, c = cos(2*pi/m), falls in alpha
+    and R = cot(beta/2)cot(gamma/2) in beta and gamma, so if both ends are in
+    the domain, so is the range, and its residuals lie in [M(alpha_max) -
+    R(beta_min, gamma_min), M(alpha_min) - R(beta_max, gamma_max)].  A range
+    missing 0 by over 1e-9 of one plus the four magnitudes (each evaluation
+    errs by a few ulps) holds no such cell and is skipped, any other is split
+    in half; a cell is skipped alike on its two end values, else decided by
+    :func:`_residual_vec`.  Ends at one point (a span a few ulps wide) make one
+    cell: the dense grid found that root in each copy and kept one.
     """
-    import numpy as np
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise ValueError(f"grid must be an int >= 1, got {grid!r}")
     line = _line_box_interval(m, constraints)
     if line is None:
         return []
     point, direction, t_lo, t_hi = line
-    ts = np.linspace(t_lo, t_hi, grid + 1)
-    angles = point[None, :] + ts[:, None] * direction[None, :]
-    residuals = _residual_vec(m, angles)
+    (p0, p1, p2), (d0, d1, d2) = p, d = point.tolist(), direction.tolist()
+    step, c = (t_hi - t_lo) / grid, math.cos(TWO_PI / m)
+    ka, kb, kg = (0 if dk > 0.0 else 1 for dk in d)  # which end of a range holds each term's max
 
-    # Cells with finite ends that start on a root or change sign.
-    r0, r1 = residuals[:-1], residuals[1:]
-    finite = np.isfinite(r0) & np.isfinite(r1)
-    zero = finite & (r0 == 0.0)
-    cells = np.flatnonzero(zero | (finite & (r0 * r1 < 0.0)))
-    roots = [
-        float(ts[i]) if zero[i] else _bisect(m, point, direction, float(ts[i]), float(ts[i + 1]))
-        for i in cells
-    ]
-    if residuals[-1] == 0.0:
-        roots.append(float(ts[-1]))
+    def node(i: int) -> tuple:  # i, t, angles and, in the domain, M, cot(beta/2), cot(gamma/2)
+        t = t_hi if i == grid else i * step + t_lo
+        angles = a, b, g = p0 + t * d0, p1 + t * d1, p2 + t * d2
+        return i, t, angles, () if _off_domain(m, a, b, g) else (
+            (1.0 + c) / math.tan(a / 2.0) ** 2 + c, 1.0 / math.tan(b / 2.0), 1.0 / math.tan(g / 2.0))
+    roots, ranges = [], [(node(0), node(grid))]
+    while ranges:
+        (i, ti, ai, ei), (j, tj, aj, ej) = first, last = ranges.pop()
+        cell = j - i == 1 or ti == tj
+        if ei and ej:
+            e = (mi, bi, gi), (mj, bj, gj) = ei, ej
+            r_max, r_min = e[kb][1] * e[kg][2], e[1 - kb][1] * e[1 - kg][2]
+            margin = 1e-9 * (1.0 + abs(mi) + abs(mj) + r_max + r_min)
+            ri, rj = (mi - bi * gi, mj - bj * gj) if cell else (
+                e[1 - ka][0] - r_max, e[ka][0] - r_min)
+            if min(ri, rj) > margin or max(ri, rj) < -margin:
+                continue
+        if not cell:
+            ranges += [(first, mid := node((i + j) // 2)), (mid, last)]
+            continue
+        r0, r1 = _residual_vec(m, [ai, aj]).tolist()
+        if math.isfinite(r0) and math.isfinite(r1) and (r0 == 0.0 or r0 * r1 < 0.0):
+            roots.append(ti if r0 == 0.0 else _bisect(m, p, d, ti, tj))
+        if j == grid and r1 == 0.0:
+            roots.append(t_hi)
 
-    crossing = _crossing_rows(constraints)
-    solutions: list[AngleSolution] = []
-    kept_ts: list[float] = []
+    solutions, kept_ts = [], []
     for t in sorted(roots):
-        if any(abs(t - prev) < 1e-9 for prev in kept_ts):
-            continue
-        alpha, beta, gamma = (point + t * direction).tolist()
-        if any(compress(_box_checks(m, alpha, beta, gamma), crossing)):
-            continue
-        if abs(closure_residual(m, alpha, beta, gamma)) >= RESIDUAL_TOL:
+        alpha, beta, gamma = p0 + t * d0, p1 + t * d1, p2 + t * d2
+        if (any(abs(t - prev) < 1e-9 for prev in kept_ts)
+                or any(compress(_box_checks(m, alpha, beta, gamma), _crossing_rows(constraints)))
+                or abs(closure_residual(m, alpha, beta, gamma)) >= RESIDUAL_TOL):
             continue
         kept_ts.append(t)
         sol = AngleSolution.checked(m, alpha, beta, gamma)
         if not sol.edge_valid:
-            warnings.warn(
-                f"closure root with degenerate edge cosine {sol.cos_x:.6f} kept but flagged: "
-                f"{sol.describe()}"
-            )
+            warnings.warn(f"closure root with degenerate edge cosine {sol.cos_x:.6f} kept but "
+                          f"flagged: {sol.describe()}")
         solutions.append(sol)
     solutions.sort(key=lambda s: s.alpha)
     return solutions
 
 
-def _residual_vec(m: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized closure residual; NaN outside the box or near poles."""
+def _off_domain(m: int, alpha, beta, gamma):
+    """Where alpha is not in (m-gon bound, pi) or beta or gamma within POLE_TOL of 0 or pi."""
+    return ((alpha <= mgon_lower_bound(m)) | (alpha >= math.pi) | (beta <= POLE_TOL)
+            | (beta >= math.pi - POLE_TOL) | (gamma <= POLE_TOL) | (gamma >= math.pi - POLE_TOL))
+
+
+def _residual_vec(m: int, angles) -> np.ndarray:
+    """Closure residual of each (alpha, beta, gamma) row; NaN where :func:`_off_domain`."""
     import numpy as np
-    alpha, beta, gamma = angles[:, 0], angles[:, 1], angles[:, 2]
-    bad = (
-        (alpha <= mgon_lower_bound(m)) | (alpha >= math.pi)
-        | (beta <= POLE_TOL) | (beta >= math.pi - POLE_TOL)
-        | (gamma <= POLE_TOL) | (gamma >= math.pi - POLE_TOL)
-    )
+    alpha, beta, gamma = np.array(angles, dtype=float).T
     with np.errstate(all="ignore"):
         half = alpha / 2.0
         mg = (np.cos(half) ** 2 + math.cos(TWO_PI / m)) / np.sin(half) ** 2
         rh = 1.0 / (np.tan(beta / 2.0) * np.tan(gamma / 2.0))
-        res = mg - rh
-    res[bad] = np.nan
-    return res
+        return np.where(_off_domain(m, alpha, beta, gamma), np.nan, mg - rh)
 
 
-def _bisect(
-    m: int, point: np.ndarray, direction: np.ndarray, lo: float, hi: float
-) -> float:
+def _bisect(m: int, p: Sequence[float], d: Sequence[float], lo: float, hi: float) -> float:
     def f(t: float) -> float:
-        a, b, g = point + t * direction
-        return closure_residual(m, a, b, g)
-
+        return closure_residual(m, *(pk + t * dk for pk, dk in zip(p, d)))
     f_lo = f(lo)
     while hi - lo > BRACKET_TOL:
         mid = 0.5 * (lo + hi)

@@ -793,6 +793,21 @@ def test_edge_frames_match_the_scalar_frame(n):
         assert np.abs(frame - _reference_edge_frame(p, q)).max() <= 1e-15
 
 
+def test_cross_matches_numpy_cross_to_the_bit():
+    # Random rows of mixed scale and sign, single vectors, and each half-edge
+    # (origin, head) of a realized football, as _orientation_failures uses them.
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 17, 1000):
+        a = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        b = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        assert realization._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert realization._cross(a[0], b[0]).tobytes() == np.cross(a[0], b[0]).tobytes()
+    t = football()
+    m = _measure(t, embed_generic(t, sporadic_solution("football")))
+    p, q = m.points[m.origin], m.points[m.head]
+    assert realization._cross(p, q).tobytes() == np.cross(p, q).tobytes()
+
+
 @pytest.mark.parametrize("far_end", ["coincident", "antipodal"])
 @pytest.mark.parametrize("n", [1, 5])
 def test_edge_frames_name_a_degenerate_row(far_end, n):

@@ -8,7 +8,10 @@ the code under test.
 
 import json
 import math
+import re
+import warnings
 from fractions import Fraction
+from itertools import compress
 
 import mpmath
 import numpy as np
@@ -32,18 +35,25 @@ from spheretile.trig import (
     solve_closure,
     vertex_label,
 )
+from spheretile import trig
 from spheretile.combinatorics import classify
+from spheretile.generators import earth_map, football, snub_fusion
 from spheretile.trig import (
+    BRACKET_TOL,
     EVIDENCE_SPACING,
     POLE_TOL,
+    RESIDUAL_TOL,
     _BOX,
     _affine_line,
+    _box_checks,
     _box_rows,
     _box_rows_exact,
     _crossing_rows,
     _default_description,
     _evidence_grid,
     _feasible,
+    _line_box_interval,
+    _residual_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -338,6 +348,168 @@ def test_crossing_rows_match_numpy_cross_and_dot_at_m5():
     for p in types:
         for q in types:
             assert _crossing_rows([p, q]) == reference([p, q]), (p, q)
+
+
+# -- the bracketed scan against the dense grid --------------------------------------
+
+DEGREE_3_TO_6 = [(a, b, d - a - b) for d in range(3, 7) for a in range(d + 1) for b in range(d + 1 - a)]
+# Item 9's m = 6 systems whose roots, near beta = pi, depend on constraint order.
+ROUNDING_PAIRS_M6 = [
+    ((0, 2, 1), (1, 1, 1)), ((0, 2, 1), (2, 0, 2)), ((0, 2, 1), (1, 1, 3)),
+    ((0, 2, 1), (2, 0, 3)), ((0, 2, 1), (1, 1, 4)), ((1, 1, 2), (2, 0, 3)),
+]
+
+
+def _dense_bisect(m, point, direction, lo, hi):
+    """The dense scan's bisection, on numpy 3-vectors."""
+    def f(t):
+        a, b, g = point + t * direction
+        return closure_residual(m, a, b, g)
+
+    f_lo = f(lo)
+    while hi - lo > BRACKET_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) == (f_mid < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _dense_grid_reference(m, constraints, grid=10_000):
+    """solve_closure as a dense scan: the residual at every point of the grid,
+    as (grid + 1, 3) numpy arrays, and every flagged cell bisected."""
+    line = trig._line_box_interval(m, constraints)
+    if line is None:
+        return []
+    point, direction, t_lo, t_hi = line
+    ts = np.linspace(t_lo, t_hi, grid + 1)
+    angles = point[None, :] + ts[:, None] * direction[None, :]
+    residuals = _residual_vec(m, angles)
+    r0, r1 = residuals[:-1], residuals[1:]
+    finite = np.isfinite(r0) & np.isfinite(r1)
+    zero = finite & (r0 == 0.0)
+    cells = np.flatnonzero(zero | (finite & (r0 * r1 < 0.0)))
+    roots = [
+        float(ts[i]) if zero[i] else _dense_bisect(m, point, direction, float(ts[i]), float(ts[i + 1]))
+        for i in cells
+    ]
+    if residuals[-1] == 0.0:
+        roots.append(float(ts[-1]))
+    crossing = _crossing_rows(constraints)
+    solutions, kept_ts = [], []
+    for t in sorted(roots):
+        if any(abs(t - prev) < 1e-9 for prev in kept_ts):
+            continue
+        alpha, beta, gamma = (point + t * direction).tolist()
+        if any(compress(_box_checks(m, alpha, beta, gamma), crossing)):
+            continue
+        if abs(closure_residual(m, alpha, beta, gamma)) >= RESIDUAL_TOL:
+            continue
+        kept_ts.append(t)
+        sol = AngleSolution.checked(m, alpha, beta, gamma)
+        if not sol.edge_valid:
+            warnings.warn(
+                f"closure root with degenerate edge cosine {sol.cos_x:.6f} kept but flagged: "
+                f"{sol.describe()}"
+            )
+        solutions.append(sol)
+    solutions.sort(key=lambda s: s.alpha)
+    return solutions
+
+
+def _outcome(solve, m, constraints, grid=10_000):
+    """The roots, or the ValueError's text, and the warnings' texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            roots = solve(m, constraints, grid)
+        except ValueError as exc:
+            roots = f"ValueError: {exc}"
+    return roots, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 64])
+def test_solve_closure_equals_the_dense_grid_on_every_pair_of_types(m):
+    # Tuple ==, so every float of every root is the dense grid's to the bit.
+    found = 0
+    for p in DEGREE_3_TO_6:
+        for q in DEGREE_3_TO_6:
+            if p != q:
+                scanned = _outcome(solve_closure, m, [p, q])
+                assert scanned == _outcome(_dense_grid_reference, m, [p, q]), (p, q)
+                found += isinstance(scanned[0], list) and len(scanned[0])
+    assert found > 0
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3, 7, 100_000])
+def test_solve_closure_equals_the_dense_grid_at_other_grid_sizes(grid):
+    systems = [(5, constraints) for constraints, _ in FROZEN_ROOTS.values()]
+    systems += [(6, [p, q]) for pair in ROUNDING_PAIRS_M6 for p, q in (pair, pair[::-1])]
+    for m, constraints in systems:
+        expected = _outcome(_dense_grid_reference, m, constraints, grid)
+        assert _outcome(solve_closure, m, constraints, grid) == expected, (m, constraints)
+
+
+def test_solve_closure_evaluates_few_residual_points_on_the_census_systems(monkeypatch):
+    # Each pair of census rows of the bench catalog's earth maps, football and
+    # snub fusions, which a bare-form verify solves, and the snub system itself.
+    counts = []
+
+    def counted(m, angles):
+        counts[-1] += len(angles)
+        return _residual_vec(m, angles)
+
+    monkeypatch.setattr(trig, "_residual_vec", counted)
+    systems = [[(1, 2, 0), (1, 1, 2)]]
+    for t in [earth_map(c) for c in range(2, 9)] + [football()] + [snub_fusion(k) for k in (1, 2, 3)]:
+        rows = sorted(t.census())
+        systems += [[p, q] for i, p in enumerate(rows) for q in rows[i + 1:]]
+    for constraints in systems:
+        counts.append(0)
+        assert len(solve_closure(5, constraints)) == 1
+    assert 0 < max(counts) <= 64, counts
+
+
+@pytest.mark.parametrize("grid", [4, 10_000])
+@pytest.mark.parametrize("side", ["straddles", "ends", "starts"])
+def test_solve_closure_equals_the_dense_grid_on_a_span_a_few_ulps_wide(monkeypatch, side, grid):
+    # The football line cut to 16 ulps about where numpy's residual leaves its
+    # sign, or to 16 that end (or start) where it is exactly 0.  At 10,000 cells
+    # most grid points repeat; at 4, a zero point starts the first cell, or is
+    # the last point and the only one that finds the root.
+    constraints = [(0, 3, 0), (1, 1, 2)]
+    point, direction, _, _ = _line_box_interval(5, constraints)
+    (s,) = solve_closure(5, constraints)
+    t_root = float((np.array([s.alpha, s.beta, s.gamma]) - point) @ direction)
+    ulp = math.ulp(t_root)
+    ts = t_root + np.arange(-4000, 4001) * ulp
+    r = _residual_vec(5, point[None, :] + ts[:, None] * direction[None, :])
+    if side == "straddles":
+        t_change = float(ts[np.flatnonzero(np.sign(r[:-1]) != np.sign(r[1:]))[0]])
+        span = (t_change - 8 * ulp, t_change + 8 * ulp)
+    else:
+        zeros = ts[r == 0.0]
+        if not len(zeros):
+            pytest.skip("numpy's residual has no exact zero within 4000 ulps of the root here")
+        t_zero = float(zeros[0])
+        span = (t_zero - 16 * ulp, t_zero) if side == "ends" else (t_zero, t_zero + 16 * ulp)
+    monkeypatch.setattr(trig, "_line_box_interval", lambda m, c: (point, direction, *span))
+    points = []
+    monkeypatch.setattr(trig, "_residual_vec", lambda m, angles: points.append(len(angles)) or _residual_vec(m, angles))
+    expected = _outcome(_dense_grid_reference, 5, constraints, grid)
+    assert len(expected[0]) == 1
+    assert _outcome(solve_closure, 5, constraints, grid) == expected
+    assert sum(points) <= 400, sum(points)
+
+
+@pytest.mark.parametrize("grid", [0, -1, -10_000, 2.5, 1e4, "10", None, True])
+def test_solve_closure_refuses_a_grid_that_is_not_a_positive_int(grid):
+    with pytest.raises(ValueError, match=f"grid must be an int >= 1, got {re.escape(repr(grid))}"):
+        solve_closure(5, [(0, 3, 0), (1, 1, 2)], grid)
 
 
 # -- angle solutions --------------------------------------------------------------
