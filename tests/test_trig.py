@@ -353,7 +353,7 @@ def test_crossing_rows_match_numpy_cross_and_dot_at_m5():
 # -- the bracketed scan against the dense grid --------------------------------------
 
 DEGREE_3_TO_6 = [(a, b, d - a - b) for d in range(3, 7) for a in range(d + 1) for b in range(d + 1 - a)]
-# Item 9's m = 6 systems whose roots, near beta = pi, depend on constraint order.
+# ROADMAP item 9's m = 6 systems, whose roots near beta = pi depend on constraint order.
 ROUNDING_PAIRS_M6 = [
     ((0, 2, 1), (1, 1, 1)), ((0, 2, 1), (2, 0, 2)), ((0, 2, 1), (1, 1, 3)),
     ((0, 2, 1), (2, 0, 3)), ((0, 2, 1), (1, 1, 4)), ((1, 1, 2), (2, 0, 3)),
