@@ -235,9 +235,8 @@ def export_obj(t: TilingComplex, e: Embedding) -> str:
     """
     lines = ["# chordal display-only"]
     lines += [f"v {_f17(x)} {_f17(y)} {_f17(z)}" for x, y, z in e.positions.tolist()]
-    for face in t.faces:
-        lines.append("f " + " ".join(str(v + 1) for v in face.vertices))
-    return "\n".join(lines) + "\n"
+    lines += ["f " + " ".join(str(v + 1) for v in face.vertices) for face in t.faces]
+    return "\n".join([*lines, ""])
 
 
 # -- SVG ----------------------------------------------------------------------
@@ -256,7 +255,7 @@ def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.nd
     face = next((f for f in t.faces if f.kind == "mgon"), None)
     if face is None:
         raise ValueError("the tiling has no m-gon to centre the projection on")
-    c = sum(e.positions[v] for v in face.vertices)
+    c = e.positions[list(face.vertices)].sum(axis=0)
     c = c / np.linalg.norm(c)
     ref = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(ref, c)) > 0.9:
@@ -290,8 +289,11 @@ def _trace_edges(
 
     def point_and_velocity(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = (t * arc[k])[:, None]
-        p = np.cos(a) * p0[k] + np.sin(a) * tangent[k]
-        dp = arc[k][:, None] * (-np.sin(a) * p0[k] + np.cos(a) * tangent[k])
+        cos, sin = np.cos(a), np.sin(a)
+        p, dp = cos * p0[k], cos * tangent[k]
+        p += sin * tangent[k]
+        dp -= sin * p0[k]
+        dp *= arc[k][:, None]
         denom = 1.0 + p @ c
         near = ~(denom > _POLE_CLEARANCE)
         if near.any():
@@ -313,25 +315,24 @@ def _trace_edges(
     z, d = point_and_velocity(k, t)
     tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
 
-    # Pieces (edge, t0, z0, d0, t1, z1, d1) between consecutive knots.
-    j = np.flatnonzero(i < n[k])
-    pending = (k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1])
-    done = []
-    for depth in range(15):
-        k, t0, z0, d0, t1, z1, d1 = pending
-        if not len(k):
-            break
+    def refine(k, t0, z0, d0, t1, z1, d1):
+        # Pieces (edge, t0, z0, d0, t1, z1, d1) of level len(done), kept or halved.
         c1 = z0 + d0 * (t1 - t0) / 3.0
         c2 = z1 - d1 * (t1 - t0) / 3.0
         tm = 0.5 * (t0 + t1)
         zm, dm = point_and_velocity(k, tm)
         bez_mid = (z0 + 3.0 * c1 + 3.0 * c2 + z1) / 8.0
-        split = (np.abs(bez_mid - zm) > tol_abs) & (depth < 14)
+        split = (np.abs(bez_mid - zm) > tol_abs) & (len(done) < 14)
         done.append((k[~split], t0[~split], np.stack([z0, c1, c2, z1], axis=1)[~split]))
-        pending = tuple(
+        return tuple(
             np.concatenate([left[split], right[split]])
             for left, right in zip((k, t0, z0, d0, tm, zm, dm), (k, tm, zm, dm, t1, z1, d1))
         )
+
+    j = np.flatnonzero(i < n[k])
+    pending, done = (k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1]), []
+    while len(pending[0]):
+        pending = refine(*pending)
 
     k, t0, cubics = (np.concatenate(column) for column in zip(*done))
     return cubics[np.lexsort((t0, k))], np.bincount(k, minlength=len(edges))
@@ -389,6 +390,79 @@ def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
     return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
 
 
+def _point_table(edges: list[tuple[int, int]], e: Embedding, frame) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of NUL-padded text, and each edge's count of pieces.  Row p is
+    point p's "x,y ": point 3j + i is control point i + 1 of piece j, point
+    3s + k starts edge k.  Rows n, n + 1 and n + 2 are "M ", "C " and "Z"."""
+    import numpy as np
+    cubics, counts = _trace_edges(edges, e, frame)
+    ends = cubics[:, [0, 3]].ravel()
+    span = max(np.ptp(ends.real), np.ptp(ends.imag), 1e-9)
+    scale = 0.92 * _VIEW / span
+    cx = 0.5 * (ends.real.min() + ends.real.max())
+    cy = 0.5 * (ends.imag.min() + ends.imag.max())
+    points = np.concatenate([cubics[:, 1:].ravel(), cubics[np.cumsum(counts) - counts, 0]])
+    xy = np.stack([points.real - cx, cy - points.imag], axis=1) * scale + _VIEW / 2.0
+    del cubics, ends, points  # freed before _fixed3 makes arrays of its own
+    chars = _fixed3(xy.ravel())
+    n, width = len(xy), chars.shape[1]
+    table = np.zeros((n + 3, 2 * width + 2), np.uint8)
+    table[:n, :width] = chars[0::2]
+    table[:n, width] = ord(",")
+    table[:n, width + 1 : -1] = chars[1::2]
+    table[:n, -1] = ord(" ")
+    table[n:, :2] = np.frombuffer(b"M C Z\0", np.uint8).reshape(3, 2)
+    return table, counts
+
+
+def _paint_tokens(
+    t: TilingComplex, e: Embedding, c: np.ndarray, counts: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The faces far to near, and the table rows of their paths in that order."""
+    import numpy as np
+    # Mean depth along c per face; bincount adds corners in face order, as a scalar sum would.
+    depth = _dots(e.positions, np.broadcast_to(c, e.positions.shape))
+    he = t.half_edges
+    sizes = np.diff(he.face_start, append=len(he.origin))
+    sums = np.bincount(he.face_of, weights=depth[he.origin], minlength=len(t.faces))
+    order = np.argsort(sums / sizes, kind="stable")
+
+    # The faces' half-edges in paint order, then the pieces each one draws.
+    s, first = counts.sum(), np.cumsum(counts) - counts
+    z0 = 3 * np.arange(s) - 1
+    z0[first] = 3 * s + np.arange(len(counts))
+    origin = np.array(he.origin)
+    forward = origin < origin[he.nxt]
+    edge_of = np.empty(len(origin), np.int64)
+    edge_of[forward] = np.arange(len(counts))
+    edge_of[~forward] = edge_of[np.array(he.twin)[~forward]]
+    h = _ranges(np.array(he.face_start)[order], sizes[order], 1)
+    k, step = edge_of[h], np.where(forward[h], 1, -1)
+    piece = _ranges(first[k] + (step < 0) * (counts[k] - 1), counts[k], step)
+    fwd = np.repeat(step > 0, counts[k])
+    z1 = 3 * piece + 2
+    # Tokens "M start C a b end Z" per drawn piece; "M start" only at a
+    # face's first piece and "Z" only at its last.
+    rows = np.stack([
+        np.full_like(piece, n), np.where(fwd, z0[piece], z1), np.full_like(piece, n + 1),
+        3 * piece + ~fwd, 3 * piece + fwd, np.where(fwd, z1, z0[piece]), np.full_like(piece, n + 2),
+    ], axis=1)
+    keep = np.ones(rows.shape, bool)
+    keep[:, [0, 1, 6]] = False
+    starts = (np.cumsum(counts[k]) - counts[k])[np.cumsum(sizes[order]) - sizes[order]]
+    keep[starts, :2] = True
+    keep[np.append(starts[1:], len(piece)) - 1, 6] = True
+    return order, rows[keep]
+
+
+def _path_text(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, memoryview]:
+    """The faces in paint order, and their paths' text, each path ending in "Z"."""
+    frame = _projection_frame(t, e)
+    table, counts = _point_table(t.undirected_edges(), e, frame)
+    order, tokens = _paint_tokens(t, e, frame[2], counts, len(table) - 3)
+    return order, memoryview(table.take(tokens, axis=0).tobytes().translate(None, b"\0"))
+
+
 def export_svg(t: TilingComplex, e: Embedding) -> str:
     """SVG drawing of an embedded tiling, faces filled by kind.
 
@@ -407,79 +481,20 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     ``format(v, ".3f")`` elsewhere, the bytes ``format`` writes.  The faces'
     half-edges, in paint order, gather these by index: a forward half-edge
     reads its pieces as "C c1 c2 z1", a reversed one as "C c2 c1 z0" from
-    the last piece back.
+    the last piece back.  One ``take`` of the point table and one NUL strip
+    give all paths' bytes, each ending at its "Z"; one ``b"".join`` adds
+    each face's ``<path d="`` and fill, and one decode makes the str.  The
+    trace's, table's and tokens' arrays die as soon as they are used, so
+    the peak, in the trace, is about 4 times the document.
     """
     import numpy as np
-    frame = _projection_frame(t, e)
-    edges = t.undirected_edges()
-    cubics, counts = _trace_edges(edges, e, frame)
-
-    ends = cubics[:, [0, 3]].ravel()
-    span = max(np.ptp(ends.real), np.ptp(ends.imag), 1e-9)
-    scale = 0.92 * _VIEW / span
-    cx = 0.5 * (ends.real.min() + ends.real.max())
-    cy = 0.5 * (ends.imag.min() + ends.imag.max())
-
-    # Point 3j + i is control point i + 1 of piece j, point 3s + k starts
-    # edge k.  Table row p is point p's text "x,y " with NUL padding, and
-    # rows n, n + 1 and n + 2 are "M ", "C " and "Z\n".
-    s = len(cubics)
-    first = np.cumsum(counts) - counts
-    points = np.concatenate([cubics[:, 1:].ravel(), cubics[first, 0]])
-    xy = np.stack([points.real - cx, cy - points.imag], axis=1) * scale + _VIEW / 2.0
-    chars = _fixed3(xy.ravel())
-    n, width = len(points), chars.shape[1]
-    table = np.zeros((n + 3, 2 * width + 2), np.uint8)
-    table[:n, :width] = chars[0::2]
-    table[:n, width] = ord(",")
-    table[:n, width + 1 : -1] = chars[1::2]
-    table[:n, -1] = ord(" ")
-    table[n:, :2] = np.frombuffer(b"M C Z\n", np.uint8).reshape(3, 2)
-    z0 = 3 * np.arange(s) - 1
-    z0[first] = 3 * s + np.arange(len(edges))
-
-    # Mean depth along c per face; bincount adds corners in face order, as a scalar sum would.
-    _, _, c = frame
-    depth = _dots(e.positions, np.broadcast_to(c, e.positions.shape))
-    he = t.half_edges
-    sizes = np.diff(he.face_start, append=len(he.origin))
-    sums = np.bincount(he.face_of, weights=depth[he.origin], minlength=len(t.faces))
-    order = np.argsort(sums / sizes, kind="stable")
-
-    # The faces' half-edges in paint order, then the pieces each one draws.
-    origin = np.array(he.origin)
-    forward = origin < origin[he.nxt]
-    edge_of = np.empty(len(origin), np.int64)
-    edge_of[forward] = np.arange(len(edges))
-    edge_of[~forward] = edge_of[np.array(he.twin)[~forward]]
-    h = _ranges(np.array(he.face_start)[order], sizes[order], 1)
-    k, step = edge_of[h], np.where(forward[h], 1, -1)
-    piece = _ranges(first[k] + (step < 0) * (counts[k] - 1), counts[k], step)
-    fwd = np.repeat(step > 0, counts[k])
-    z1 = 3 * piece + 2
-    # Tokens "M start C a b end Z" per drawn piece; "M start" only at a
-    # face's first piece and "Z" only at its last.
-    rows = np.stack([
-        np.full_like(piece, n), np.where(fwd, z0[piece], z1), np.full_like(piece, n + 1),
-        3 * piece + ~fwd, 3 * piece + fwd, np.where(fwd, z1, z0[piece]), np.full_like(piece, n + 2),
-    ], axis=1)
-    keep = np.ones(rows.shape, bool)
-    keep[:, [0, 1, 6]] = False
-    starts = (np.cumsum(counts[k]) - counts[k])[np.cumsum(sizes[order]) - sizes[order]]
-    keep[starts, :2] = True
-    keep[np.append(starts[1:], len(piece)) - 1, 6] = True
-    text = np.take(table, rows[keep], axis=0).tobytes().translate(None, b"\0")
-    paths = text.decode("ascii").split("\n")
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',
-        f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="white"/>',
-    ]
-    for fi, d in zip(order.tolist(), paths):
-        fill = _SVG_FILL[t.faces[fi].kind]
-        lines.append(
-            f'<path d="{d}" fill="{fill}" '
-            f'stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    order, paths = _path_text(t, e)
+    ends = (np.flatnonzero(np.frombuffer(paths, np.uint8) == ord("Z")) + 1).tolist()
+    tail = '" fill="{}" stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>\n'
+    tails = {kind: tail.format(fill).encode() for kind, fill in _SVG_FILL.items()}
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">\n'
+             f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="white"/>\n'.encode()]
+    for fi, a, b in zip(order.tolist(), [0, *ends], ends):
+        parts += (b'<path d="', paths[a:b], tails[t.faces[fi].kind])
+    parts.append(b"</svg>\n")
+    return b"".join(parts).decode("ascii")

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,15 +22,18 @@ from spheretile.realization import (
     earth_map_solution,
     embed_generic,
     embed_prism,
+    geodesic_arcs,
     prism_default_radius,
     prism_geometric_bounds,
     prism_solution,
     sporadic_solution,
 )
 from spheretile.serialization import (
+    _POLE_CLEARANCE,
     SchemaError,
     _fixed3,
     _projection_frame,
+    _trace_edges,
     export_obj,
     export_svg,
     parse_tiling,
@@ -368,6 +372,98 @@ def test_export_svg_of_large_and_extreme_tilings_keeps_its_digest():
         e = embed_generic(t, prism_solution(64, lo + fraction * (hi - lo)))
         digest.update(export_svg(t, e).encode())
     assert digest.hexdigest() == LARGE_SVG_SHA256
+
+
+def test_export_svg_peak_memory_stays_within_five_times_its_output():
+    # The traced peak counts the returned string itself.
+    t = earth_map(256)
+    e = embed_generic(t, earth_map_solution(256))
+    tracemalloc.start()
+    try:
+        svg = export_svg(t, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(svg), peak / len(svg)
+
+
+def _trace_edges_reference(edges, e, frame):
+    """The batched tracer with fresh arrays for every product and every
+    level's arrays kept until the next level replaces them: the bits that
+    _trace_edges must keep, which the 3-decimal SVG text cannot show."""
+    e1, e2, c = frame
+    p0, p1 = e.positions[np.array(edges).T]
+    _, arc, tangent = geodesic_arcs(p0, p1)
+
+    def point_and_velocity(k, t):
+        a = (t * arc[k])[:, None]
+        p = np.cos(a) * p0[k] + np.sin(a) * tangent[k]
+        dp = arc[k][:, None] * (-np.sin(a) * p0[k] + np.cos(a) * tangent[k])
+        denom = 1.0 + p @ c
+        assert (denom > _POLE_CLEARANCE).all()
+        u = 2.0 * (p @ e1) / denom
+        v = 2.0 * (p @ e2) / denom
+        du = (2.0 * (dp @ e1) - u * (dp @ c)) / denom
+        dv = (2.0 * (dp @ e2) - v * (dp @ c)) / denom
+        return u + 1j * v, du + 1j * dv
+
+    n = np.maximum(2, np.ceil(arc * 5.1).astype(int))
+    k = np.repeat(np.arange(len(edges)), n + 1)
+    i = np.arange(len(k)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    t = i / n[k]
+    z, d = point_and_velocity(k, t)
+    tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
+
+    j = np.flatnonzero(i < n[k])
+    pending = (k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1])
+    done = []
+    for depth in range(15):
+        k, t0, z0, d0, t1, z1, d1 = pending
+        if not len(k):
+            break
+        c1 = z0 + d0 * (t1 - t0) / 3.0
+        c2 = z1 - d1 * (t1 - t0) / 3.0
+        tm = 0.5 * (t0 + t1)
+        zm, dm = point_and_velocity(k, tm)
+        bez_mid = (z0 + 3.0 * c1 + 3.0 * c2 + z1) / 8.0
+        split = (np.abs(bez_mid - zm) > tol_abs) & (depth < 14)
+        done.append((k[~split], t0[~split], np.stack([z0, c1, c2, z1], axis=1)[~split]))
+        pending = tuple(
+            np.concatenate([left[split], right[split]])
+            for left, right in zip((k, t0, z0, d0, tm, zm, dm), (k, tm, zm, dm, t1, z1, d1))
+        )
+
+    k, t0, cubics = (np.concatenate(column) for column in zip(*done))
+    return cubics[np.lexsort((t0, k))], np.bincount(k, minlength=len(edges))
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["prism_m64_at_0.001", "prism_m64_at_0.999"])
+def test_trace_edges_matches_the_reference_tracer_to_the_bit(name):
+    # Prism m = 64 near either end of its radius range splits its pieces
+    # deepest.
+    if "_at_" in name:
+        lo, hi = prism_geometric_bounds(64)
+        t = prism(64)
+        e = embed_generic(t, prism_solution(64, lo + float(name.split("_at_")[1]) * (hi - lo)))
+    else:
+        t, e = _embedded(name)
+    frame = _projection_frame(t, e)
+    edges = t.undirected_edges()
+    cubics, counts = _trace_edges(edges, e, frame)
+    expected_cubics, expected_counts = _trace_edges_reference(edges, e, frame)
+    assert cubics.dtype == expected_cubics.dtype == np.complex128
+    assert np.array_equal(cubics.view(np.float64).view(np.int64), expected_cubics.view(np.float64).view(np.int64))
+    assert np.array_equal(counts, expected_counts)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_projection_frame_centres_on_the_python_sum_of_the_first_m_gon(name):
+    # An axis-0 reduction adds the rows in order, as Python's sum does.
+    t, e = _embedded(name)
+    face = next(f for f in t.faces if f.kind == "mgon")
+    centre = sum(e.positions[v] for v in face.vertices)
+    assert np.array_equal(e.positions[list(face.vertices)].sum(axis=0), centre)
+    assert np.array_equal(_projection_frame(t, e)[2], centre / np.linalg.norm(centre))
 
 
 @pytest.mark.parametrize("name", ["prism_m64", "earthmap_c16", "football"])
