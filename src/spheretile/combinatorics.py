@@ -108,14 +108,15 @@ def enumerate_degree3(m: int) -> list[VertexType]:
 def enumerate_avc(
     s: AngleSolution, tol: float = 1e-6, max_degree: int = 16
 ) -> AVC:
-    """All vertex types whose angle sum is 2*pi within tol, up to max_degree.
+    """All vertex types whose angle sum is 2*pi within tol, up to max_degree;
+    tol must be finite and positive (ValueError otherwise).
 
     Emits a warning (collected in the result) when a member's sum lies
     within 2*tol of a different candidate's sum, since the two types are
-    then numerically indistinguishable at this tolerance.
-    """
+    then numerically indistinguishable at this tolerance."""
     if max_degree < 3:
         raise ValueError("max_degree must be at least 3")
+    tol = tolerance(tol)
     angles = (s.alpha, s.beta, s.gamma)
     limits = [int(TWO_PI // ang) + 1 for ang in angles]
     members: list[VertexType] = []
@@ -123,7 +124,10 @@ def enumerate_avc(
     for a in range(min(limits[0], max_degree) + 1):
         for b in range(min(limits[1], max_degree - a) + 1):
             ab = a * angles[0] + b * angles[1]
-            for c in range(max(3 - a - b, 0), min(limits[2], max_degree - a - b) + 1):
+            # ab + c*gamma rises with c: try the c within a step of 2*pi -+ 4*tol.
+            c_lo = int((TWO_PI - 4.0 * tol - ab) // angles[2])
+            c_hi = int((TWO_PI + 4.0 * tol - ab) // angles[2]) + 1
+            for c in range(max(3 - a - b, 0, c_lo), min(limits[2], max_degree - a - b, c_hi) + 1):
                 total = ab + c * angles[2]
                 if abs(total - TWO_PI) < tol:
                     members.append(VertexType(a, b, c))

@@ -305,23 +305,13 @@ def bullet_vertices(t: TilingComplex) -> set[int]:
     return bullets
 
 
-def pentagon_bullet_counts(t: TilingComplex) -> list[int]:
-    bullets = bullet_vertices(t)
-    return [
-        sum(1 for v in f.vertices if v in bullets)
-        for f in t.faces
-        if f.kind == "mgon"
-    ]
-
-
-def _trios(t: TilingComplex) -> list[tuple[int, frozenset]]:
+def _trios(t: TilingComplex, bullets: set[int]) -> list[tuple[int, frozenset]]:
     """Trio pentagons: exactly three bullets, necessarily consecutive.
 
     Returns, per trio, the middle bullet vertex and the pentagon edge
     opposite it (the far edge joining the two corners not adjacent to the
     middle); the variant-splitting path measurement runs between these.
     """
-    bullets = bullet_vertices(t)
     out = []
     for f in t.faces:
         if f.kind != "mgon":
@@ -349,7 +339,11 @@ def trio_chain_length(t: TilingComplex) -> Optional[int]:
     returned value is the minimum k over all ordered trio pairs, or None
     when the tiling has fewer than two trios.
     """
-    trios = _trios(t)
+    return _chain_length(t, bullet_vertices(t))
+
+
+def _chain_length(t: TilingComplex, bullets: set[int]) -> Optional[int]:
+    trios = _trios(t, bullets)
     if len(trios) < 2:
         return None
     he = t.half_edges
@@ -427,24 +421,31 @@ def fusion_classification() -> dict:
     the snub is chiral, so it is one of the 60 rotations.
     """
     matchings = dodecahedron_matchings()
-    arcs = _arc_names(dodecahedron())
-    moves = [{a[0]: arcs[i][0] for a, i in zip(arcs, image)} for image in dodecahedron_rotations()]
-    index = {mt: i for i, mt in enumerate(matchings)}
+    dod = dodecahedron()
+    # An edge's id is the lesser of its two arcs.  A rotation permutes the 30
+    # ids, and moves a matching, a bitmask of edge ids, bit by bit.
+    edge = [min(h, r) for h, r in enumerate(dod.twin)]
+    arc_of = {arc: h for h, arc in enumerate(_arc_names(dod))}
+    arcs = [[arc_of[pair] for pair in mt] for mt in matchings]
+    index = {sum(1 << edge[h] for h in hs): i for i, hs in enumerate(arcs)}
+    bits = [[1 << edge[d] for d in image] for image in dodecahedron_rotations()]
     orbits: list[list[int]] = []
-    for i, mt in enumerate(matchings):
+    for i, hs in enumerate(arcs):
         if all(i not in orbit for orbit in orbits):
-            images = (tuple(sorted(tuple(sorted((to[u], to[w]))) for u, w in mt)) for to in moves)
-            orbits.append(sorted({index[image] for image in images}))
+            orbits.append(sorted({index[sum(map(bit.__getitem__, hs))] for bit in bits}))
     assert len(orbits) == 3, f"expected 3 fusion classes, got {len(orbits)}"
 
     classes = []
     for members in orbits:
         rep = triangular_fusion(matchings[members[0]])
+        bullets = bullet_vertices(rep)
         classes.append({
             "members": members,
             "representative": rep,
-            "bullet_counts": sorted(pentagon_bullet_counts(rep)),
-            "chain_length": trio_chain_length(rep),
+            "bullet_counts": sorted(
+                sum(v in bullets for v in f.vertices) for f in rep.faces if f.kind == "mgon"
+            ),
+            "chain_length": _chain_length(rep, bullets),
         })
 
     trio_free = [cl for cl in classes if cl["chain_length"] is None]

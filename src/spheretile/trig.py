@@ -238,38 +238,52 @@ def _box_rows(m: int) -> tuple[tuple[str, tuple[float, float, float], float, boo
     )
 
 
-def _box_rows_exact(m: int) -> tuple[tuple[tuple[int, int, int], int, bool], ...]:
-    """The box rows in angle units of pi/m, where pi is m and the m-gon bound m - 2."""
-    return tuple((coeffs, u * m + w * (m - 2), strict) for _tag, coeffs, (u, w), strict in _BOX)
-
-
 def _feasible(m: int, equations: Sequence[VertexTriple], extra=()) -> bool:
-    """Whether vertex equations a*alpha + b*beta + c*gamma = 2*pi and ``extra``
-    rows meet the admissibility box, by exact Fourier-Motzkin elimination.  In
-    units of pi/m each box or extra row reads coeffs . x + const > 0 (>= 0 if
-    not strict) in integers, an equation two >= rows with constant -+2m.  Each
-    pair of rows with opposite signs on an angle combines, with positive weights,
-    into a row without it, strict when either is; no rounding.  A combined row
-    with no angle left returns False at once if its constant breaks it."""
-    rows = [*_box_rows_exact(m), *extra]
+    """Whether vertex equations a*alpha + b*beta + c*gamma = 2*pi and ``extra`` rows
+    meet the admissibility box at gonality m, in the range :func:`_m_range` finds."""
+    span = _m_range(tuple(map(tuple, equations)), tuple(extra))
+    return span is not None and span[0] <= m <= span[1]
+
+
+@lru_cache(maxsize=256)
+def _m_range(equations: tuple[VertexTriple, ...], extra: tuple = ()) -> Optional[tuple]:
+    """The integers m at which vertex equations and ``extra`` rows meet the box, as
+    (lo, hi), ends possibly infinite, or None: one exact Fourier-Motzkin elimination
+    with m as a parameter.  In units of pi/m a row reads coeffs . x + k0 + k1*m > 0
+    (>= 0 if not strict) in integers: pi is m, the m-gon bound m - 2, an equation
+    two >= rows with constant -+2m, and an ``extra`` row's constant is as given.
+    Rows with opposite signs on an angle combine, with positive weights, into a row
+    without it, strict when either is; duplicates drop each round.  An angle-free
+    row bounds m, a strict one as k0 + k1*m >= 1.  Each row needs an angle."""
+    rows = {(coeffs, -2 * w, u + w, strict) for _tag, coeffs, (u, w), strict in _BOX}
+    rows |= {(coeffs, k, 0, strict) for coeffs, k, strict in extra}
     for a, b, c in equations:
-        rows += [((a, b, c), -2 * m, False), ((-a, -b, -c), 2 * m, False)]
+        rows |= {((a, b, c), 0, -2, False), ((-a, -b, -c), 0, 2, False)}
+    lo, hi = -math.inf, math.inf
     for j in range(3):
         pos, neg, rest = [], [], []
         for row in rows:
             (pos if row[0][j] > 0 else neg if row[0][j] < 0 else rest).append(row)
-        for p, kp, sp in pos:
+        for p, p0, p1, sp in pos:
             wn = p[j]
-            for n, kn, sn in neg:
+            for n, n0, n1, sn in neg:
                 wp = -n[j]
                 coeffs = (wp * p[0] + wn * n[0], wp * p[1] + wn * n[1], wp * p[2] + wn * n[2])
-                k = wp * kp + wn * kn
+                k0, k1 = wp * p0 + wn * n0, wp * p1 + wn * n1
                 if coeffs != (0, 0, 0):
-                    rest.append((coeffs, k, sp or sn))
-                elif k < 0 or (k == 0 and (sp or sn)):
-                    return False
-        rows = rest
-    return all(k > 0 if strict else k >= 0 for _coeffs, k, strict in rows)
+                    rest.append((coeffs, k0, k1, sp or sn))
+                    continue
+                k0 -= sp or sn
+                if k1 > 0:
+                    lo = max(lo, -(k0 // k1))
+                elif k1 < 0:
+                    hi = min(hi, k0 // -k1)
+                if lo > hi or (k1 == 0 and k0 < 0):
+                    return None
+        rows = set(rest)
+    if rows:
+        raise ValueError(f"every equation and extra row needs an angle, got {sorted(rows)}")
+    return lo, hi
 
 
 def _box_checks(m: int, alpha, beta, gamma) -> list:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,8 +32,13 @@ from spheretile.generators import (
     prism,
     triangular_fusion,
 )
-from spheretile.realization import earth_map_solution, prism_solution, sporadic_solution
-from spheretile.trig import solve_closure
+from spheretile.realization import (
+    earth_map_solution,
+    prism_default_radius,
+    prism_solution,
+    sporadic_solution,
+)
+from spheretile.trig import TWO_PI, solve_closure
 from test_cli import CLASSIFY_SWEEP_SHA256
 
 
@@ -164,6 +170,62 @@ def test_avc_snub_fusion():
 def test_avc_earth_map(c, expected):
     avc = enumerate_avc(earth_map_solution(c))
     assert {tuple(v) for v in avc.members} == expected
+
+
+def _avc_by_triple_loop(s, tol, max_degree):
+    """The triple loop ``enumerate_avc`` used to run, trying every c, kept as its
+    oracle; it returns the warnings it would emit in the record."""
+    angles = (s.alpha, s.beta, s.gamma)
+    limits = [int(TWO_PI // ang) + 1 for ang in angles]
+    members, near = [], []
+    for a in range(min(limits[0], max_degree) + 1):
+        for b in range(min(limits[1], max_degree - a) + 1):
+            ab = a * angles[0] + b * angles[1]
+            for c in range(max(3 - a - b, 0), min(limits[2], max_degree - a - b) + 1):
+                total = ab + c * angles[2]
+                if abs(total - TWO_PI) < tol:
+                    members.append(VertexType(a, b, c))
+                elif abs(total - TWO_PI) < 4.0 * tol:
+                    near.append((VertexType(a, b, c), total))
+    notes = []
+    for mem in members:
+        mem_sum = vertex_angle_sum(mem, s)
+        for v, total in near:
+            if abs(total - mem_sum) < 2.0 * tol:
+                notes.append(
+                    f"tolerance collision: {mem.label()} and {v.label()} "
+                    f"sum within {abs(total - mem_sum):.2e}"
+                )
+    members.sort(key=lambda v: (v.degree, -v.a, -v.b))
+    return AVC(tuple(members), warnings=tuple(notes))
+
+
+_AVC_SOLUTIONS = (
+    [prism_solution(m, prism_default_radius(m)) for m in range(3, 65)]
+    + [earth_map_solution(c) for c in range(2, 65)]
+    + [sporadic_solution("football"), sporadic_solution("snub-fusion")]
+)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.05])
+def test_avc_matches_the_triple_loop(tol):
+    collisions = 0
+    for s in _AVC_SOLUTIONS:
+        for max_degree in (3, 8, 16):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                avc = enumerate_avc(s, tol, max_degree)
+            assert avc == _avc_by_triple_loop(s, tol, max_degree), (s, max_degree)
+            assert [str(w.message) for w in caught] == list(avc.warnings)
+            collisions += len(avc.warnings)
+    if tol == 0.05:  # near-misses are reported here, so the check covers them
+        assert collisions > 0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_avc_rejects_a_non_positive_or_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        enumerate_avc(sporadic_solution("football"), tol=tol)
 
 
 def test_counting_filter_drops_unbalanced_sets():

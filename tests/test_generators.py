@@ -252,6 +252,20 @@ def test_fusion_classes_are_the_canonical_code_classes():
         assert by_code[canonical_code(cls["representative"])] == cls["members"]
 
 
+def test_bitmask_orbits_equal_the_sorted_tuple_orbits():
+    # The orbits as they were found before, each matching moved as a sorted
+    # tuple of sorted vertex pairs, kept as the oracle.
+    matchings = dodecahedron_matchings()
+    index = {mt: i for i, mt in enumerate(matchings)}
+    orbits = []
+    for i, mt in enumerate(matchings):
+        if all(i not in orbit for orbit in orbits):
+            orbits.append(sorted({index[_moved(mt, to)] for to in _vertex_moves()}))
+    classes = fusion_classification()["classes"]
+    assert sorted(cls["members"] for cls in classes) == sorted(orbits)
+    assert [len(cls["members"]) for cls in classes] == [6, 15, 15]
+
+
 def test_burnside_counts_three_orbits():
     matchings = dodecahedron_matchings()
     fixed = sum(_moved(mt, to) == mt for to in _vertex_moves() for mt in matchings)

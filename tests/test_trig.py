@@ -47,12 +47,12 @@ from spheretile.trig import (
     _affine_line,
     _box_checks,
     _box_rows,
-    _box_rows_exact,
     _crossing_rows,
     _default_description,
     _evidence_grid,
     _feasible,
     _line_box_interval,
+    _m_range,
     _residual_vec,
 )
 
@@ -983,9 +983,11 @@ def test_three_alpha_row_is_decided_exactly():
 
 
 def _feasible_by_sets(m, equations, extra=()):
-    """The set-based elimination ``_feasible`` used to run, kept as its oracle:
-    rows deduplicated in sets, every combined row kept to the end."""
-    rows = set(_box_rows_exact(m)) | set(extra)
+    """The set-based elimination ``_feasible`` used to run at each m, kept as
+    its oracle: rows in units of pi/m deduplicated in sets, every combined row
+    kept to the end."""
+    rows = {(coeffs, u * m + w * (m - 2), strict) for _tag, coeffs, (u, w), strict in _BOX}
+    rows |= set(extra)
     for eq in equations:
         rows |= {(tuple(eq), -2 * m, False), (tuple(-e for e in eq), 2 * m, False)}
     for j in range(3):
@@ -1005,26 +1007,56 @@ _TYPES_OF_DEGREE_3_TO_6 = [
 ]
 
 
+_GONALITIES = [*range(5, 201), 10**6]
+
+
 def test_feasible_matches_the_set_based_elimination_on_every_single_type():
     admitted = 0
-    for m in range(5, 65):
+    for m in _GONALITIES:
         for v in _TYPES_OF_DEGREE_3_TO_6:
             got = _feasible(m, [v])
             assert got == _feasible_by_sets(m, [v]), (m, v)
             admitted += got
     # Both answers occur, so neither side can pass by being constant.
-    assert 0 < admitted < 60 * len(_TYPES_OF_DEGREE_3_TO_6)
+    assert 0 < admitted < len(_GONALITIES) * len(_TYPES_OF_DEGREE_3_TO_6)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 9, 64])
 def test_feasible_matches_the_set_based_elimination_on_every_pair_of_types(m):
     answers = set()
-    for i, u in enumerate(_TYPES_OF_DEGREE_3_TO_6):
-        for v in _TYPES_OF_DEGREE_3_TO_6[i + 1:]:
+    for u in _TYPES_OF_DEGREE_3_TO_6:
+        for v in _TYPES_OF_DEGREE_3_TO_6:
             got = _feasible(m, [u, v])
             assert got == _feasible_by_sets(m, [u, v]), (m, u, v)
             answers.add(got)
     assert answers == {True, False}
+
+
+def test_degree3_types_are_feasible_on_ranges_of_m():
+    ranges = {v: _m_range((v,)) for v in _TYPES_OF_DEGREE_3_TO_6[:10]}
+    assert ranges[(3, 0, 0)][1] == 5 and ranges[(2, 1, 0)][1] == 7
+    assert {v for v, r in ranges.items() if r is None} == {(1, 0, 2), (0, 1, 2), (0, 0, 3)}
+    assert all(r[1] == math.inf for v, r in ranges.items() if r and v not in [(3, 0, 0), (2, 1, 0)])
+
+
+def test_feasible_rejects_a_row_without_an_angle():
+    with pytest.raises(ValueError, match="needs an angle"):
+        _feasible(5, [(1, 1, 1)], [((0, 0, 0), 1, True)])
+
+
+def test_a_classify_sweep_eliminates_once_per_vertex_system(monkeypatch):
+    systems = set()
+    cached = trig._m_range
+
+    def spy(equations, extra=()):
+        systems.add((equations, extra))
+        return cached(equations, extra)
+
+    monkeypatch.setattr(trig, "_m_range", spy)
+    cached.cache_clear()
+    for m in range(5, 65):
+        classify(m)
+    assert cached.cache_info().misses == len(systems) >= 12
 
 
 def test_feasible_matches_the_set_based_elimination_with_extra_rows():
