@@ -37,6 +37,9 @@ EXIT_USAGE = 2
 
 GENERATE_FAMILIES = ("prism", "earthmap", "snub1", "snub2", "snub3", "football")
 
+# Characters per file write: a large document is encoded a slice at a time.
+_WRITE_SLICE = 1 << 16
+
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -53,8 +56,9 @@ def _writable(path: str) -> bool:
 
 def _emit(*outputs: tuple[str, Optional[str]]) -> int:
     """Write each (text, path) pair to its file, or to stdout when the path
-    is None.  Every path is checked before anything is written, so a path
-    that cannot be written is a usage error naming it and leaves no output."""
+    is None, a file in slices of ``_WRITE_SLICE`` characters.  Every path is
+    checked before anything is written, so a path that cannot be written is
+    a usage error naming it and leaves no output."""
     for _, out in outputs:
         if out is not None and not _writable(out):
             return _usage_error(f"cannot write {out}: no such directory, or not writable")
@@ -64,7 +68,8 @@ def _emit(*outputs: tuple[str, Optional[str]]) -> int:
             continue
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                for start in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[start : start + _WRITE_SLICE])
         except OSError as exc:
             return _usage_error(f"cannot write {out}: {exc}")
     return EXIT_OK

@@ -2,11 +2,13 @@
 
 A tiling is stored as a closed, oriented half-edge mesh whose faces are
 regular m-gons (every corner labeled ``alpha``) or rhombi (corners
-alternating ``beta``, ``gamma``).  Building from a face list validates the
-label discipline, then hands the bare vertex cycles to
-:func:`validate_sphere`, the one home of the surface checks: the
-edge-to-edge property, the manifold condition and sphericity (Euler
-characteristic 2 plus connectivity).
+alternating ``beta``, ``gamma``).  Building from a face list checks the
+label discipline and m-gon congruence in one pass over the faces, then
+hands the bare vertex cycles to :func:`validate_sphere`, the one home of
+the surface checks: the edge-to-edge property, the manifold condition
+and sphericity (Euler characteristic 2 plus connectivity).  It pairs
+half-edges through one map keyed by directed edge, and walks the
+umbrella about each vertex only when a sphere check fails.
 
 :class:`SphereSurface`, the record :func:`validate_sphere` returns, is the
 package's one half-edge model: every surface, a tiling's or the
@@ -16,16 +18,14 @@ walks them around a vertex.
 
 Corner labels live on half-edges: the label of a half-edge is the corner
 at its origin vertex inside its face.  That makes the rhombus alternation
-a purely local test and gives the canonical-code traversal direct access
-to the labels it must serialize.  :func:`canonical_code` runs one
-traversal for both orientations: each orientation is three lists (the
-vertex and label code each half-edge reads, and the step to the next
-half-edge around its face), so the walk itself never asks which one it is.
+a purely local test and gives :func:`canonical_code` direct access to the
+labels it must serialize.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .trig import TWO_PI, ANGLE_NAMES, AngleSolution
@@ -125,18 +125,14 @@ class TilingComplex:
         out: dict[VertexTriple, int] = {}
         label = self.label
         for edges in self.half_edges.out_edges:
-            counts = [0, 0, 0]
-            for h in edges:
-                counts[_LABEL_CODE[label[h]]] += 1
-            key = (counts[0], counts[1], counts[2])
+            corners = [label[h] for h in edges]
+            key = (corners.count("alpha"), corners.count("beta"), corners.count("gamma"))
             out[key] = out.get(key, 0) + 1
         return out
 
     def corner_counts(self) -> tuple[int, int, int]:
-        counts = [0, 0, 0]
-        for lab in self.label:
-            counts[_LABEL_CODE[lab]] += 1
-        return counts[0], counts[1], counts[2]
+        n_alpha, n_beta, n_gamma = map(self.label.count, ANGLE_NAMES)
+        return n_alpha, n_beta, n_gamma
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         origin, nxt = self.half_edges.origin, self.half_edges.nxt
@@ -146,7 +142,9 @@ class TilingComplex:
 # -- construction ------------------------------------------------------------
 
 
-def _check_face(kind: str, vertices: Sequence[Hashable], labels: Sequence[str]) -> None:
+def _check_face(kind: str, vertices: Sequence[Hashable], labels: Sequence[str]) -> Optional[int]:
+    """Raise BadLabels if the face breaks the labeling discipline; return an
+    m-gon's size and None for a rhombus."""
     if kind not in KINDS:
         raise BadLabels(f"unknown face kind {kind!r}")
     if len(labels) != len(vertices):
@@ -161,14 +159,13 @@ def _check_face(kind: str, vertices: Sequence[Hashable], labels: Sequence[str]) 
             raise BadLabels("m-gon face needs at least 3 vertices")
         if any(lab != "alpha" for lab in labels):
             raise BadLabels(f"m-gon corners must all be alpha, got {tuple(labels)!r}")
-    else:
-        if len(vertices) != 4:
-            raise BadLabels("rhombus face needs exactly 4 vertices")
-        l0, l1, l2, l3 = labels
-        if l0 != l2 or l1 != l3 or {l0, l1} != {"beta", "gamma"}:
-            raise BadLabels(
-                f"rhombus corners must alternate beta/gamma, got {tuple(labels)!r}"
-            )
+        return len(vertices)
+    if len(vertices) != 4:
+        raise BadLabels("rhombus face needs exactly 4 vertices")
+    l0, l1, l2, l3 = labels
+    if l0 != l2 or l1 != l3 or {l0, l1} != {"beta", "gamma"}:
+        raise BadLabels(f"rhombus corners must alternate beta/gamma, got {tuple(labels)!r}")
+    return None
 
 
 class SphereSurface(NamedTuple):
@@ -210,10 +207,18 @@ def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
 
     Each cycle lists one face's vertices (arbitrary hashable names) in
     order; faces sharing an edge must run along it in opposite directions.
-    Raises NotEdgeToEdge when a cycle repeats a vertex or a directed edge
-    is duplicated or unpaired, DegreeTooLow when a vertex meets fewer than
-    three faces, and NotSphere for a pinched vertex link, a disconnected
-    complex or an Euler characteristic other than 2.
+    Raises, in this order, NotEdgeToEdge when a cycle repeats a vertex or
+    a directed edge is duplicated or unpaired, DegreeTooLow when a vertex
+    meets fewer than three faces, and NotSphere for a pinched vertex link,
+    a disconnected complex or an Euler characteristic other than 2.
+
+    One map from each directed edge u->v, keyed ``u*V + v``, to its first
+    half-edge finds duplicates, twins and unpaired edges.  The umbrella
+    walk about each vertex runs only when connectivity or the Euler count
+    fails: once every edge is paired, splitting each pinched vertex into
+    its umbrellas gives a closed, connected, oriented surface with the same
+    E and F and V' >= V vertices, so V' - E + F <= 2, and a connected
+    complex with V - E + F = 2 has V' = V, so no pinched vertex.
     """
     vertex_ids: dict[Hashable, int] = {}
     numbered: list[tuple[int, ...]] = []
@@ -222,92 +227,69 @@ def validate_sphere(cycles: Iterable[Sequence[Hashable]]) -> SphereSurface:
             raise NotEdgeToEdge(f"face visits a vertex twice: {tuple(cycle)!r}")
         if len(cycle) < 3:
             raise NotEdgeToEdge(f"face has fewer than 3 vertices: {tuple(cycle)!r}")
-        ids = []
-        for name in cycle:
-            if name not in vertex_ids:
-                vertex_ids[name] = len(vertex_ids)
-            ids.append(vertex_ids[name])
-        numbered.append(tuple(ids))
+        numbered.append(tuple([vertex_ids.setdefault(v, len(vertex_ids)) for v in cycle]))
     if not numbered:
         raise NotSphere("no faces")
     names = tuple(vertex_ids)
+    n = len(names)
 
-    origin: list[int] = []
-    nxt: list[int] = []
-    prev: list[int] = []
+    sizes = [len(cycle) for cycle in numbered]
+    face_start = [0, *accumulate(sizes)]
+    half_edges = face_start.pop()
+    nxt = list(range(1, half_edges + 1))
+    prev = list(range(-1, half_edges - 1))
     face_of: list[int] = []
-    face_start: list[int] = []
-    directed: dict[tuple[int, int], int] = {}
-
-    for fi, cycle in enumerate(numbered):
-        k = len(cycle)
-        base = len(origin)
-        face_start.append(base)
-        for i in range(k):
-            u = cycle[i]
-            v = cycle[(i + 1) % k]
-            key = (u, v)
-            if key in directed:
-                raise NotEdgeToEdge(
-                    f"directed edge {u}->{v} appears in two faces; "
-                    "orientations are inconsistent or the mesh is not edge-to-edge"
-                )
-            directed[key] = base + i
-            origin.append(u)
-            nxt.append(base + (i + 1) % k)
-            prev.append(base + (i - 1) % k)
-            face_of.append(fi)
-
-    twin = [-1] * len(origin)
-    for (u, v), h in directed.items():
-        partner = directed.get((v, u))
-        if partner is None:
-            raise NotEdgeToEdge(f"edge {u}-{v} borders only one face")
-        twin[h] = partner
+    for fi, (base, k) in enumerate(zip(face_start, sizes)):
+        nxt[base + k - 1] = base
+        prev[base] = base + k - 1
+        face_of += [fi] * k
+    origin = [v for cycle in numbered for v in cycle]
+    head = [origin[h] for h in nxt]
+    keys = [u * n + v for u, v in zip(origin, head)]
+    first = dict(zip(reversed(keys), reversed(range(half_edges))))
+    if len(first) != len(keys):
+        h = next(h for h, key in enumerate(keys) if first[key] != h)
+        raise NotEdgeToEdge(
+            f"directed edge {origin[h]}->{head[h]} appears in two faces; "
+            "orientations are inconsistent or the mesh is not edge-to-edge"
+        )
+    twin = [first.get(v * n + u, -1) for u, v in zip(origin, head)]
+    if -1 in twin:
+        h = twin.index(-1)
+        raise NotEdgeToEdge(f"edge {origin[h]}-{head[h]} borders only one face")
 
     out_edges: list[list[int]] = [[] for _ in names]
     for h, u in enumerate(origin):
         out_edges[u].append(h)
-
     for v, edges in enumerate(out_edges):
         if len(edges) < 3:
             raise DegreeTooLow(f"vertex {names[v]!r} has degree {len(edges)}")
 
-    # Manifold link check: one rotation about a vertex must visit all its out-edges.
-    for v, edges in enumerate(out_edges):
-        umbrella = len(vertex_orbit(nxt, twin, edges[0]))
-        if umbrella != len(edges):
-            raise NotSphere(
-                f"vertex {names[v]!r} has a pinched link "
-                f"({umbrella} of {len(edges)} faces in one umbrella)"
-            )
-
-    # Connectivity over the face-adjacency graph.
-    reached = [False] * len(numbered)
-    queue = deque([0])
-    reached[0] = True
-    count = 1
-    while queue:
-        fi = queue.popleft()
-        base = face_start[fi]
-        for i in range(len(numbered[fi])):
-            g = face_of[twin[base + i]]
+    # Faces reached across edges from face 0, in the order they are found.
+    f_count = len(numbered)
+    across = [face_of[h] for h in twin]
+    reached = [True] + [False] * (f_count - 1)
+    found = [0]
+    for fi in found:
+        for g in across[face_start[fi] : face_start[fi] + sizes[fi]]:
             if not reached[g]:
                 reached[g] = True
-                count += 1
-                queue.append(g)
-    if count != len(numbered):
-        raise NotSphere(
-            f"complex is disconnected ({count} of {len(numbered)} faces reachable)"
-        )
+                found.append(g)
 
-    v_count = len(names)
-    e_count = len(origin) // 2
-    f_count = len(numbered)
-    euler = v_count - e_count + f_count
-    if euler != 2:
+    e_count = half_edges // 2
+    euler = n - e_count + f_count
+    if len(found) != f_count or euler != 2:
+        for v, edges in enumerate(out_edges):
+            umbrella = len(vertex_orbit(nxt, twin, edges[0]))
+            if umbrella != len(edges):
+                raise NotSphere(
+                    f"vertex {names[v]!r} has a pinched link "
+                    f"({umbrella} of {len(edges)} faces in one umbrella)"
+                )
         raise NotSphere(
-            f"Euler characteristic {euler} (V={v_count}, E={e_count}, F={f_count}), expected 2"
+            f"complex is disconnected ({len(found)} of {f_count} faces reachable)"
+            if len(found) != f_count
+            else f"Euler characteristic {euler} (V={n}, E={e_count}, F={f_count}), expected 2"
         )
 
     return SphereSurface(
@@ -324,14 +306,10 @@ def build_from_faces(face_specs: Iterable[FaceSpec]) -> TilingComplex:
     :func:`validate_sphere` raises for the vertex cycles.
     """
     specs = list(face_specs)
-    for kind, vertices, labels in specs:
-        _check_face(kind, vertices, labels)
-
-    mgon_sizes = {len(vertices) for kind, vertices, _ in specs if kind == "mgon"}
+    mgon_sizes = {_check_face(kind, vertices, labels) for kind, vertices, labels in specs}
+    mgon_sizes.discard(None)
     if len(mgon_sizes) > 1:
-        raise BadLabels(
-            f"all m-gon faces must be congruent, got sizes {sorted(mgon_sizes)}"
-        )
+        raise BadLabels(f"all m-gon faces must be congruent, got sizes {sorted(mgon_sizes)}")
 
     s = validate_sphere(vertices for _kind, vertices, _labels in specs)
     faces = tuple(
@@ -379,10 +357,13 @@ def verify_combinatorial(
     except TilingError:
         failures.append("complex has no m-gon face to compare with the solution")
 
-    angles = (s.alpha, s.beta, s.gamma)
     worst = 0.0
+    reconstructed = [0, 0, 0]
     for (a, b, c), count in census.items():
-        total = a * angles[0] + b * angles[1] + c * angles[2]
+        reconstructed[0] += a * count
+        reconstructed[1] += b * count
+        reconstructed[2] += c * count
+        total = a * s.alpha + b * s.beta + c * s.gamma
         defect = abs(total - TWO_PI)
         worst = max(worst, defect)
         if defect >= tol:
@@ -392,7 +373,6 @@ def verify_combinatorial(
             )
 
     n_alpha, n_beta, n_gamma = t.corner_counts()
-    n_mgon = sum(1 for f in t.faces if f.kind == "mgon")
     n_rhombus = sum(1 for f in t.faces if f.kind == "rhombus")
     expected_alpha = sum(f.size for f in t.faces if f.kind == "mgon")
     if n_alpha != expected_alpha:
@@ -403,11 +383,6 @@ def verify_combinatorial(
             f"{2 * n_rhombus} each from {n_rhombus} rhombi"
         )
 
-    reconstructed = [0, 0, 0]
-    for (a, b, c), count in census.items():
-        reconstructed[0] += a * count
-        reconstructed[1] += b * count
-        reconstructed[2] += c * count
     if tuple(reconstructed) != (n_alpha, n_beta, n_gamma):
         failures.append("census does not reproduce the global corner counts")
 

@@ -377,10 +377,12 @@ def _chain_length(t: TilingComplex, bullets: set[int]) -> Optional[int]:
     return best
 
 
+@lru_cache(maxsize=1)
 def dodecahedron_rotations() -> list[list[int]]:
     """The dodecahedron's 60 rotations as dart maps.  Its map is regular, so
     for each dart h one rotation sends dart 0 to h; one breadth-first tree of
-    ``nxt`` and ``twin`` steps from dart 0, replayed from h, gives it."""
+    ``nxt`` and ``twin`` steps from dart 0, replayed from h, gives it.  Built
+    once per process; callers share the maps and never modify them."""
     dod = dodecahedron()
     n = len(dod.twin)
     tree, seen = [(0, None, None)], {0}

@@ -366,6 +366,26 @@ def test_generate_writes_nothing_before_a_usage_error(tmp_path, capsys):
         assert not ok.exists(), flag
 
 
+def test_emit_writes_a_multi_slice_text_byte_for_byte(tmp_path):
+    text = "".join(f"<line {i} of {i % 97}/>\n" for i in range(20_000))
+    assert len(text) > 3 * cli._WRITE_SLICE and len(text) % cli._WRITE_SLICE
+    paths = [tmp_path / "big.svg", tmp_path / "exact.json", tmp_path / "empty.json"]
+    texts = [text, text[: 2 * cli._WRITE_SLICE], ""]
+    assert cli._emit(*zip(texts, map(str, paths))) == EXIT_OK
+    assert [p.read_bytes() for p in paths] == [t.encode() for t in texts]
+
+
+def test_emit_to_an_unwritable_path_writes_nothing(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    bad = str(tmp_path / "missing" / "x.svg")
+    text = "x" * (2 * cli._WRITE_SLICE + 1)
+    assert cli._emit((text, str(ok)), (text, bad)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+    assert not ok.exists()
+    assert cli._emit((text, str(tmp_path))) == EXIT_USAGE
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_infers_angles_from_census(tmp_path, capsys):
     out = tmp_path / "earth.json"
     assert main(["generate", "earthmap", "--c", "2", "--out", str(out)]) == EXIT_OK

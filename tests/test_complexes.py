@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -11,18 +12,24 @@ from spheretile.complexes import (
     DegreeTooLow,
     NotEdgeToEdge,
     NotSphere,
+    SphereSurface,
     TilingComplex,
+    TilingError,
     build_from_faces,
     canonical_code,
     isomorphic,
     validate_sphere,
     verify_combinatorial,
+    vertex_orbit,
 )
 from spheretile.generators import (
+    dodecahedron,
     dodecahedron_matchings,
     earth_map,
     football,
+    icosahedron,
     prism,
+    snub_fusion,
     triangular_fusion,
 )
 from spheretile.realization import earth_map_solution, prism_solution
@@ -127,6 +134,247 @@ def test_half_edge_navigation_round_trip():
         assert len(cycle) == t.faces[f].size
         for h in cycle:
             assert he.face_of[h] == f
+
+
+# -- validate_sphere against the two-pass reference ----------------------------------
+
+
+def _validate_sphere_reference(cycles):
+    """``validate_sphere`` as it was before it keyed directed edges by one int
+    and skipped the umbrella walk on valid input, kept as its oracle: a dict
+    of (u, v) tuple keys, a second pass over it for twins, and the umbrella
+    walk about every vertex."""
+    vertex_ids = {}
+    numbered = []
+    for cycle in cycles:
+        if len(set(cycle)) != len(cycle):
+            raise NotEdgeToEdge(f"face visits a vertex twice: {tuple(cycle)!r}")
+        if len(cycle) < 3:
+            raise NotEdgeToEdge(f"face has fewer than 3 vertices: {tuple(cycle)!r}")
+        ids = []
+        for name in cycle:
+            if name not in vertex_ids:
+                vertex_ids[name] = len(vertex_ids)
+            ids.append(vertex_ids[name])
+        numbered.append(tuple(ids))
+    if not numbered:
+        raise NotSphere("no faces")
+    names = tuple(vertex_ids)
+
+    origin, nxt, prev, face_of, face_start = [], [], [], [], []
+    directed = {}
+    for fi, cycle in enumerate(numbered):
+        k = len(cycle)
+        base = len(origin)
+        face_start.append(base)
+        for i in range(k):
+            u = cycle[i]
+            v = cycle[(i + 1) % k]
+            key = (u, v)
+            if key in directed:
+                raise NotEdgeToEdge(
+                    f"directed edge {u}->{v} appears in two faces; "
+                    "orientations are inconsistent or the mesh is not edge-to-edge"
+                )
+            directed[key] = base + i
+            origin.append(u)
+            nxt.append(base + (i + 1) % k)
+            prev.append(base + (i - 1) % k)
+            face_of.append(fi)
+
+    twin = [-1] * len(origin)
+    for (u, v), h in directed.items():
+        partner = directed.get((v, u))
+        if partner is None:
+            raise NotEdgeToEdge(f"edge {u}-{v} borders only one face")
+        twin[h] = partner
+
+    out_edges = [[] for _ in names]
+    for h, u in enumerate(origin):
+        out_edges[u].append(h)
+
+    for v, edges in enumerate(out_edges):
+        if len(edges) < 3:
+            raise DegreeTooLow(f"vertex {names[v]!r} has degree {len(edges)}")
+
+    for v, edges in enumerate(out_edges):
+        umbrella = len(vertex_orbit(nxt, twin, edges[0]))
+        if umbrella != len(edges):
+            raise NotSphere(
+                f"vertex {names[v]!r} has a pinched link "
+                f"({umbrella} of {len(edges)} faces in one umbrella)"
+            )
+
+    reached = [False] * len(numbered)
+    queue = deque([0])
+    reached[0] = True
+    count = 1
+    while queue:
+        fi = queue.popleft()
+        base = face_start[fi]
+        for i in range(len(numbered[fi])):
+            g = face_of[twin[base + i]]
+            if not reached[g]:
+                reached[g] = True
+                count += 1
+                queue.append(g)
+    if count != len(numbered):
+        raise NotSphere(
+            f"complex is disconnected ({count} of {len(numbered)} faces reachable)"
+        )
+
+    v_count = len(names)
+    e_count = len(origin) // 2
+    f_count = len(numbered)
+    euler = v_count - e_count + f_count
+    if euler != 2:
+        raise NotSphere(
+            f"Euler characteristic {euler} (V={v_count}, E={e_count}, F={f_count}), expected 2"
+        )
+
+    return SphereSurface(
+        names, numbered, origin, nxt, prev, twin, face_of, face_start, out_edges
+    )
+
+
+def _outcome(validate, cycles):
+    """The surface ``validate`` returns, or the class and message it raises."""
+    try:
+        return validate(cycles)
+    except TilingError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(cycles):
+    expected = _outcome(_validate_sphere_reference, cycles)
+    assert _outcome(validate_sphere, cycles) == expected
+    return expected
+
+
+def _named_cycles(t):
+    """The face cycles of ``t`` in its generator's own vertex names."""
+    return [[t.vertex_names[v] for v in f.vertices] for f in t.faces]
+
+
+def _shipped_tilings():
+    return (
+        [prism(m) for m in range(3, 65)]
+        + [earth_map(c) for c in range(2, 65)]
+        + [football()]
+        + [snub_fusion(variant) for variant in (1, 2, 3)]
+        + [triangular_fusion(mt) for mt in dodecahedron_matchings()]
+    )
+
+
+def _relabelled_and_shuffled(cycles, rng):
+    names = sorted({v for cycle in cycles for v in cycle}, key=repr)
+    fresh = list(range(len(names)))
+    rng.shuffle(fresh)
+    rename = {v: f"v{fresh[i]}" for i, v in enumerate(names)}
+    out = []
+    for cycle in cycles:
+        shift = rng.randrange(len(cycle))
+        out.append([rename[v] for v in cycle[shift:] + cycle[:shift]])
+    rng.shuffle(out)
+    return out
+
+
+def test_validate_sphere_equals_the_reference_on_every_shipped_tiling():
+    rng = random.Random(11)
+    tilings = _shipped_tilings()
+    assert len(tilings) == 62 + 63 + 1 + 3 + 36
+    surfaces = [icosahedron(), dodecahedron()]
+    cycles = [_named_cycles(t) for t in tilings]
+    cycles += [[[s.vertex_names[v] for v in c] for c in s.cycles] for s in surfaces]
+    for faces in cycles:
+        for variant in (faces, _relabelled_and_shuffled(faces, rng)):
+            assert isinstance(_assert_same_outcome(variant), SphereSurface)
+
+
+def _tetrahedron(a, b, c, d):
+    return [(a, c, b), (a, b, d), (a, d, c), (b, c, d)]
+
+
+def _quad_torus(n=3):
+    """An n x n grid of quadrilaterals with opposite sides glued: a torus."""
+    return [
+        tuple(("t", (i + di) % n, (j + dj) % n) for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)))
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+_MALFORMED = {
+    "no faces": ([], NotSphere),
+    "repeated vertex": ([(0, 1, 0, 2)] + _tetrahedron(0, 1, 2, 3), NotEdgeToEdge),
+    "2-gon": (_tetrahedron(0, 1, 2, 3) + [(0, 1)], NotEdgeToEdge),
+    "duplicated directed edge": (_tetrahedron(0, 1, 2, 3) + [(0, 2, 1)], NotEdgeToEdge),
+    # 3->4 repeats before 0->1 does, though 0->1 appears first.
+    "later edge repeats first": (
+        [(0, 1, 2), (3, 4, 5), (3, 4, 6), (0, 1, 7)], NotEdgeToEdge,
+    ),
+    "unpaired edge": (_tetrahedron(0, 1, 2, 3)[:-1], NotEdgeToEdge),
+    "degree-2 vertex": ([(0, 1, 2), (0, 2, 1)], DegreeTooLow),
+    "tetrahedra sharing a vertex": (
+        _tetrahedron(0, 1, 2, 3) + _tetrahedron(0, 4, 5, 6), NotSphere,
+    ),
+    "pinched and disconnected": (
+        _tetrahedron(0, 1, 2, 3) + _tetrahedron(0, 4, 5, 6) + _tetrahedron(7, 8, 9, 10),
+        NotSphere,
+    ),
+    "disjoint tetrahedra": (_tetrahedron(0, 1, 2, 3) + _tetrahedron(4, 5, 6, 7), NotSphere),
+    "tetrahedron beside a torus": (_tetrahedron(0, 1, 2, 3) + _quad_torus(), NotSphere),
+    "torus": (_quad_torus(), NotSphere),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_validate_sphere_raises_as_the_reference(case):
+    cycles, error = _MALFORMED[case]
+    outcome = _assert_same_outcome(cycles)
+    assert outcome[0] is error, outcome
+
+
+def test_malformed_cases_keep_their_messages():
+    messages = {case: _outcome(validate_sphere, c)[1] for case, (c, _) in _MALFORMED.items()}
+    assert messages["later edge repeats first"].startswith("directed edge 3->4 ")
+    assert messages["tetrahedra sharing a vertex"].startswith("vertex 0 has a pinched link")
+    assert messages["pinched and disconnected"].startswith("vertex 0 has a pinched link")
+    assert messages["tetrahedron beside a torus"] == (
+        "complex is disconnected (4 of 13 faces reachable)"
+    )
+    assert messages["torus"] == "Euler characteristic 0 (V=9, E=18, F=9), expected 2"
+
+
+def _damaged(cycles, rng):
+    """``cycles`` with one random defect: a vertex merged into another, a face
+    reversed or dropped, or a disjoint or vertex-sharing copy added."""
+    cycles = [list(c) for c in cycles]
+    names = sorted({v for c in cycles for v in c}, key=repr)
+    kind = rng.randrange(5)
+    if kind == 0:
+        gone, kept = rng.sample(names, 2)
+        return [[kept if v == gone else v for v in c] for c in cycles]
+    if kind == 1:
+        cycles[rng.randrange(len(cycles))].reverse()
+        return cycles
+    if kind == 2:
+        del cycles[rng.randrange(len(cycles))]
+        return cycles
+    shared = rng.choice(names) if kind == 3 else None
+    copy = [[v if v == shared else ("copy", v) for v in c] for c in cycles]
+    return cycles + copy
+
+
+@pytest.mark.parametrize("make", [lambda: prism(5), lambda: earth_map(3), football])
+def test_validate_sphere_raises_as_the_reference_on_damaged_tilings(make):
+    rng = random.Random(5)
+    cycles = _named_cycles(make())
+    kinds = set()
+    for _ in range(60):
+        outcome = _assert_same_outcome(_damaged(cycles, rng))
+        kinds.add(outcome[0] if isinstance(outcome, tuple) else SphereSurface)
+    assert {NotEdgeToEdge, NotSphere} <= kinds
 
 
 # -- combinatorial verification ----------------------------------------------------

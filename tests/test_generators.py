@@ -240,6 +240,32 @@ def test_rotations_are_60_distinct_dart_maps_commuting_with_nxt_and_twin():
             assert all(image[step[d]] == step[image[d]] for d in range(60))
 
 
+def _classification_rows(info):
+    return (
+        info["matchings"],
+        info["variant_of_matching"],
+        [
+            (cl["members"], cl["bullet_counts"], cl["chain_length"], cl["representative"].face_specs())
+            for cl in info["classes"]
+        ],
+    )
+
+
+def test_rotations_are_built_once_and_leave_the_classification_unchanged():
+    assert dodecahedron_rotations() is dodecahedron_rotations()
+    rows = []
+    for rebuild in (True, False):
+        if rebuild:
+            dodecahedron_rotations.cache_clear()
+        fusion_classification.cache_clear()
+        try:
+            rows.append(_classification_rows(fusion_classification()))
+        finally:
+            fusion_classification.cache_clear()
+    assert rows[0] == rows[1]
+    assert dodecahedron_rotations() == _rotations_by_bfs()
+
+
 def test_fusion_classes_are_the_canonical_code_classes():
     # The old classification, kept as the oracle: all 36 fusions grouped by
     # canonical code, classes in order of first member.
