@@ -56,9 +56,8 @@ def _writable(path: str) -> bool:
 
 def _emit(*outputs: tuple[str, Optional[str]]) -> int:
     """Write each (text, path) pair to its file, or to stdout when the path
-    is None, a file in slices of ``_WRITE_SLICE`` characters.  Every path is
-    checked before anything is written, so a path that cannot be written is
-    a usage error naming it and leaves no output."""
+    is None.  Every path is checked before anything is written, so a path
+    that cannot be written is a usage error naming it and leaves no output."""
     for _, out in outputs:
         if out is not None and not _writable(out):
             return _usage_error(f"cannot write {out}: no such directory, or not writable")
