@@ -92,7 +92,7 @@ def report_payload(report: ClassificationReport, c_max: int = 8) -> dict:
     return json.loads(report_json(report, c_max=c_max))
 
 
-def cmd_classify(m: int, c_max: int = 8, out: Optional[str] = None, tol: float = 1e-6) -> int:
+def cmd_classify(m: int, c_max: int, out: Optional[str], tol: float) -> int:
     if not (5 <= m <= 64):
         return _usage_error(f"--m must be between 5 and 64, got {m}")
     if c_max < 2:
@@ -108,20 +108,8 @@ def cmd_classify(m: int, c_max: int = 8, out: Optional[str] = None, tol: float =
 # -- generate ------------------------------------------------------------------
 
 
-def cmd_generate(
-    family: str,
-    m: Optional[int] = None,
-    c: Optional[int] = None,
-    r: Optional[float] = None,
-    realize: bool = False,
-    obj: Optional[str] = None,
-    svg: Optional[str] = None,
-    out: Optional[str] = None,
-) -> int:
-    if family not in GENERATE_FAMILIES:
-        return _usage_error(
-            f"unknown family {family!r}; choose from {', '.join(GENERATE_FAMILIES)}"
-        )
+def cmd_generate(family: str, m: Optional[int], c: Optional[int], r: Optional[float], realize: bool,
+                 obj: Optional[str], svg: Optional[str], out: Optional[str]) -> int:
     if m is not None and family != "prism":
         return _usage_error("--m only applies to the prism family")
     if c is not None and family != "earthmap":
@@ -186,7 +174,7 @@ def cmd_generate(
 # -- verify --------------------------------------------------------------------
 
 
-def cmd_verify(path: str, tol: Optional[float] = None) -> int:
+def cmd_verify(path: str, tol: Optional[float]) -> int:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -236,7 +224,7 @@ def cmd_verify(path: str, tol: Optional[float] = None) -> int:
 # -- matchings -----------------------------------------------------------------
 
 
-def cmd_matchings(out: Optional[str] = None) -> int:
+def cmd_matchings(out: Optional[str]) -> int:
     data = fusion_classification()
     matchings = data["matchings"]
     payload = {
@@ -322,28 +310,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command named on the command line, ``cmd_<command>``, with the
+    parsed options as its keyword arguments; return its exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-
-    if args.command == "classify":
-        return cmd_classify(args.m, c_max=args.c_max, out=args.out, tol=args.tol)
-    if args.command == "generate":
-        return cmd_generate(
-            args.family,
-            m=args.m,
-            c=args.c,
-            r=args.r,
-            realize=args.realize,
-            obj=args.obj,
-            svg=args.svg,
-            out=args.out,
-        )
-    if args.command == "verify":
-        return cmd_verify(args.path, tol=args.tol)
-    assert args.command == "matchings"
-    return cmd_matchings(out=args.out)
+    # Looked up when called, so a rebound module attribute (a tracer's) runs.
+    return globals()[f"cmd_{args.pop('command')}"](**args)
 
 
 if __name__ == "__main__":

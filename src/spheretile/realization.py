@@ -31,7 +31,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .trig import TWO_PI, ANGLE_NAMES, AngleSolution, ClosureDomainError, solve_closure, tolerance
+from .trig import (TWO_PI, ANGLE_NAMES, AngleSolution, ClosureDomainError, _bisect, solve_closure,
+                   tolerance)
 from .complexes import CombinatorialReport, TilingComplex, verify_combinatorial
 from .generators import earth_map, prism
 
@@ -77,22 +78,16 @@ def earth_map_gamma(c: int) -> float:
 
     c(gamma) decreases continuously from +infinity (gamma -> 0) to 1 at
     gamma = 2*pi/5, so for any integer c >= 2 the interval (1e-9, 2*pi/5)
-    brackets the root.  Plain bisection keeps the end with c(gamma) > c as
-    ``lo`` and the other as ``hi``, and stops once the midpoint rounds to
-    one of the ends: the bracket is then two adjacent floats, and the
-    midpoint is returned.  That leaves |c(gamma) - c| far below 1e-10.
+    brackets the root.  :func:`trig._bisect` at width 0 keeps the end with
+    c(gamma) > c as ``lo``, and returns the midpoint of the two adjacent
+    floats it ends on: |c(gamma) - c| is far below 1e-10.  It bisects the
+    sign +-1, not c(gamma) - c, which is exactly 0 at a midpoint for about
+    half of all c: the bisection sends that midpoint to ``hi``, and an
+    early return there would move gamma.
     """
     if c < 2:
         raise ValueError(f"earth-map blocks need c >= 2, got {c}")
-    lo, hi = 1e-9, 2.0 * math.pi / 5.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if _earth_map_c(mid) > c:
-            lo = mid
-        else:
-            hi = mid
+    return _bisect(lambda g: 1.0 if _earth_map_c(g) > c else -1.0, 1e-9, 2.0 * math.pi / 5.0, 0.0)
 
 
 def earth_map_solution(c: int) -> AngleSolution:

@@ -260,10 +260,8 @@ def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.nd
     ref = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(ref, c)) > 0.9:
         ref = np.array([0.0, 1.0, 0.0])
-    e1 = ref - np.dot(ref, c) * c
-    e1 /= np.linalg.norm(e1)
-    e2 = _cross(c, e1)
-    return e1, e2, c
+    e1 = geodesic_arcs(c[None], ref[None])[2][0]
+    return e1, _cross(c, e1), c
 
 
 def _trace_edges(

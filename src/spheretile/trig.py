@@ -27,7 +27,7 @@ import math
 import warnings
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import Literal, NamedTuple, Optional, Sequence
+from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -390,9 +390,9 @@ def solve_closure(
     if line is None:
         return []
     point, direction, t_lo, t_hi = line
-    (p0, p1, p2), (d0, d1, d2) = p, d = point.tolist(), direction.tolist()
+    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
     step, c = (t_hi - t_lo) / grid, math.cos(TWO_PI / m)
-    ka, kb, kg = (0 if dk > 0.0 else 1 for dk in d)  # which end of a range holds each term's max
+    ka, kb, kg = (0 if dk > 0.0 else 1 for dk in (d0, d1, d2))  # the range end with each term's max
 
     def node(i: int) -> tuple:  # i, t, angles and, in the domain, M, cot(beta/2), cot(gamma/2)
         t = t_hi if i == grid else i * step + t_lo
@@ -416,7 +416,8 @@ def solve_closure(
             continue
         r0, r1 = _residual_vec(m, [ai, aj]).tolist()
         if math.isfinite(r0) and math.isfinite(r1) and (r0 == 0.0 or r0 * r1 < 0.0):
-            roots.append(ti if r0 == 0.0 else _bisect(m, p, d, ti, tj))
+            roots.append(ti if r0 == 0.0 else _bisect(lambda t: closure_residual(
+                m, p0 + t * d0, p1 + t * d1, p2 + t * d2), ti, tj, BRACKET_TOL))
         if j == grid and r1 == 0.0:
             roots.append(t_hi)
 
@@ -454,12 +455,17 @@ def _residual_vec(m: int, angles) -> np.ndarray:
         return np.where(_off_domain(m, alpha, beta, gamma), np.nan, mg - rh)
 
 
-def _bisect(m: int, p: Sequence[float], d: Sequence[float], lo: float, hi: float) -> float:
-    def f(t: float) -> float:
-        return closure_residual(m, *(pk + t * dk for pk, dk in zip(p, d)))
+def _bisect(f: Callable[[float], float], lo: float, hi: float, width: float) -> float:
+    """A root of f between lo and hi, the package's one bisection: the end
+    whose f has f(lo)'s sign moves to the midpoint.  An exact zero at a
+    midpoint is returned at once; else the midpoint once the bracket is at
+    most ``width`` wide, or once it rounds to an end (the bracket is two
+    adjacent floats, which width 0 waits for)."""
     f_lo = f(lo)
-    while hi - lo > BRACKET_TOL:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid

@@ -1,7 +1,9 @@
 """Command-line entry points, driven in process through main(), and what
 importing the command-line module loads, seen from a fresh interpreter."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -567,3 +569,19 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     assert run_all(fresh=True) == cached
     assert [code for code, _, _ in cached] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_each_subcommand_option_is_a_parameter_of_its_command():
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == {"classify", "generate", "verify", "matchings"}
+    for name, sub in commands.items():
+        dests = [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert dests == list(inspect.signature(getattr(cli, f"cmd_{name}")).parameters), name
+
+
+def test_main_calls_the_command_bound_on_the_module_when_it_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_matchings", lambda **kwargs: calls.append(kwargs) or 7)
+    assert main(["matchings", "--out", "m.json"]) == 7
+    assert calls == [{"out": "m.json"}]

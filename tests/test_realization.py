@@ -81,6 +81,27 @@ def test_earth_map_gamma_strictly_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def _earth_map_gamma_reference(c: int) -> float:
+    """The earth-map bisection as its own loop: keep the end with c(gamma) > c
+    as lo, and stop once the midpoint rounds to an end."""
+    lo, hi = 1e-9, 2.0 * math.pi / 5.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if realization._earth_map_c(mid) > c:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_earth_map_gamma_equals_its_own_loop_bit_for_bit():
+    # c(gamma) - c is exactly 0 at a midpoint for about half of all c; the
+    # loop sends that midpoint to hi, and so must the shared bisection.
+    for c in [*range(2, 5001), 10**4, 10**5, 212_013, 212_014, 10**6]:
+        assert earth_map_gamma(c) == _earth_map_gamma_reference(c), c
+
+
 def test_earth_map_gamma_rejects_short_blocks():
     with pytest.raises(ValueError):
         earth_map_gamma(1)
