@@ -373,7 +373,7 @@ def test_bisect_returns_an_exact_zero_at_once():
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 3.0), (-2.0, math.pi)])
 def test_bisect_at_width_zero_ends_on_an_adjacent_float_bracket(lo, hi):
-    root = 0.5 * (lo + hi) + 1e-3  # no midpoint lands on it exactly
+    root = 0.5 * (lo + hi) + 1e-3
     t = trig._bisect(lambda t: 1.0 if t < root else -1.0, lo, hi, 0.0)
     below, above = (t, math.nextafter(t, math.inf)) if t < root else (math.nextafter(t, -math.inf), t)
     assert below < root <= above
