@@ -244,6 +244,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
+def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
+    """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated."""
+    import numpy as np
+    before = np.cumsum(count) - count
+    step = np.broadcast_to(step, count.shape)
+    return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
+
+
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Mask of the first occurrence of each value, in order: a stable sort
     keeps equal values in their order, so each run's first is the one."""
@@ -350,10 +358,8 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     def faces_from(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Half-edges of each entry's face in face order, starting at the
         entry, face after face, and each face's size."""
-        k = size[face_of[entries]]
-        start = np.repeat(face_start[face_of[entries]], k)
-        i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-        return start + (np.repeat(entries, k) - start + i) % np.repeat(k, k), k
+        k, start = size[face_of[entries]], face_start[face_of[entries]]
+        return np.repeat(start, k) + _ranges(entries - start, k, 1) % np.repeat(k, k), k
 
     def place(vertices: np.ndarray, corners: np.ndarray) -> None:
         nonlocal worst_defect, worst_vertex
@@ -485,8 +491,7 @@ def _orientation_failures(m: _Measurement, sizes: np.ndarray) -> list[tuple[int,
     k = sizes[m.face_of]
     start = (np.cumsum(sizes) - sizes)[m.face_of]  # first half-edge of h's face
     h = np.repeat(np.arange(len(k)), k - 2)  # each half-edge once per corner off it
-    step = 2 + np.arange(len(h)) - np.repeat(np.cumsum(k - 2) - (k - 2), k - 2)
-    corner = start[h] + (h - start[h] + step) % k[h]
+    corner = start[h] + _ranges(np.arange(len(k)) - start + 2, k - 2, 1) % k[h]
     normal = _cross(m.points[m.origin], m.points[m.head])
     det = _dots(normal[h], m.points[m.origin[corner]])
     sign = 1.0 if np.nansum(det) > 0.0 else -1.0

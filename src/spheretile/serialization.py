@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .trig import ANGLE_NAMES, AngleSolution, _f17
 from .complexes import KINDS, BadLabels, TilingComplex, build_from_faces
-from .realization import Embedding, _cross, _dots, geodesic_arcs
+from .realization import Embedding, _cross, _dots, _ranges, geodesic_arcs
 
 
 class SchemaError(Exception):
@@ -308,7 +308,7 @@ def _trace_edges(
 
     n = np.maximum(2, np.ceil(arc * 5.1).astype(int))
     k = np.repeat(np.arange(len(edges)), n + 1)
-    i = np.arange(len(k)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    i = _ranges(np.zeros_like(n), n + 1, 1)
     t = i / n[k]
     z, d = point_and_velocity(k, t)
     tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
@@ -378,14 +378,6 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
         for i, row in zip(inexact.tolist(), text):
             chars[i, chars.shape[1] - len(row) :] = np.frombuffer(row, np.uint8)
     return chars
-
-
-def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
-    """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated."""
-    import numpy as np
-    before = np.cumsum(count) - count
-    step = np.broadcast_to(step, count.shape)
-    return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
 
 
 def _point_table(edges: list[tuple[int, int]], e: Embedding, frame) -> tuple[np.ndarray, np.ndarray]:

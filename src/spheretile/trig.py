@@ -563,7 +563,7 @@ def edge_bound_proof(
         raise ValueError("the edge-bound lemma needs beta^2.gamma in the system")
     if m >= 6:
         premise = f"the m-gon edge cosine exceeds cos(2*pi/m) >= 1/2, as m = {m} >= 6"
-    elif m == 5 and not _feasible(m, cons, [((3, 0, 0), -2 * m, True)]) and 4 * 5 > 9:
+    elif m == 5 and not _feasible(m, cons, [((3, 0, 0), -2 * m, True)]):
         premise = (
             "exact elimination over the admissibility box leaves alpha <= 2*pi/3, where the "
             "m-gon edge cosine, falling in alpha, is at least sqrt(5)/3 > 1/2, as 20 > 9"

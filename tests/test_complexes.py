@@ -78,16 +78,17 @@ def test_validate_sphere_rejects_pinched_vertex():
 
 def test_build_rejects_non_alternating_rhombus():
     specs = prism(5).face_specs()
-    bad = []
-    flipped = False
-    for kind, verts, labels in specs:
-        if kind == "rhombus" and not flipped:
-            bad.append((kind, verts, ["beta", "beta", "gamma", "gamma"]))
-            flipped = True
-        else:
-            bad.append((kind, verts, labels))
-    with pytest.raises(BadLabels):
-        build_from_faces(bad)
+    for wrong in (["beta", "beta", "gamma", "gamma"], ["alpha", "gamma"] * 2):
+        bad = []
+        flipped = False
+        for kind, verts, labels in specs:
+            if kind == "rhombus" and not flipped:
+                bad.append((kind, verts, wrong))
+                flipped = True
+            else:
+                bad.append((kind, verts, labels))
+        with pytest.raises(BadLabels, match="rhombus corners must alternate beta/gamma"):
+            build_from_faces(bad)
 
 
 def test_build_rejects_mislabeled_mgon():
@@ -98,7 +99,7 @@ def test_build_rejects_mislabeled_mgon():
             bad.append((kind, verts, ["beta"] * len(verts)))
         else:
             bad.append((kind, verts, labels))
-    with pytest.raises(BadLabels):
+    with pytest.raises(BadLabels, match="m-gon corners must all be alpha"):
         build_from_faces(bad)
 
 
@@ -266,17 +267,24 @@ def _shipped_tilings():
     )
 
 
-def _relabelled_and_shuffled(cycles, rng):
-    names = sorted({v for cycle in cycles for v in cycle}, key=repr)
+def _relabelled_specs(specs, rng):
+    """``specs`` with fresh vertex names, each face rotated with its labels, and
+    the faces shuffled."""
+    names = sorted({v for _, cycle, _ in specs for v in cycle}, key=repr)
     fresh = list(range(len(names)))
     rng.shuffle(fresh)
     rename = {v: f"v{fresh[i]}" for i, v in enumerate(names)}
     out = []
-    for cycle in cycles:
+    for kind, cycle, labels in specs:
         shift = rng.randrange(len(cycle))
-        out.append([rename[v] for v in cycle[shift:] + cycle[:shift]])
+        turned = list(labels[shift:]) + list(labels[:shift])
+        out.append((kind, [rename[v] for v in cycle[shift:] + cycle[:shift]], turned))
     rng.shuffle(out)
     return out
+
+
+def _relabelled_and_shuffled(cycles, rng):
+    return [cycle for _, cycle, _ in _relabelled_specs([(None, c, c) for c in cycles], rng)]
 
 
 def test_validate_sphere_equals_the_reference_on_every_shipped_tiling():
@@ -346,24 +354,31 @@ def test_malformed_cases_keep_their_messages():
     assert messages["torus"] == "Euler characteristic 0 (V=9, E=18, F=9), expected 2"
 
 
-def _damaged(cycles, rng):
-    """``cycles`` with one random defect: a vertex merged into another, a face
-    reversed or dropped, or a disjoint or vertex-sharing copy added."""
-    cycles = [list(c) for c in cycles]
-    names = sorted({v for c in cycles for v in c}, key=repr)
+def _damaged_specs(specs, rng):
+    """``specs`` with one random defect: a vertex merged into another, a face
+    reversed or dropped, or a disjoint or vertex-sharing copy added.  Each
+    corner keeps its label."""
+    specs = [(kind, list(c), list(labels)) for kind, c, labels in specs]
+    names = sorted({v for _, c, _ in specs for v in c}, key=repr)
     kind = rng.randrange(5)
     if kind == 0:
         gone, kept = rng.sample(names, 2)
-        return [[kept if v == gone else v for v in c] for c in cycles]
+        return [(k, [kept if v == gone else v for v in c], ls) for k, c, ls in specs]
     if kind == 1:
-        cycles[rng.randrange(len(cycles))].reverse()
-        return cycles
+        _, c, labels = specs[rng.randrange(len(specs))]
+        c.reverse()
+        labels.reverse()
+        return specs
     if kind == 2:
-        del cycles[rng.randrange(len(cycles))]
-        return cycles
+        del specs[rng.randrange(len(specs))]
+        return specs
     shared = rng.choice(names) if kind == 3 else None
-    copy = [[v if v == shared else ("copy", v) for v in c] for c in cycles]
-    return cycles + copy
+    copy = [(k, [v if v == shared else ("copy", v) for v in c], ls) for k, c, ls in specs]
+    return specs + copy
+
+
+def _damaged(cycles, rng):
+    return [cycle for _, cycle, _ in _damaged_specs([(None, c, c) for c in cycles], rng)]
 
 
 @pytest.mark.parametrize("make", [lambda: prism(5), lambda: earth_map(3), football])
@@ -375,6 +390,71 @@ def test_validate_sphere_raises_as_the_reference_on_damaged_tilings(make):
         outcome = _assert_same_outcome(_damaged(cycles, rng))
         kinds.add(outcome[0] if isinstance(outcome, tuple) else SphereSurface)
     assert {NotEdgeToEdge, NotSphere} <= kinds
+
+
+# -- the invariants build_from_faces establishes ------------------------------------
+
+
+def _named_specs(t):
+    """The face specs of ``t`` in its generator's own vertex names."""
+    return [(f.kind, [t.vertex_names[v] for v in f.vertices], f.labels) for f in t.faces]
+
+
+def _assert_builder_invariants(t):
+    """The facts every built complex carries, counted from its faces: alpha
+    labels fill the m-gons, beta and gamma labels are two per rhombus each, the
+    census sums to the label counts, V - E + F = 2; the report repeats them."""
+    labels = [lab for f in t.faces for lab in f.labels]
+    counts = tuple(labels.count(name) for name in ("alpha", "beta", "gamma"))
+    rhombi = sum(f.kind == "rhombus" for f in t.faces)
+    assert counts[0] == sum(f.size for f in t.faces if f.kind == "mgon")
+    assert counts[1] == counts[2] == 2 * rhombi
+    census = t.census()
+    assert tuple(sum(key[i] * n for key, n in census.items()) for i in range(3)) == counts
+    vertices = {v for f in t.faces for v in f.vertices}
+    sides = (zip(f.vertices, (*f.vertices[1:], f.vertices[0])) for f in t.faces)
+    edges = {frozenset(e) for side in sides for e in side}
+    assert len(vertices) - len(edges) + len(t.faces) == 2 == t.euler_characteristic
+    report = verify_combinatorial(t, AngleSolution(5, 1.0, 1.0, 1.0, 0.0))
+    assert report.corner_counts == t.corner_counts() == counts
+    assert report.euler_characteristic == 2
+
+
+def test_every_shipped_tiling_carries_the_builder_invariants():
+    rng = random.Random(13)
+    for t in _shipped_tilings():
+        _assert_builder_invariants(t)
+        _assert_builder_invariants(build_from_faces(_relabelled_specs(_named_specs(t), rng)))
+
+
+@pytest.mark.parametrize("make", [lambda: prism(5), lambda: earth_map(3), football])
+def test_every_damaged_input_that_builds_carries_the_builder_invariants(make):
+    # The surface defects of _damaged_specs do not build; a rhombus whose labels
+    # turn one place, beta and gamma swapped, always does, with a new census.
+    rng = random.Random(7)
+    specs = _named_specs(make())
+    rhombi = [i for i, spec in enumerate(specs) if spec[0] == "rhombus"]
+    built = 0
+    for _ in range(60):
+        turned = list(specs)
+        i = rng.choice(rhombi)
+        kind, cycle, labels = turned[i]
+        turned[i] = (kind, cycle, labels[1:] + labels[:1])
+        for variant in (_damaged_specs(specs, rng), turned):
+            try:
+                t = build_from_faces(variant)
+            except TilingError:
+                continue
+            _assert_builder_invariants(t)
+            built += 1
+    assert built >= 60
+
+
+def test_build_rejects_a_torus_of_rhombi():
+    # Every label is in place and every edge paired, but V - E + F = 0.
+    specs = [("rhombus", list(c), ["beta", "gamma"] * 2) for c in _quad_torus()]
+    with pytest.raises(NotSphere, match=r"^Euler characteristic 0 \(V=9, E=18, F=9\)"):
+        build_from_faces(specs)
 
 
 # -- combinatorial verification ----------------------------------------------------

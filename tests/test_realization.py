@@ -829,6 +829,43 @@ def test_cross_matches_numpy_cross_to_the_bit():
     assert realization._cross(p, q).tobytes() == np.cross(p, q).tobytes()
 
 
+def _ranges_loop(first, count, step):
+    steps = step if isinstance(step, list) else [step] * len(count)
+    return [f + s * j for f, c, s in zip(first, count, steps) for j in range(c)]
+
+
+@pytest.mark.parametrize(
+    "first, count, step",
+    [
+        ([], [], 1),
+        ([], [], []),
+        ([5], [0], 1),
+        ([3, -2, 7, 0], [2, 0, 3, 1], 1),
+        ([10, 4, -1], [4, 3, 2], -2),
+        ([3, -2, 7, 0, 9], [2, 0, 3, 1, 0], [1, -1, -3, 2, 5]),
+        ([0, 0, 0], [0, 0, 0], [-1, 2, 3]),
+    ],
+)
+def test_ranges_equal_a_plain_loop(first, count, step):
+    arrays = [np.array(v, dtype=np.int64) for v in (first, count)]
+    steps = np.array(step, dtype=np.int64) if isinstance(step, list) else step
+    got = realization._ranges(*arrays, steps)
+    assert got.dtype == np.int64
+    assert got.tolist() == _ranges_loop(first, count, step)
+
+
+def test_ranges_equal_a_plain_loop_on_random_runs():
+    rng = np.random.default_rng(3)
+    for n in range(40):
+        first, count = rng.integers(-50, 50, size=n), rng.integers(0, 6, size=n)
+        step = rng.integers(-4, 5, size=n)
+        expected = _ranges_loop(first.tolist(), count.tolist(), step.tolist())
+        assert realization._ranges(first, count, step).tolist() == expected
+        scalar = int(step[0]) if n else 1
+        expected = _ranges_loop(first.tolist(), count.tolist(), scalar)
+        assert realization._ranges(first, count, scalar).tolist() == expected
+
+
 @pytest.mark.parametrize("far_end", ["coincident", "antipodal"])
 @pytest.mark.parametrize("n", [1, 5])
 def test_edge_frames_name_a_degenerate_row(far_end, n):
