@@ -79,13 +79,14 @@ class TilingComplex:
     face; readers index these lists directly and never modify them.
     """
 
-    __slots__ = ("faces", "vertex_names", "half_edges", "label")
+    __slots__ = ("faces", "vertex_names", "half_edges", "label", "_census")
 
     def __init__(self, faces: tuple[Face, ...], surface: SphereSurface, label: list[str]):
         self.faces = faces
         self.vertex_names = surface.vertex_names
         self.half_edges = surface
         self.label = label
+        self._census = None  # filled by census()
 
     # -- basic counts ------------------------------------------------------
 
@@ -120,14 +121,17 @@ class TilingComplex:
     # -- census ------------------------------------------------------------
 
     def census(self) -> dict[VertexTriple, int]:
-        """Count vertices by type (a, b, c) = corner multiplicities of each angle."""
-        out: dict[VertexTriple, int] = {}
-        label = self.label
-        for edges in self.half_edges.out_edges:
-            corners = [label[h] for h in edges]
-            key = (corners.count("alpha"), corners.count("beta"), corners.count("gamma"))
-            out[key] = out.get(key, 0) + 1
-        return out
+        """Count vertices by type (a, b, c) = corner multiplicities of each angle.
+        The count runs once per complex; each call returns a fresh copy."""
+        if self._census is None:
+            out: dict[VertexTriple, int] = {}
+            label = self.label
+            for edges in self.half_edges.out_edges:
+                corners = [label[h] for h in edges]
+                key = (corners.count("alpha"), corners.count("beta"), corners.count("gamma"))
+                out[key] = out.get(key, 0) + 1
+            self._census = out
+        return dict(self._census)
 
     def corner_counts(self) -> tuple[int, int, int]:
         n_alpha, n_beta, n_gamma = map(self.label.count, ANGLE_NAMES)

@@ -245,11 +245,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
-    """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated."""
+    """Runs first[i], first[i] + step[i], ... of count[i] terms, concatenated;
+    ``step`` is one int for every run or an array of one per run."""
     import numpy as np
     before = np.cumsum(count) - count
-    step = np.broadcast_to(step, count.shape)
-    return np.repeat(first - step * before, count) + np.repeat(step, count) * np.arange(count.sum())
+    term_step = step if isinstance(step, int) else np.repeat(step, count)
+    return np.repeat(first - step * before, count) + term_step * np.arange(count.sum())
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:

@@ -243,10 +243,24 @@ def export_obj(t: TilingComplex, e: Embedding) -> str:
 
 _SVG_FILL = {"mgon": "#4878a8", "rhombus": "#e8c468"}
 _VIEW = 1000.0
+_SVG_HEAD = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">\n'
+             f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="white"/>\n').encode()
+_SVG_FOOT = b"</svg>\n"
+# The path text around the points, as point-table rows no wider than the
+# narrowest point row, "0.000,0.000 ": "C ", a path's opening, then each
+# kind's close in _CLOSE_ROWS rows, mgon first.
+_CLOSE = [f'Z" fill="{fill}" stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>\n'.encode()
+          for fill in _SVG_FILL.values()]
+_CLOSE_ROWS = -(-len(_CLOSE[0]) // 12)
+_GLUE = [b"C ", b'<path d="M ']
+_GLUE += [close[i : i + 12] for close in _CLOSE for i in range(0, 12 * _CLOSE_ROWS, 12)]
 # Least 1 + p.c of a traced point.  A point within about 4.5e-5 rad of
 # the projection pole lands so far out that the rest of the picture
 # collapses, and the pole itself has no finite image.
 _POLE_CLEARANCE = 1e-9
+# export_svg strips the NULs from a sixteenth of the tokens at a time, or
+# from this many when that is more.
+_STRIP_TOKENS = 256
 
 
 def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,12 +300,16 @@ def _trace_edges(
     _, arc, tangent = geodesic_arcs(p0, p1)
 
     def point_and_velocity(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = (t * arc[k])[:, None]
-        cos, sin = np.cos(a), np.sin(a)
-        p, dp = cos * p0[k], cos * tangent[k]
-        p += sin * tangent[k]
-        dp -= sin * p0[k]
-        dp *= arc[k][:, None]
+        arc_k = arc[k]
+        cos, sin = np.cos(t * arc_k), np.sin(t * arc_k)
+        p, dp = np.empty((len(k), 3)), np.empty((len(k), 3))
+        for col in range(3):  # a coordinate at a time, for fewer temporaries
+            x, y = p0[k, col], tangent[k, col]
+            np.multiply(cos, x, out=p[:, col])
+            p[:, col] += sin * y
+            np.multiply(cos, y, out=dp[:, col])
+            dp[:, col] -= sin * x
+        dp *= arc_k[:, None]
         denom = 1.0 + p @ c
         near = ~(denom > _POLE_CLEARANCE)
         if near.any():
@@ -300,11 +318,21 @@ def _trace_edges(
                 f"edge {edge[0]}-{edge[1]} passes through the projection pole; "
                 "it has no finite image"
             )
-        u = 2.0 * (p @ e1) / denom
-        v = 2.0 * (p @ e2) / denom
-        du = (2.0 * (dp @ e1) - u * (dp @ c)) / denom
-        dv = (2.0 * (dp @ e2) - v * (dp @ c)) / denom
-        return u + 1j * v, du + 1j * dv
+        u, v = p @ e1, p @ e2
+        del p
+        du, dv, dpc = dp @ e1, dp @ e2, dp @ c
+        del dp
+        for x, dx in ((u, du), (v, dv)):  # x = 2 x / denom, dx = (2 dx - x dpc) / denom
+            x *= 2.0
+            x /= denom
+            dx *= 2.0
+            dx -= x * dpc
+            dx /= denom
+        del dpc, denom
+        z, d = 1j * v, 1j * dv
+        z += u
+        d += du
+        return z, d
 
     n = np.maximum(2, np.ceil(arc * 5.1).astype(int))
     k = np.repeat(np.arange(len(edges)), n + 1)
@@ -313,27 +341,55 @@ def _trace_edges(
     z, d = point_and_velocity(k, t)
     tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
 
-    def refine(k, t0, z0, d0, t1, z1, d1):
-        # Pieces (edge, t0, z0, d0, t1, z1, d1) of level len(done), kept or halved.
-        c1 = z0 + d0 * (t1 - t0) / 3.0
-        c2 = z1 - d1 * (t1 - t0) / 3.0
-        tm = 0.5 * (t0 + t1)
+    def refine(level):
+        # The pieces (edge, t0, z0, d0, t1, z1, d1) of level len(done), kept
+        # or halved.  The list is emptied, so each array dies when last used,
+        # and each level's cubics are built once, in place.
+        k, t0, z0, d0, t1, z1, d1 = level
+        level.clear()
+        tm = t0 + t1
+        tm *= 0.5
         zm, dm = point_and_velocity(k, tm)
-        bez_mid = (z0 + 3.0 * c1 + 3.0 * c2 + z1) / 8.0
-        split = (np.abs(bez_mid - zm) > tol_abs) & (len(done) < 14)
-        done.append((k[~split], t0[~split], np.stack([z0, c1, c2, z1], axis=1)[~split]))
-        return tuple(
+        cubics = np.empty((len(k), 4), complex)
+        cubics[:, 0], cubics[:, 3] = z0, z1
+        z0, z1 = cubics[:, 0], cubics[:, 3]
+        dt = t1 - t0
+        c1, c2 = np.multiply(d0, dt, out=cubics[:, 1]), np.multiply(d1, dt, out=cubics[:, 2])
+        c1 /= 3.0
+        c1 += z0
+        c2 /= 3.0
+        np.subtract(z1, c2, out=c2)
+        miss = 3.0 * c1  # (z0 + 3 c1 + 3 c2 + z1) / 8 - zm, the Bezier midpoint's miss
+        miss += z0
+        miss += 3.0 * c2
+        miss += z1
+        miss /= 8.0
+        miss -= zm
+        split = (np.abs(miss) > tol_abs) & (len(done) < 14)
+        if not split.any():
+            done.append((k, t0, cubics))
+            return []
+        halves = [
             np.concatenate([left[split], right[split]])
             for left, right in zip((k, t0, z0, d0, tm, zm, dm), (k, tm, zm, dm, t1, z1, d1))
-        )
+        ]
+        del d0, t1, d1, tm, zm, dm
+        done.append((k[~split], t0[~split], cubics[~split]))
+        return halves
 
     j = np.flatnonzero(i < n[k])
-    pending, done = (k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1]), []
-    while len(pending[0]):
-        pending = refine(*pending)
+    pending, done = [k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1]], []
+    del k, i, t, z, d, j  # the knots, freed once the first pieces exist
+    while pending:
+        pending = refine(pending)
 
-    k, t0, cubics = (np.concatenate(column) for column in zip(*done))
-    return cubics[np.lexsort((t0, k))], np.bincount(k, minlength=len(edges))
+    if len(done) == 1:  # one level, already in edge and t order
+        k, _, cubics = done[0]
+    else:
+        k, t0, cubics = map(np.concatenate, zip(*done))
+        done.clear()
+        cubics = cubics[np.lexsort((t0, k))]
+    return cubics, np.bincount(k, minlength=len(edges))
 
 
 def _fixed3(values: np.ndarray) -> np.ndarray:
@@ -348,24 +404,30 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     small = np.abs(values) < 1e6
-    w = np.where(small, values, 0.0) * 1000.0
-    floor = np.floor(w)
-    frac = w - floor
-    exact = small & (np.abs(frac - 0.5) > 1e-6)
-    q = np.abs(floor + (frac > 0.5)).astype(np.int32)
+    w = np.where(small, values, 0.0)
+    w *= 1000.0
+    q = np.floor(w)
+    w -= q  # the fraction, in place, as every step below
+    q += w > 0.5
+    w -= 0.5
+    exact = np.abs(w, out=w) > 1e-6
+    exact &= small
+    del small, w
+    q = np.abs(q, out=q).astype(np.int32)
     # Columns: the sign, n_int integer digits, the point and three decimals.
     n_int = len(str(int(q.max(initial=0)) // 1000))
     chars = np.zeros((len(q), n_int + 5), np.uint8)
     negative = np.signbit(values)
-    chars[:, 0] = 45 * negative
+    chars[negative, 0] = 45
     chars[:, n_int + 1] = 46
+    rest = np.empty_like(q)
     for col in (n_int + 4, n_int + 3, n_int + 2, *range(n_int, 0, -1)):
         # q is the value in units of this column's place; integer digits
         # left of the units column stay NUL once it reaches 0.
-        rest = q // 10
-        digit = q - 10 * rest + 48
-        chars[:, col] = digit if col >= n_int else np.where(q > 0, digit, 0)
-        q = rest
+        live = q > 0 if col < n_int else True
+        np.divmod(q, 10, out=(rest, q))
+        np.add(q, 48, out=chars[:, col], where=live, casting="unsafe")
+        q, rest = rest, q
     if not negative.any():
         chars = chars[:, 1:]
     inexact = np.flatnonzero(~exact)
@@ -383,32 +445,41 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
 def _point_table(edges: list[tuple[int, int]], e: Embedding, frame) -> tuple[np.ndarray, np.ndarray]:
     """Rows of NUL-padded text, and each edge's count of pieces.  Row p is
     point p's "x,y ": point 3j + i is control point i + 1 of piece j, point
-    3s + k starts edge k.  Rows n, n + 1 and n + 2 are "M ", "C " and "Z"."""
+    3s + k starts edge k.  Row n + i is ``_GLUE[i]``."""
     import numpy as np
     cubics, counts = _trace_edges(edges, e, frame)
-    ends = cubics[:, [0, 3]].ravel()
+    ends = cubics[:, ::3]
     span = max(np.ptp(ends.real), np.ptp(ends.imag), 1e-9)
     scale = 0.92 * _VIEW / span
     cx = 0.5 * (ends.real.min() + ends.real.max())
     cy = 0.5 * (ends.imag.min() + ends.imag.max())
-    points = np.concatenate([cubics[:, 1:].ravel(), cubics[np.cumsum(counts) - counts, 0]])
-    xy = np.stack([points.real - cx, cy - points.imag], axis=1) * scale + _VIEW / 2.0
-    del cubics, ends, points  # freed before _fixed3 makes arrays of its own
+    s = len(cubics)
+    points = np.empty(3 * s + len(counts), complex)
+    points[: 3 * s].reshape(s, 3)[:] = cubics[:, 1:]
+    points[3 * s :] = cubics[np.cumsum(counts) - counts, 0]
+    del cubics, ends  # freed before _fixed3 makes arrays of its own
+    xy = points.view(np.float64).reshape(-1, 2)  # (x, y) per point, mapped in place
+    xy[:, 0] -= cx
+    np.subtract(cy, xy[:, 1], out=xy[:, 1])
+    xy *= scale
+    xy += _VIEW / 2.0
     chars = _fixed3(xy.ravel())
     n, width = len(xy), chars.shape[1]
-    table = np.zeros((n + 3, 2 * width + 2), np.uint8)
+    del points, xy
+    table = np.zeros((n + len(_GLUE), 2 * width + 2), np.uint8)
     table[:n, :width] = chars[0::2]
     table[:n, width] = ord(",")
     table[:n, width + 1 : -1] = chars[1::2]
     table[:n, -1] = ord(" ")
-    table[n:, :2] = np.frombuffer(b"M C Z\0", np.uint8).reshape(3, 2)
+    for row, text in enumerate(_GLUE, n):
+        table[row, : len(text)] = np.frombuffer(text, np.uint8)
     return table, counts
 
 
 def _paint_tokens(
     t: TilingComplex, e: Embedding, c: np.ndarray, counts: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The faces far to near, and the table rows of their paths in that order."""
+) -> np.ndarray:
+    """The table rows of the faces' paths, far to near."""
     import numpy as np
     # Mean depth along c per face; bincount adds corners in face order, as a scalar sum would.
     depth = _dots(e.positions, np.broadcast_to(c, e.positions.shape))
@@ -428,29 +499,29 @@ def _paint_tokens(
     edge_of[~forward] = edge_of[np.array(he.twin)[~forward]]
     h = _ranges(np.array(he.face_start)[order], sizes[order], 1)
     k, step = edge_of[h], np.where(forward[h], 1, -1)
-    piece = _ranges(first[k] + (step < 0) * (counts[k] - 1), counts[k], step)
-    fwd = np.repeat(step > 0, counts[k])
-    z1 = 3 * piece + 2
-    # Tokens "M start C a b end Z" per drawn piece; "M start" only at a
-    # face's first piece and "Z" only at its last.
-    rows = np.stack([
-        np.full_like(piece, n), np.where(fwd, z0[piece], z1), np.full_like(piece, n + 1),
-        3 * piece + ~fwd, 3 * piece + fwd, np.where(fwd, z1, z0[piece]), np.full_like(piece, n + 2),
-    ], axis=1)
-    keep = np.ones(rows.shape, bool)
-    keep[:, [0, 1, 6]] = False
-    starts = (np.cumsum(counts[k]) - counts[k])[np.cumsum(sizes[order]) - sizes[order]]
-    keep[starts, :2] = True
-    keep[np.append(starts[1:], len(piece)) - 1, 6] = True
-    return order, rows[keep]
-
-
-def _path_text(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, memoryview]:
-    """The faces in paint order, and their paths' text, each path ending in "Z"."""
-    frame = _projection_frame(t, e)
-    table, counts = _point_table(t.undirected_edges(), e, frame)
-    order, tokens = _paint_tokens(t, e, frame[2], counts, len(table) - 3)
-    return order, memoryview(table.take(tokens, axis=0).tobytes().translate(None, b"\0"))
+    drawn = counts[k]
+    piece = _ranges(first[k] + (step < 0) * (drawn - 1), drawn, step)
+    fwd = np.repeat(step > 0, drawn)
+    # Tokens "<path d="M start" before a face's first piece, "C a b end" per
+    # drawn piece and the face's close after its last, scattered in int32.
+    j = (np.cumsum(drawn) - drawn)[np.cumsum(sizes[order]) - sizes[order]]  # faces' first pieces
+    at = np.full(len(piece), 4)
+    at[j] = 6 + _CLOSE_ROWS
+    at[0] = 2
+    at = np.cumsum(at)  # where each piece's "C" goes
+    tokens = np.empty(4 * len(piece) + (2 + _CLOSE_ROWS) * len(j), np.int32)
+    tokens[at] = n
+    row = 3 * piece  # the rows of the piece's c1 and c2, then of its z1
+    tokens[at + 1] = row + ~fwd
+    tokens[at + 2] = row + fwd
+    row += 2
+    tokens[at + 3] = np.where(fwd, row, z0[piece])
+    tokens[at[j] - 2] = n + 1
+    tokens[at[j] - 1] = np.where(fwd[j], z0[piece[j]], row[j])
+    close = np.append(at[j[1:]] - 2, len(tokens))[:, None] - _CLOSE_ROWS + np.arange(_CLOSE_ROWS)
+    kind = np.array([f.kind != "mgon" for f in t.faces])[order]
+    tokens[close] = n + 2 + _CLOSE_ROWS * kind[:, None] + np.arange(_CLOSE_ROWS)
+    return tokens
 
 
 def export_svg(t: TilingComplex, e: Embedding) -> str:
@@ -471,20 +542,25 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
     ``format(v, ".3f")`` elsewhere, the bytes ``format`` writes.  The faces'
     half-edges, in paint order, gather these by index: a forward half-edge
     reads its pieces as "C c1 c2 z1", a reversed one as "C c2 c1 z0" from
-    the last piece back.  One ``take`` of the point table and one NUL strip
-    give all paths' bytes, each ending at its "Z"; one ``b"".join`` adds
-    each face's ``<path d="`` and fill, and one decode makes the str.  The
-    trace's, table's and tokens' arrays die as soon as they are used, so
-    the peak, in the trace, is about 4 times the document.
+    the last piece back.  Each path's opening and its close with the fill
+    are rows of the same point table.  A ``take`` of the table's rows and a
+    NUL strip, a sixteenth of the tokens at a time, write every path into
+    one buffer between the header and the footer, and one decode makes the
+    str.  The arithmetic runs in place and each array dies once used, so
+    the peak, in the trace, is about 2.2 times the document: the buffer
+    and the str at the end, and the trace's first level at the start.
     """
     import numpy as np
-    order, paths = _path_text(t, e)
-    ends = (np.flatnonzero(np.frombuffer(paths, np.uint8) == ord("Z")) + 1).tolist()
-    tail = '" fill="{}" stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>\n'
-    tails = {kind: tail.format(fill).encode() for kind, fill in _SVG_FILL.items()}
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">\n'
-             f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="white"/>\n'.encode()]
-    for fi, a, b in zip(order.tolist(), [0, *ends], ends):
-        parts += (b'<path d="', paths[a:b], tails[t.faces[fi].kind])
-    parts.append(b"</svg>\n")
-    return b"".join(parts).decode("ascii")
+    frame = _projection_frame(t, e)
+    table, counts = _point_table(t.undirected_edges(), e, frame)
+    tokens = _paint_tokens(t, e, frame[2], counts, len(table) - len(_GLUE))
+    lengths = np.add.reduce(table != 0, axis=1, dtype=np.uint16)  # a value's text is under 400 bytes
+    svg = bytearray(len(_SVG_HEAD) + int(lengths[tokens].sum(dtype=np.int64)) + len(_SVG_FOOT))
+    svg[: len(_SVG_HEAD)], svg[len(svg) - len(_SVG_FOOT) :] = _SVG_HEAD, _SVG_FOOT
+    at, step = len(_SVG_HEAD), max(_STRIP_TOKENS, len(tokens) >> 4)
+    for a in range(0, len(tokens), step):
+        text = table.take(tokens[a : a + step], axis=0).tobytes().translate(None, b"\0")
+        svg[at : at + len(text)] = text
+        at += len(text)
+    del table, tokens
+    return svg.decode("ascii")

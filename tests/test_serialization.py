@@ -29,9 +29,13 @@ from spheretile.realization import (
     sporadic_solution,
 )
 from spheretile.serialization import (
+    _GLUE,
     _POLE_CLEARANCE,
+    _STRIP_TOKENS,
     SchemaError,
     _fixed3,
+    _paint_tokens,
+    _point_table,
     _projection_frame,
     _trace_edges,
     export_obj,
@@ -374,17 +378,45 @@ def test_export_svg_of_large_and_extreme_tilings_keeps_its_digest():
     assert digest.hexdigest() == LARGE_SVG_SHA256
 
 
-def test_export_svg_peak_memory_stays_within_five_times_its_output():
+@pytest.mark.parametrize("c", [256, 1024])
+def test_export_svg_peak_memory_stays_within_two_and_a_half_times_its_output(c):
     # The traced peak counts the returned string itself.
-    t = earth_map(256)
-    e = embed_generic(t, earth_map_solution(256))
+    t = earth_map(c)
+    e = embed_generic(t, earth_map_solution(c))
     tracemalloc.start()
     try:
         svg = export_svg(t, e)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * len(svg), peak / len(svg)
+    assert peak <= 2.5 * len(svg), peak / len(svg)
+
+
+def _token_count(name):
+    """How many point-table rows export_svg strips for a drawing."""
+    t, e = _embedded(name)
+    frame = _projection_frame(t, e)
+    table, counts = _point_table(t.undirected_edges(), e, frame)
+    return len(_paint_tokens(t, e, frame[2], counts, len(table) - len(_GLUE)))
+
+
+def test_export_svg_stripped_in_several_slices_matches_the_scalar_tracer():
+    # 16,533 tokens: sixteen slices of 1,033 and a short seventeenth.
+    count = _token_count("earthmap_c16")
+    step = max(_STRIP_TOKENS, count >> 4)
+    assert (count // step, count % step) == (16, 5)
+    assert export_svg(*_embedded("earthmap_c16")) == _oracle_svg("earthmap_c16")
+
+
+@pytest.mark.parametrize("name", ["earthmap_c16", "prism_m14"])
+def test_export_svg_strip_ending_at_a_slice_boundary_matches_the_scalar_tracer(name, monkeypatch):
+    # The least slice length of at least a sixteenth of the tokens that
+    # divides them: earthmap_c16 in 11 slices of 1,503, prism_m14 in 16 of 72.
+    count = _token_count(name)
+    step = next(d for d in range(count >> 4, count) if count % d == 0)
+    monkeypatch.setattr("spheretile.serialization._STRIP_TOKENS", step)
+    assert count // step >= 11 and count % step == 0
+    assert export_svg(*_embedded(name)) == _oracle_svg(name)
 
 
 def _trace_edges_reference(edges, e, frame):
