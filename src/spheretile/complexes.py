@@ -24,7 +24,6 @@ labels it must serialize.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import accumulate
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
@@ -388,84 +387,57 @@ def verify_combinatorial(
 # -- canonical codes ----------------------------------------------------------
 
 
-def _traverse(
-    start: int, corner: Sequence[int], label: Sequence[int], step: Sequence[int],
-    twin: Sequence[int], face_of: Sequence[int], heads: Sequence[tuple[int, int]],
-    best: Optional[list[int]],
-) -> Optional[list[int]]:
-    """Token stream of one BFS traversal from half-edge ``start``, or None
-    when it does not beat ``best``.
-
-    Half-edge h reads vertex ``corner[h]`` and label code ``label[h]``, and
-    ``step[h]`` is the next half-edge around its face; ``heads[f]`` is face
-    f's (kind code, size).  The orientation lives in these lists alone.
-    """
-    tokens: list[int] = []
-    tied = best is not None
-    vertex_number: dict[int, int] = {}
-    visited = [False] * len(heads)
-    queue: deque[int] = deque([start])
-
-    while queue:
-        e = queue.popleft()
-        fi = face_of[e]
-        if visited[fi]:
-            continue
-        visited[fi] = True
-        head = heads[fi]
-        face_tokens = list(head)
-        for _ in range(head[1]):
-            v = corner[e]
-            num = vertex_number.get(v)
-            if num is None:
-                num = vertex_number[v] = len(vertex_number)
-            face_tokens.append(num)
-            face_tokens.append(label[e])
-            queue.append(twin[e])
-            e = step[e]
-
-        if tied:
-            pos = len(tokens)
-            ahead = best[pos : pos + len(face_tokens)]
-            if face_tokens > ahead:
-                return None
-            tied = face_tokens == ahead
-        tokens.extend(face_tokens)
-    return None if tied else tokens
-
-
 def canonical_code(t: TilingComplex) -> tuple[int, ...]:
-    """Minimal token stream over label-aware BFS traversals of the complex.
+    """Least token stream over label-aware BFS traversals of the complex.
 
-    The stream lists faces in discovery order as (kind code, size,
+    A stream lists faces in discovery order as (kind code, size,
     vertex-number/label-code pairs), with vertex numbers assigned on first
-    visit.  The minimum is taken over traversals started at every half-edge
-    of every minimal-kind face, in both orientations (so mirror images
+    visit.  The least is taken over traversals started at every half-edge
+    of every least-head face, in both orientations (so mirror images
     share a code).  A stream opens with its start face's (kind code, size),
-    so a start on any other face could never give the minimum.  The mirror
-    walks the reflected complex: half-edge h stands for its reversal, whose
-    origin and corner label are those of ``nxt[h]`` and whose successor is
-    ``prev[h]``.  Equal codes correspond exactly to label-preserving
-    isomorphism: the stream encodes enough to rebuild the face list with
-    canonical vertex numbers.
+    so a start on any other face could never give the least.  Every
+    traversal visits every face and writes 2 + 2k tokens per k-gon, so
+    all streams have one length and each runs in full, unpruned.  The
+    mirror walks the reflected complex: half-edge h stands for its
+    reversal, whose origin and corner label are those of ``nxt[h]`` and
+    whose successor is ``prev[h]``.  Equal codes correspond exactly to
+    label-preserving isomorphism: the stream encodes enough to rebuild the
+    face list with canonical vertex numbers.
     """
     he = t.half_edges
     origin, nxt, twin, face_of = he.origin, he.nxt, he.twin, he.face_of
     code = [_LABEL_CODE[lab] for lab in t.label]
     heads = [(_KIND_CODE[f.kind], f.size) for f in t.faces]
     least = min(heads)
+
+    def stream(start: int, corner: list[int], label: list[int], step: list[int]) -> list[int]:
+        """Half-edge h reads vertex ``corner[h]`` and label code ``label[h]``,
+        and ``step[h]`` is the next half-edge around its face."""
+        tokens: list[int] = []
+        vertex_number: dict[int, int] = {}
+        visited = [False] * len(heads)
+        queue = [start]
+        for e in queue:
+            fi = face_of[e]
+            if visited[fi]:
+                continue
+            visited[fi] = True
+            tokens += heads[fi]
+            for _ in range(heads[fi][1]):
+                tokens += (vertex_number.setdefault(corner[e], len(vertex_number)), label[e])
+                queue.append(twin[e])
+                e = step[e]
+        return tokens
+
     orientations = (
         (origin, code, nxt),
         ([origin[n] for n in nxt], [code[n] for n in nxt], he.prev),
     )
-    best: Optional[list[int]] = None
-    for start in [h for h, fi in enumerate(face_of) if heads[fi] == least]:
-        for corner, label, step in orientations:
-            tokens = _traverse(start, corner, label, step, twin, face_of, heads, best)
-            if tokens is not None:
-                best = tokens
-    assert best is not None
-    return tuple(best)
+    return tuple(min(
+        stream(start, *orientation)
+        for start, fi in enumerate(face_of) if heads[fi] == least
+        for orientation in orientations
+    ))
 
 
 def isomorphic(t1: TilingComplex, t2: TilingComplex) -> bool:

@@ -562,3 +562,92 @@ def test_canonical_codes_keep_their_digest():
     assert len(tilings) == 58
     text = "".join(" ".join(map(str, canonical_code(t))) + "\n" for t in tilings)
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_CODES_SHA256
+
+
+def _traverse_reference(start, corner, label, step, twin, face_of, heads, best):
+    """One BFS token stream from ``start``, or None when it does not beat
+    ``best``: the search cuts a stream at its first face past ``best``'s."""
+    tokens = []
+    tied = best is not None
+    vertex_number = {}
+    visited = [False] * len(heads)
+    queue = deque([start])
+    while queue:
+        e = queue.popleft()
+        fi = face_of[e]
+        if visited[fi]:
+            continue
+        visited[fi] = True
+        head = heads[fi]
+        face_tokens = list(head)
+        for _ in range(head[1]):
+            v = corner[e]
+            num = vertex_number.get(v)
+            if num is None:
+                num = vertex_number[v] = len(vertex_number)
+            face_tokens.append(num)
+            face_tokens.append(label[e])
+            queue.append(twin[e])
+            e = step[e]
+        if tied:
+            pos = len(tokens)
+            ahead = best[pos : pos + len(face_tokens)]
+            if face_tokens > ahead:
+                return None
+            tied = face_tokens == ahead
+        tokens.extend(face_tokens)
+    return None if tied else tokens
+
+
+def _canonical_code_reference(t):
+    """The pruned search over the same starts and orientations as
+    canonical_code: each stream is dropped at its first face past the best."""
+    he = t.half_edges
+    origin, nxt, twin, face_of = he.origin, he.nxt, he.twin, he.face_of
+    code = [("alpha", "beta", "gamma").index(lab) for lab in t.label]
+    heads = [(("mgon", "rhombus").index(f.kind), f.size) for f in t.faces]
+    least = min(heads)
+    orientations = (
+        (origin, code, nxt),
+        ([origin[n] for n in nxt], [code[n] for n in nxt], he.prev),
+    )
+    best = None
+    for start in [h for h, fi in enumerate(face_of) if heads[fi] == least]:
+        for corner, label, step in orientations:
+            tokens = _traverse_reference(start, corner, label, step, twin, face_of, heads, best)
+            if tokens is not None:
+                best = tokens
+    return tuple(best)
+
+
+def _mirrored(t: TilingComplex) -> TilingComplex:
+    return build_from_faces(
+        (kind, verts[::-1], labels[::-1]) for kind, verts, labels in t.face_specs()
+    )
+
+
+SHIPPED_TILINGS = (
+    [("prism", m) for m in range(3, 65)]
+    + [("earth_map", c) for c in range(2, 65)]
+    + [("football", None)]
+    + [("snub_fusion", v) for v in (1, 2, 3)]
+    + [("triangular_fusion", i) for i in range(36)]
+)
+
+
+def _shipped(name, arg):
+    if name == "football":
+        return football()
+    if name == "triangular_fusion":
+        return triangular_fusion(dodecahedron_matchings()[arg])
+    return {"prism": prism, "earth_map": earth_map, "snub_fusion": snub_fusion}[name](arg)
+
+
+@pytest.mark.parametrize("name, arg", SHIPPED_TILINGS, ids=[f"{n}-{a}" for n, a in SHIPPED_TILINGS])
+def test_canonical_code_equals_the_pruned_search(name, arg):
+    # The tiling as built, relabelled, rotated and shuffled, and that copy mirrored.
+    t = _shipped(name, arg)
+    copy = _permuted_copy(t, random.Random(f"{name}-{arg}"))
+    code = _canonical_code_reference(t)
+    for variant in (t, copy, _mirrored(copy)):
+        assert canonical_code(variant) == _canonical_code_reference(variant) == code
