@@ -269,11 +269,9 @@ def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     unit tangent at a toward b, and their cross product.  Raises ValueError
     when any tangent is undefined (a and b coincident or antipodal)."""
     import numpy as np
-    t = b - _dots(b, a)[:, None] * a
-    n = np.sqrt(_dots(t, t))
-    if (n < 1e-14).any():
+    t = geodesic_arcs(a, b)[2]
+    if np.isnan(t).any():
         raise ValueError("tangent undefined between coincident or antipodal points")
-    t = t / n[:, None]
     return np.stack([a, t, _cross(a, t)], axis=1)
 
 
