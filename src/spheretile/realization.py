@@ -265,10 +265,11 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
 
 
 def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal frames, one (3, 3) block per row of a and b: rows a, the
-    unit tangent at a toward b, and their cross product.  Raises ValueError
-    when any tangent is undefined (a and b coincident or antipodal)."""
+    """Orthonormal frames, one (3, 3) block per row of a and b: a over |a|,
+    the unit tangent there toward b, and their cross product.  Raises
+    ValueError when any tangent is undefined (a and b coincident or antipodal)."""
     import numpy as np
+    a = a / np.sqrt(_dots(a, a))[:, None]
     t = geodesic_arcs(a, b)[2]
     if np.isnan(t).any():
         raise ValueError("tangent undefined between coincident or antipodal points")
@@ -328,10 +329,11 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     all entry edges, then the corners of each prototile as one stacked
     product.  A corner landing on a placed vertex, the entry edge's ends
     included, keeps the first position in queue order and the distance is
-    tracked.  Since every face is placed whole, no error compounds along
-    the walk, and the worst distance measures how far the angles are from
-    closing; beyond ``CLOSURE_TOL`` it raises :class:`ClosureDefect`,
-    naming the first vertex in queue order at that distance.
+    tracked.  Each face is placed whole, in a frame whose point row has
+    unit length, so no error compounds along the walk, and the worst
+    distance measures how far the angles are from closing; beyond
+    ``CLOSURE_TOL`` it raises :class:`ClosureDefect`, naming the first
+    vertex in queue order at that distance.
     """
     import numpy as np
     prototiles = _prototiles(t.gonality, s)

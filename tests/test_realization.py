@@ -703,6 +703,7 @@ def test_measured_solution_matches_the_scalar_reference(name):
 
 
 def _reference_edge_frame(a, b):
+    a = a / np.linalg.norm(a)
     t = _reference_tangent(a, b)
     return np.array([a, t, np.cross(a, t)])
 
@@ -797,6 +798,13 @@ def test_embed_generic_names_the_defect_as_the_scalar_embedder_does():
             _reference_embed_generic(t, wrong)
         assert batched.value.vertex == scalar.value.vertex
         assert abs(batched.value.distance - scalar.value.distance) <= 1e-12
+
+
+def test_embed_generic_keeps_every_vertex_on_the_unit_sphere():
+    # Each frame's point row is normalised, so no rounding compounds from
+    # one BFS layer to the next over the c = 1024 earth map's long chain.
+    e = embed_generic(earth_map(1024), earth_map_solution(1024))
+    assert np.abs(np.linalg.norm(e.positions, axis=1) - 1.0).max() <= 1e-15
 
 
 def _unit_rows(n, seed):

@@ -363,7 +363,7 @@ def test_export_svg_matches_the_scalar_tracer_byte_for_byte(name):
 # sha256 of export_svg for earth map c = 256, then prism m = 64 at radius
 # fractions 1e-3 and 0.999 of its geometric range, concatenated: sizes and
 # shapes past the reach of the scalar oracle above.
-LARGE_SVG_SHA256 = "94e9b20e495234625ed3923117210027ae6aaea14140742d36b2ed2576823687"
+LARGE_SVG_SHA256 = "382cc74075a8e236830618139e0392035dbc589c3cf3a0ab750954790cd1c80d"
 
 
 def test_export_svg_of_large_and_extreme_tilings_keeps_its_digest():
