@@ -161,7 +161,8 @@ def prism_solution(m: int, r: float) -> AngleSolution:
 
     Raises ValueError for r outside :func:`prism_r_bounds`; any other r with
     no checked solution raises :class:`ClosureDomainError`: above the top of
-    :func:`prism_geometric_bounds` (m = 3), or within about 1e-5 below it.
+    :func:`prism_geometric_bounds` (m = 3), or where beta rounds to pi, as
+    at the float just below that top; 1e-14 below it still solves.
     """
     prism_params(m, r)  # the radius check
     cos_x = math.cos(r) ** 2 + math.sin(r) ** 2 * math.cos(TWO_PI / m)

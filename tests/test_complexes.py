@@ -528,13 +528,15 @@ def test_canonical_code_separates_different_tilings():
     assert canonical_code(earth_map(2)) != canonical_code(earth_map(3))
 
 
+def _mirrored(t: TilingComplex) -> TilingComplex:
+    return build_from_faces(
+        (kind, verts[::-1], labels[::-1]) for kind, verts, labels in t.face_specs()
+    )
+
+
 def test_mirror_image_shares_code_by_default():
     t = football()
-    mirrored_specs = [
-        (kind, list(reversed(verts)), list(reversed(labels)))
-        for kind, verts, labels in t.face_specs()
-    ]
-    mirrored = build_from_faces(mirrored_specs)
+    mirrored = _mirrored(t)
     assert canonical_code(mirrored) == canonical_code(t)
     assert isomorphic(mirrored, t)
 
@@ -618,12 +620,6 @@ def _canonical_code_reference(t):
             if tokens is not None:
                 best = tokens
     return tuple(best)
-
-
-def _mirrored(t: TilingComplex) -> TilingComplex:
-    return build_from_faces(
-        (kind, verts[::-1], labels[::-1]) for kind, verts, labels in t.face_specs()
-    )
 
 
 SHIPPED_TILINGS = (
