@@ -301,9 +301,9 @@ _SEED_HANDLERS = {
         "beta^2.gamma; the closure residual of the joint system is "
         "positive for every gamma",
     ),
-    # alpha^2 gamma pins gamma = 2*pi - 2*alpha; every beta then violates
-    # beta > alpha (needed since beta is the largest angle here) against
-    # beta <= 2*pi - alpha - gamma (vertex room), an empty range.
+    # alpha^2 gamma pins gamma = 2*pi - 2*alpha; the sampled range takes beta >
+    # alpha, against beta <= 2*pi - alpha - gamma (vertex room), an empty range.
+    # No proof: the root with alpha.beta^2 has beta < alpha (ROADMAP item 3a).
     (5, (2, 0, 1)): lambda m, seed, tol: ClassificationEntry(
         seed,
         certify_no_root(
@@ -312,8 +312,9 @@ _SEED_HANDLERS = {
             "admissible range for beta is empty at every sample",
         ),
         notes=(
-            "beta must exceed alpha here: beta <= alpha forces the total "
-            "angle at an alpha^2.gamma vertex past 2*pi",
+            "the samples take beta > alpha, but paired with alpha.beta^2 the closure "
+            "solver returns a root with beta ~ 0.635*pi below alpha ~ 0.731*pi; "
+            "this case awaits its proof (ROADMAP item 3a)",
         ),
     ),
     (5, (0, 3, 0)): lambda m, seed, tol: _family(
@@ -343,8 +344,9 @@ _SEED_HANDLERS = {
             "the alternate pairing with alpha^2.gamma^2 also has a closure "
             "root (alpha ~ 0.636*pi) but admits no tiling: laying rhombi "
             "around its vertices forces a corner conflict",
-            "pairings with alpha.gamma^3, alpha.gamma^5 and alpha^2.gamma^3 "
-            "have no root; see the nonexistence evidence set",
+            "paired with alpha.gamma^3 the closure solver returns a root "
+            "(alpha ~ 0.678*pi); paired with alpha.gamma^5 or alpha^2.gamma^3 "
+            "it returns none",
         ),
         variants=3,
     ),

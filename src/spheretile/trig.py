@@ -11,13 +11,14 @@ combine into a single closure equation linking alpha, beta, gamma and m.
 This module evaluates the identities, solves the closure equation under
 linear vertex constraints by a bracketed scan and bisection, and records
 nonexistence for constraint systems with no admissible root: as an exact
-edge-bound proof for every system with beta^2.gamma, as a dense-grid sample
+edge-bound proof for every system implying beta^2.gamma, as a dense-grid sample
 otherwise.  ``NonexistenceEvidence.payload`` gives a record as a dict, which
 reports embed; ``to_json`` is that dict as compact JSON.
 
 numpy is imported inside the functions that use it, not at module level:
-:func:`solve_closure` for its line and a few cell ends, :func:`certify_no_root`
-for its samples.  ``classify`` for m >= 6 calls neither, so it never imports it.
+:func:`solve_closure` for a few cell ends (its line comes from the integer rows
+alone, so no LAPACK routine runs), :func:`certify_no_root` for its samples.
+``classify`` for m >= 6 calls neither, so it never imports it.
 """
 
 from __future__ import annotations
@@ -302,23 +303,27 @@ def box_violations(m: int, alpha: float, beta: float, gamma: float) -> list[str]
 # --- linear constraint reduction ------------------------------------------
 
 
-def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce 2 vertex equations to an affine line.
-
-    Returns (point, direction) with every solution of the linear system
-    written as point + t * direction.  Raises ValueError when the two rows
-    are linearly dependent.
-    """
-    import numpy as np
-    rows = np.array(constraints, dtype=float)
-    if rows.shape != (2, 3):
+def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The line point + t * direction of 2 vertex equations, as float triples from
+    their integer rows: the point 2*pi * num/det of :func:`_line_point`, and the
+    unit vector along :func:`_line_axis`, whose squared norm is det.  ValueError
+    unless the rows are two independent (a, b, c) triples."""
+    if len(constraints) != 2 or any(len(c) != 3 for c in constraints):
         raise ValueError("need exactly two vertex types, each an (a, b, c) triple")
-    direction = np.array(_line_axis(constraints), dtype=float)
-    if not direction.any():
+    num, det = _line_point(constraints)
+    if not det:
         raise ValueError("linearly dependent constraints")
-    direction /= np.linalg.norm(direction)
-    point, *_ = np.linalg.lstsq(rows, np.full(2, TWO_PI), rcond=None)
-    return point, direction
+    norm = math.sqrt(det)
+    return tuple(n / det * TWO_PI for n in num), tuple(a / norm for a in _line_axis(constraints))
+
+
+def _line_point(constraints: Sequence[VertexTriple]) -> tuple[VertexTriple, int]:
+    """The least-norm point of two vertex equations' line as exact integers (num,
+    det), point = 2*pi * num/det: num = R^T adj(R R^T) (1, 1) and det = det(R R^T)
+    of the rows R, which is 0 when they are dependent."""
+    r0, r1 = constraints
+    g00, g01, g11 = (sum(p * q for p, q in zip(u, v)) for u, v in ((r0, r0), (r0, r1), (r1, r1)))
+    return tuple((g11 - g01) * p + (g00 - g01) * q for p, q in zip(r0, r1)), g00 * g11 - g01 * g01
 
 
 def _line_axis(constraints: Sequence[VertexTriple]) -> VertexTriple:
@@ -334,14 +339,11 @@ def _crossing_rows(constraints: Sequence[VertexTriple]) -> list[bool]:
     return [sum(p * q for p, q in zip(coeffs, axis)) != 0 for _tag, coeffs, _const, _strict in _BOX]
 
 
-def _line_box_interval(
-    m: int, constraints: Sequence[VertexTriple]
-) -> Optional[tuple[np.ndarray, np.ndarray, float, float]]:
+def _line_box_interval(m: int, constraints: Sequence[VertexTriple]) -> Optional[tuple]:
     """The line of two vertex equations and its span in the admissible box less
     1e-9 of its width at each end, (point, direction, t_lo, t_hi); None unless
     :func:`_feasible`.  Rows that do not cross the line are skipped."""
-    point, direction = _affine_line(constraints)
-    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
+    (p0, p1, p2), (d0, d1, d2) = point, direction = _affine_line(constraints)
     t_lo, t_hi = -math.inf, math.inf
     for _tag, (c0, c1, c2), const, _strict in compress(_box_rows(m), _crossing_rows(constraints)):
         den = 0.0 + c0 * d0 + c1 * d1 + c2 * d2  # exact products (c is 0 or +-1), summed as np.dot
@@ -363,8 +365,9 @@ def solve_closure(
 ) -> list[AngleSolution]:
     """Roots of the closure equation under linear vertex constraints.
 
-    Each constraint (a, b, c) is read as a*alpha + b*beta + c*gamma = 2*pi.
-    Two cut the angles to a line p + t*d, whose span in the admissible box is
+    Each constraint (a, b, c) is read as a*alpha + b*beta + c*gamma = 2*pi.  Rows
+    implying beta^2.gamma where :func:`_edge_bound_premise` holds have none.  Else
+    two cut the angles to a line p + t*d, whose span in the admissible box is
     cut into ``grid`` cells (an int >= 1, else ValueError) at ``np.linspace(
     t_lo, t_hi, grid + 1)``.  Each cell where :func:`_residual_vec` is finite at
     both ends and starts on a zero or changes sign is bisected; its root is
@@ -386,11 +389,10 @@ def solve_closure(
     """
     if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
         raise ValueError(f"grid must be an int >= 1, got {grid!r}")
-    line = _line_box_interval(m, constraints)
+    line = None if _edge_bound_premise(m, constraints) else _line_box_interval(m, constraints)
     if line is None:
         return []
-    point, direction, t_lo, t_hi = line
-    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
+    (p0, p1, p2), (d0, d1, d2), t_lo, t_hi = line
     step, c = (t_hi - t_lo) / grid, math.cos(TWO_PI / m)
     ka, kb, kg = (0 if dk > 0.0 else 1 for dk in (d0, d1, d2))  # the range end with each term's max
 
@@ -554,21 +556,11 @@ class NonexistenceEvidence(NamedTuple):
 def edge_bound_proof(
     m: int, constraints: Sequence[VertexTriple], description: str
 ) -> NonexistenceEvidence:
-    """Proof record that a system with beta^2.gamma has no closure root: the rhombus
-    edge cosine is below 1/2, the m-gon's above.  ValueError unless the premise holds,
-    checked exactly: m >= 6, or m = 5 and exact elimination leaves alpha <= 2*pi/3,
-    where M(5, alpha) >= M(5, 2*pi/3) = sqrt(5)/3 > 1/2, that is 4*5 > 3^2."""
+    """Proof record that a system implying beta^2.gamma has no closure root: the
+    rhombus edge cosine is below 1/2, the m-gon's above.  ValueError unless
+    :func:`_edge_bound_premise` holds."""
     cons = tuple(tuple(int(v) for v in c) for c in constraints)
-    if (0, 2, 1) not in cons:
-        raise ValueError("the edge-bound lemma needs beta^2.gamma in the system")
-    if m >= 6:
-        premise = f"the m-gon edge cosine exceeds cos(2*pi/m) >= 1/2, as m = {m} >= 6"
-    elif m == 5 and not _feasible(m, cons, [((3, 0, 0), -2 * m, True)]):
-        premise = (
-            "exact elimination over the admissibility box leaves alpha <= 2*pi/3, where the "
-            "m-gon edge cosine, falling in alpha, is at least sqrt(5)/3 > 1/2, as 20 > 9"
-        )
-    else:
+    if not (premise := _edge_bound_premise(m, cons)):
         raise ValueError(f"edge-bound premise fails for m={m} and {cons}")
     return NonexistenceEvidence(
         description=description, m=m, constraints=cons, free_angle="gamma",
@@ -577,6 +569,26 @@ def edge_bound_proof(
         "cot(beta/2)*cot(gamma/2) = tan(gamma/4)*cot(gamma/2) = (1 - tan^2(gamma/4))/2 "
         f"is below 1/2 for every gamma in (0, pi), while {premise}",
     )
+
+
+def _edge_bound_premise(m: int, cons: Sequence[VertexTriple]) -> str:
+    """Why the edge-bound lemma leaves ``cons`` no closure root at gonality m, or ""
+    where it does not apply, checked exactly.  The rows must imply beta^2.gamma:
+    the one row is (0, 2, 1), or two independent rows have (0, 2, 1) . axis = 0
+    and 2*num_beta + num_gamma = det (:func:`_line_point`).  And m >= 6, or m = 5
+    and exact elimination leaves alpha <= 2*pi/3, where M(5, alpha) >= M(5, 2*pi/3)
+    = sqrt(5)/3 > 1/2, that is 4*5 > 3^2."""
+    implied = list(map(tuple, cons)) == [(0, 2, 1)]
+    if len(cons) == 2:
+        (_, nb, ng), det = _line_point(cons)
+        _, ab, ag = _line_axis(cons)
+        implied = det != 0 and 2 * ab + ag == 0 and 2 * nb + ng == det
+    if not implied or m < 5 or (m == 5 and _feasible(m, cons, [((3, 0, 0), -2 * m, True)])):
+        return ""
+    if m >= 6:
+        return f"the m-gon edge cosine exceeds cos(2*pi/m) >= 1/2, as m = {m} >= 6"
+    return ("exact elimination over the admissibility box leaves alpha <= 2*pi/3, where the "
+            "m-gon edge cosine, falling in alpha, is at least sqrt(5)/3 > 1/2, as 20 > 9")
 
 
 def _f17(x: float) -> str:
@@ -663,7 +675,7 @@ def certify_no_root(
 
 def _sample_line(m: int, cons: tuple[VertexTriple, ...], ts: np.ndarray, idx: int):
     import numpy as np
-    point, direction = _affine_line(cons)
+    point, direction = map(np.array, _affine_line(cons))
     if abs(direction[idx]) < 1e-12:
         raise ValueError(f"{ANGLE_NAMES[idx]} is fixed by the constraints, pick another")
     # point + scale * direction row by row: the scalar form's float ops, so its bits.

@@ -161,7 +161,7 @@ def test_classify_stdout_is_the_report_text_and_a_newline(capsys):
 # m = 5..64 concatenated in order, of the stdout of ``spheretile matchings``,
 # and of the stdout of ``spheretile generate F`` for F = snub1, snub2, snub3,
 # football concatenated in order (no --realize, so no floats).
-CLASSIFY_SWEEP_SHA256 = "d2d2507929c66a29ddb6d2ccfdc74ccdf0d59c5dce22225517e11070cdcec757"
+CLASSIFY_SWEEP_SHA256 = "c70419ac79e031a5454da0a63e1ee6815ed161f168057d49de9c40d58b4495c5"
 MATCHINGS_SHA256 = "1f52f465b6012080d0f78f8919d6228381196acc33cef2b091917d227aefa235"
 SPORADIC_GENERATE_SHA256 = "bddeb2ed72385f855bb3492ebe0e9217b24d74c096d843e6736217b50bb75f46"
 

@@ -194,18 +194,18 @@ def test_prism_solution_frozen_pentagon():
 
 def test_sporadic_football_frozen():
     s = sporadic_solution("football")
-    assert s.alpha == pytest.approx(1.944051137388356, abs=1e-15)
+    assert s.alpha == pytest.approx(1.944051137388357, abs=1e-15)
     assert s.beta == 2.0 * math.pi / 3.0
-    assert s.gamma == pytest.approx(1.122369533699016, abs=1e-15)
-    assert s.cos_x == pytest.approx(0.9184682595567826, abs=1e-15)
+    assert s.gamma == pytest.approx(1.122369533699017, abs=1e-15)
+    assert s.cos_x == pytest.approx(0.9184682595567818, abs=1e-15)
 
 
 def test_sporadic_snub_fusion_frozen():
     s = sporadic_solution("snub-fusion")
-    assert s.alpha == pytest.approx(1.9643068301178892, abs=1e-15)
-    assert s.beta == pytest.approx(2.1594392385308474, abs=1e-15)
+    assert s.alpha == pytest.approx(1.9643068301178894, abs=1e-15)
+    assert s.beta == pytest.approx(2.1594392385308483, abs=1e-15)
     assert s.beta - 2.0 * s.gamma == 0.0
-    assert s.cos_x == pytest.approx(0.8924183971388202, abs=1e-15)
+    assert s.cos_x == pytest.approx(0.8924183971388189, abs=1e-15)
 
 
 def test_sporadic_accepts_flexible_keys():

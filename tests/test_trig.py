@@ -38,6 +38,7 @@ from spheretile.trig import (
 from spheretile import trig
 from spheretile.combinatorics import classify
 from spheretile.generators import earth_map, football, snub_fusion
+from spheretile.realization import sporadic_solution, verify_tiling
 from spheretile.trig import (
     BRACKET_TOL,
     EVIDENCE_SPACING,
@@ -215,22 +216,22 @@ def test_solve_closure_sporadic_roots(name):
 # the scalar sign-change scan that the masked scan replaced.
 FROZEN_ROOTS = {
     "football": ([(0, 3, 0), (1, 1, 2)], (
-        "0x1.f1ad55d8d5a7dp+0", "0x1.0c152382d7365p+1", "0x1.1f539c1943986p+0", "0x1.d64178c26bbc4p-1",
+        "0x1.f1ad55d8d5a82p+0", "0x1.0c152382d7365p+1", "0x1.1f539c194398ap+0", "0x1.d64178c26bbbdp-1",
     )),
     "snub-fusion": ([(1, 2, 0), (1, 1, 2)], (
-        "0x1.f6dccffaaa6f6p+0", "0x1.1468814598358p+1", "0x1.1468814598358p+0", "0x1.c8eb106c1eb4cp-1",
+        "0x1.f6dccffaaa6f7p+0", "0x1.146881459835ap+1", "0x1.146881459835ap+0", "0x1.c8eb106c1eb40p-1",
     )),
     "pentagonal-branch": ([(1, 2, 0), (2, 0, 2)], (
-        "0x1.ffcb4c53d84dfp+0", "0x1.122ce22f4cbdep+1", "0x1.24741e34ad555p+0", "0x1.b3065217671a6p-1",
+        "0x1.ffcb4c53d84dfp+0", "0x1.122ce22f4cbe0p+1", "0x1.24741e34ad550p+0", "0x1.b3065217671a8p-1",
     )),
     "earth-map-2": ([(0, 2, 1), (1, 1, 2)], (
-        "0x1.36593be07c902p+1", "0x1.7388377856112p+1", "0x1.e977dcbecc068p-2", "0x1.f89e52f42aaa6p-2",
+        "0x1.36593be07c904p+1", "0x1.7388377856111p+1", "0x1.e977dcbecc06cp-2", "0x1.f89e52f42aab4p-2",
     )),
     "earth-map-3": ([(0, 2, 1), (1, 1, 3)], (
         "0x1.354f876968edfp+1", "0x1.7f8fac187da40p+1", "0x1.290092bc52d86p-2", "0x1.fd4c6f1bfbbfdp-2",
     )),
     "earth-map-7": ([(0, 2, 1), (1, 1, 7)], (
-        "0x1.34ce807d2a7d6p+1", "0x1.8af213ab198fep+1", "0x1.cb68664a5064cp-4", "0x1.ff98e4392ceb3p-2",
+        "0x1.34ce807d2a7d6p+1", "0x1.8af213ab198ffp+1", "0x1.cb68664a50634p-4", "0x1.ff98e4392ce87p-2",
     )),
 }
 
@@ -353,7 +354,9 @@ def test_crossing_rows_match_numpy_cross_and_dot_at_m5():
 # -- the bracketed scan against the dense grid --------------------------------------
 
 DEGREE_3_TO_6 = [(a, b, d - a - b) for d in range(3, 7) for a in range(d + 1) for b in range(d + 1 - a)]
-# ROADMAP item 9's m = 6 systems, whose roots near beta = pi depend on constraint order.
+# ROADMAP item 9's m = 6 systems: the float scan alone finds rounding roots near
+# beta = pi that depend on constraint order; they imply beta^2.gamma, so the
+# edge-bound gate returns no root in either order.
 ROUNDING_PAIRS_M6 = [
     ((0, 2, 1), (1, 1, 1)), ((0, 2, 1), (2, 0, 2)), ((0, 2, 1), (1, 1, 3)),
     ((0, 2, 1), (2, 0, 3)), ((0, 2, 1), (1, 1, 4)), ((1, 1, 2), (2, 0, 3)),
@@ -399,12 +402,13 @@ def _dense_bisect(m, point, direction, lo, hi):
 
 
 def _dense_grid_reference(m, constraints, grid=10_000):
-    """solve_closure as a dense scan: the residual at every point of the grid,
-    as (grid + 1, 3) numpy arrays, and every flagged cell bisected."""
-    line = trig._line_box_interval(m, constraints)
+    """solve_closure as a dense scan: the same edge-bound gate, then the residual
+    at every point of the grid, as (grid + 1, 3) numpy arrays, and every flagged
+    cell bisected."""
+    line = None if trig._edge_bound_premise(m, constraints) else trig._line_box_interval(m, constraints)
     if line is None:
         return []
-    point, direction, t_lo, t_hi = line
+    point, direction, t_lo, t_hi = np.array(line[0]), np.array(line[1]), *line[2:]
     ts = np.linspace(t_lo, t_hi, grid + 1)
     angles = point[None, :] + ts[:, None] * direction[None, :]
     residuals = _residual_vec(m, angles)
@@ -501,7 +505,8 @@ def test_solve_closure_equals_the_dense_grid_on_a_span_a_few_ulps_wide(monkeypat
     # most grid points repeat; at 4, a zero point starts the first cell, or is
     # the last point and the only one that finds the root.
     constraints = [(0, 3, 0), (1, 1, 2)]
-    point, direction, _, _ = _line_box_interval(5, constraints)
+    line = _line_box_interval(5, constraints)
+    point, direction = np.array(line[0]), np.array(line[1])
     (s,) = solve_closure(5, constraints)
     t_root = float((np.array([s.alpha, s.beta, s.gamma]) - point) @ direction)
     ulp = math.ulp(t_root)
@@ -516,7 +521,7 @@ def test_solve_closure_equals_the_dense_grid_on_a_span_a_few_ulps_wide(monkeypat
             pytest.skip("numpy's residual has no exact zero within 4000 ulps of the root here")
         t_zero = float(zeros[0])
         span = (t_zero - 16 * ulp, t_zero) if side == "ends" else (t_zero, t_zero + 16 * ulp)
-    monkeypatch.setattr(trig, "_line_box_interval", lambda m, c: (point, direction, *span))
+    monkeypatch.setattr(trig, "_line_box_interval", lambda m, c: (*line[:2], *span))
     points = []
     monkeypatch.setattr(trig, "_residual_vec", lambda m, angles: points.append(len(angles)) or _residual_vec(m, angles))
     expected = _outcome(_dense_grid_reference, 5, constraints, grid)
@@ -679,7 +684,7 @@ def test_line_samples_match_the_vector_sum(constraints, interval, free):
     # The sampler writes point + scale * direction out per coordinate; the
     # numpy vector sum is the reference, and the results must be equal.
     ev = certify_no_root(5, constraints, interval, free_angle=free)
-    point, direction = _affine_line(constraints)
+    point, direction = map(np.array, _affine_line(constraints))
     i = ["alpha", "beta", "gamma"].index(free)
 
     def angles(t):
@@ -725,10 +730,9 @@ def _ref_box_violations(m, alpha, beta, gamma):
 
 
 def _ref_sample_line(m, cons, ts, idx):
-    point, direction = _affine_line(cons)
-    if abs(direction[idx]) < 1e-12:
+    (p0, p1, p2), (d0, d1, d2) = _affine_line(cons)
+    if abs((d0, d1, d2)[idx]) < 1e-12:
         raise ValueError("fixed by the constraints")
-    (p0, p1, p2), (d0, d1, d2) = point.tolist(), direction.tolist()
     p_free, d_free = (p0, p1, p2)[idx], (d0, d1, d2)[idx]
     samples, violations, poles = [], [], []
     for t in ts:
@@ -1143,3 +1147,141 @@ def test_proof_record_json_has_no_samples_and_keeps_its_proof():
     assert payload["proof"] == ev.proof and payload["description"] == ev.description
     assert payload["sign_summary"] == "proof" and payload["interval"] == ["0", "3.1415926535897931"]
     assert ev.to_json() == json.dumps(payload, separators=(",", ":"))
+
+
+# -- the line from the integer rows, and the lemma before the scan ------------------------
+
+DEGREE_3_TO_7 = [(a, b, d - a - b) for d in range(3, 8) for a in range(d + 1) for b in range(d + 1 - a)]
+SCAN_GONALITIES = [*range(5, 25), 32, 48, 64]
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _exact_line_point(p, q):
+    """The least-norm point over 2*pi of the line of rows p and q, as Fractions: the
+    solution of p.x = q.x = 1 orthogonal to p x q, by Cramer's rule; None when
+    the rows are dependent."""
+    axis = tuple(int(v) for v in np.cross(p, q))
+    rows = [p, q, axis]
+    det = _det3(rows)
+    if not det:
+        return None
+    rhs = (1, 1, 0)
+    return tuple(
+        Fraction(_det3([tuple(rhs[r] if c == k else rows[r][c] for c in range(3)) for r in range(3)]), det)
+        for k in range(3)
+    )
+
+
+def _implies_beta2_gamma(p, q):
+    """Whether independent rows p and q imply 2*beta + gamma = 2*pi: (0, 2, 1) is
+    lam*p + mu*q with lam + mu = 1, solved exactly from two of its columns."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = p[i] * q[j] - p[j] * q[i]
+        if det:
+            target = (0, 2, 1)
+            lam = Fraction(target[i] * q[j] - target[j] * q[i], det)
+            mu = Fraction(p[i] * target[j] - p[j] * target[i], det)
+            return all(lam * a + mu * b == t for a, b, t in zip(p, q, target)) and lam + mu == 1
+    return False
+
+
+def test_the_line_comes_from_the_integer_rows_to_two_ulps_of_its_50_digit_point():
+    pairs = [(p, q) for p in DEGREE_3_TO_7 for q in DEGREE_3_TO_7 if p != q and np.cross(p, q).any()]
+    assert len(pairs) == 11_910
+    with mpmath.workdps(50):
+        two_pi = 2 * mpmath.pi
+        for p, q in pairs:
+            point, direction = _affine_line([p, q])
+            assert all(type(v) is float for v in point + direction)
+            for value, exact in zip(point, _exact_line_point(p, q)):
+                assert abs(value - two_pi * exact.numerator / exact.denominator) <= 2 * math.ulp(value), (p, q)
+            axis = np.cross(p, q).astype(float)
+            assert direction == tuple((axis / np.linalg.norm(axis)).tolist()), (p, q)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ROOTS))
+def test_each_frozen_root_is_within_1e_12_of_its_50_digit_root(name):
+    constraints, frozen = FROZEN_ROOTS[name]
+    angles = [float.fromhex(h) for h in frozen[:3]]
+    with mpmath.workdps(50):
+        point = [2 * mpmath.pi * x.numerator / x.denominator for x in _exact_line_point(*constraints)]
+        axis = [mpmath.mpf(int(v)) for v in np.cross(*constraints)]
+        norm = mpmath.sqrt(sum(a * a for a in axis))
+        direction = [a / norm for a in axis]
+        c = mpmath.cos(2 * mpmath.pi / 5)
+
+        def on_line(t):
+            return [p + t * d for p, d in zip(point, direction)]
+
+        def residual(t):
+            a, b, g = on_line(t)
+            return mpmath.cot(a / 2) ** 2 + c / mpmath.sin(a / 2) ** 2 - mpmath.cot(b / 2) * mpmath.cot(g / 2)
+
+        t0 = sum((x - p) * d for x, p, d in zip(angles, point, direction))
+        exact = on_line(mpmath.findroot(residual, t0))
+        assert max(abs(x - e) for x, e in zip(angles, exact)) < 1e-12, name
+
+
+def _premise_holds(m, p, q):
+    """The edge-bound premise by the LP oracle: m >= 6, or m = 5 and alpha stays at
+    most 2*pi/3 on the system (or the system has no admissible point)."""
+    return m >= 6 or (m == 5 and _lp_max_alpha(5, [p, q]) < 2 * math.pi / 3 + 1e-9)
+
+
+def test_solve_closure_returns_nothing_where_the_rows_imply_beta2_gamma_under_the_premise():
+    implied = [(p, q) for p in DEGREE_3_TO_7 for q in DEGREE_3_TO_7
+               if p != q and np.cross(p, q).any() and _implies_beta2_gamma(p, q)]
+    assert ((0, 2, 1), (1, 1, 2)) in implied and ((1, 1, 2), (2, 0, 3)) in implied
+    covered = 0
+    for m in SCAN_GONALITIES:
+        for p, q in implied:
+            if _premise_holds(m, p, q):
+                covered += 1
+                assert solve_closure(m, [p, q]) == [], (m, p, q)
+                assert edge_bound_proof(m, [p, q], "x").sign_summary == "proof"
+            else:
+                with pytest.raises(ValueError):
+                    edge_bound_proof(m, [p, q], "x")
+    assert covered > 0
+
+
+def test_edge_bound_proof_refuses_every_pair_that_does_not_imply_beta2_gamma():
+    for p in DEGREE_3_TO_7:
+        for q in DEGREE_3_TO_7:
+            if p != q and not (np.cross(p, q).any() and _implies_beta2_gamma(p, q)):
+                with pytest.raises(ValueError):
+                    edge_bound_proof(6, [p, q], "x")
+
+
+@pytest.mark.parametrize("m", [6, 7, 9])
+def test_root_counts_do_not_depend_on_constraint_order(m):
+    # At m = 6 the float scan alone finds rounding roots near beta = pi in one
+    # order only for 5 pairs, all implying beta^2.gamma (ROADMAP item 9).
+    for i, p in enumerate(DEGREE_3_TO_6):
+        for q in DEGREE_3_TO_6[i + 1:]:
+            if np.cross(p, q).any():
+                assert len(solve_closure(m, [p, q])) == len(solve_closure(m, [q, p])), (p, q)
+
+
+_LAPACK_ENTRY_POINTS = ("lstsq", "solve", "inv", "pinv", "svd", "eig", "eigh", "qr", "det", "matrix_rank")
+
+
+def test_classify_and_a_bare_verify_call_no_lapack_routine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg LAPACK routine was called")
+
+    for name in _LAPACK_ENTRY_POINTS:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    sporadic_solution.cache_clear()
+    try:
+        for m in range(5, 65):
+            classify(m)
+        for t in [football(), *(snub_fusion(k) for k in (1, 2, 3)), *(earth_map(c) for c in range(2, 9))]:
+            report = verify_tiling(t)
+            assert report.ok and report.angle_source.startswith("solved from census rows"), report.angle_source
+    finally:
+        sporadic_solution.cache_clear()
