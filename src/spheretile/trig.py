@@ -308,8 +308,6 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[tuple[float, ...]
     their integer rows: the point 2*pi * num/det of :func:`_line_point`, and the
     unit vector along :func:`_line_axis`, whose squared norm is det.  ValueError
     unless the rows are two independent (a, b, c) triples."""
-    if len(constraints) != 2 or any(len(c) != 3 for c in constraints):
-        raise ValueError("need exactly two vertex types, each an (a, b, c) triple")
     num, det = _line_point(constraints)
     if not det:
         raise ValueError("linearly dependent constraints")
@@ -320,7 +318,10 @@ def _affine_line(constraints: Sequence[VertexTriple]) -> tuple[tuple[float, ...]
 def _line_point(constraints: Sequence[VertexTriple]) -> tuple[VertexTriple, int]:
     """The least-norm point of two vertex equations' line as exact integers (num,
     det), point = 2*pi * num/det: num = R^T adj(R R^T) (1, 1) and det = det(R R^T)
-    of the rows R, which is 0 when they are dependent."""
+    of the rows R, which is 0 when they are dependent.  ValueError unless the rows
+    are two (a, b, c) triples."""
+    if len(constraints) != 2 or any(len(c) != 3 for c in constraints):
+        raise ValueError("need exactly two vertex types, each an (a, b, c) triple")
     r0, r1 = constraints
     g00, g01, g11 = (sum(p * q for p, q in zip(u, v)) for u, v in ((r0, r0), (r0, r1), (r1, r1)))
     return tuple((g11 - g01) * p + (g00 - g01) * q for p, q in zip(r0, r1)), g00 * g11 - g01 * g01

@@ -212,8 +212,9 @@ def test_solve_closure_sporadic_roots(name):
     assert abs(closure_residual(5, s.alpha, s.beta, s.gamma)) < 1e-10
 
 
-# (alpha, beta, gamma, cos_x) of each unique root as float.hex, frozen from
-# the scalar sign-change scan that the masked scan replaced.
+# (alpha, beta, gamma, cos_x) of each unique root as float.hex, frozen on the
+# line taken from the integer rows; each is within 1e-12 of its system's
+# 50-digit root (test_each_frozen_root_is_within_1e_12_of_its_50_digit_root).
 FROZEN_ROOTS = {
     "football": ([(0, 3, 0), (1, 1, 2)], (
         "0x1.f1ad55d8d5a82p+0", "0x1.0c152382d7365p+1", "0x1.1f539c194398ap+0", "0x1.d64178c26bbbdp-1",
@@ -265,6 +266,12 @@ def test_solve_closure_rank_check():
     # Parallel constraints leave no line to scan.
     with pytest.raises(ValueError):
         solve_closure(5, [(1, 1, 1), (2, 2, 2)])
+
+
+@pytest.mark.parametrize("constraints", [[(1, 1, 1), (1, 2)], [(0, 2, 1), (1, 1, 2, 0)], [(1, 1, 1)] * 3])
+def test_solve_closure_names_a_system_that_is_not_two_triples(constraints):
+    with pytest.raises(ValueError, match="need exactly two vertex types"):
+        solve_closure(6, constraints)
 
 
 def test_solve_closure_empty_when_no_root():
