@@ -116,7 +116,7 @@ def cmd_generate(family: str, m: Optional[int], c: Optional[int], r: Optional[fl
         return _usage_error("--c only applies to the earthmap family")
     if r is not None and family != "prism":
         return _usage_error("--r only applies to the prism family")
-    realize = realize or obj is not None or svg is not None
+    realize = realize or r is not None or obj is not None or svg is not None
 
     solution = None
     if family == "prism":
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("family", choices=GENERATE_FAMILIES)
     p_generate.add_argument("--m", type=int, help="prism gonality (>= 3)")
     p_generate.add_argument("--c", type=int, help="earth-map block count (>= 2)")
-    p_generate.add_argument("--r", type=float, help="prism polar radius")
+    p_generate.add_argument("--r", type=float, help="prism polar radius (implies --realize)")
     p_generate.add_argument(
         "--realize", action="store_true", help="embed on the sphere and include coordinates"
     )

@@ -3,11 +3,15 @@
 A vertex of a dihedral tiling carries a copies of alpha, b of beta and c
 of gamma with a*alpha + b*beta + c*gamma = 2*pi.  This module enumerates
 the degree-3 types that can occur for a given gonality, enumerates full
-anglewise vertex combinations (AVCs) for a concrete angle solution, applies
-the counting and adjacency filters, and drives the per-gonality
-classification that attaches each degree-3 seed to a realized family, a
-nonexistence certificate, or a subsumption note.  No tiling is built here: a
-family row states the vertex types its family realizes.
+anglewise vertex combinations (AVCs) for a concrete angle solution, and
+drives the per-gonality classification that attaches each degree-3 seed to
+a realized family, a nonexistence certificate, or a subsumption note.  No
+tiling is built here: a family row states the vertex types its family
+realizes.  The counting and adjacency filters (:func:`counting_filter`,
+:func:`requires_adjacency_pair`) are necessary conditions that
+:func:`classify` does not apply: acceptance criterion 8 checks that the
+counting filter is idempotent, and ROADMAP item 2's companion scan is to
+call both.
 
 The classification is a finite case split, written as one table:
 ``_SEED_HANDLERS`` maps ``(min(m, 6), seed)`` to the case that resolves

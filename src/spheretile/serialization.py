@@ -5,6 +5,11 @@ verify commands.  Its schema is deliberately rigid (no extra fields, no
 alternative spellings) so a document either parses completely or fails
 with a :class:`SchemaError` naming the offending field.
 
+The OBJ mesh joins the vertices by straight chords, for display only.  The
+SVG picture is a stereographic projection, which takes each edge's great
+circle to a circle or a line, so :func:`export_svg` draws each edge as one
+exact SVG arc.
+
 numpy is imported inside the functions that turn coordinates into arrays
 or draw them (:meth:`TilingDocument.embedding_for` and the SVG writer),
 not at module level: the command-line front end imports this module, and
@@ -246,18 +251,22 @@ _VIEW = 1000.0
 _SVG_HEAD = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">\n'
              f'<rect width="{_VIEW:.0f}" height="{_VIEW:.0f}" fill="white"/>\n').encode()
 _SVG_FOOT = b"</svg>\n"
-# The path text around the points, as point-table rows no wider than the
-# narrowest point row, "0.000,0.000 ": "C ", a path's opening, then each
-# kind's close in _CLOSE_ROWS rows, mgon first.
+# The path text around the numbers, as table rows no wider than the
+# narrowest number row, "0.000,0.000 ": "A ", a path's opening, the flag
+# rows "0 large,sweep " in the order 2 large + sweep, then each kind's
+# close in _CLOSE_ROWS rows, mgon first.
 _CLOSE = [f'Z" fill="{fill}" stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>\n'.encode()
           for fill in _SVG_FILL.values()]
 _CLOSE_ROWS = -(-len(_CLOSE[0]) // 12)
-_GLUE = [b"C ", b'<path d="M ']
+_GLUE = [b"A ", b'<path d="M ', *(f"0 {large},{sweep} ".encode() for large in (0, 1) for sweep in (0, 1))]
 _GLUE += [close[i : i + 12] for close in _CLOSE for i in range(0, 12 * _CLOSE_ROWS, 12)]
-# Least 1 + p.c of a traced point.  A point within about 4.5e-5 rad of
+# Least 1 + p.c along a drawn arc.  A point within about 4.5e-5 rad of
 # the projection pole lands so far out that the rest of the picture
 # collapses, and the pole itself has no finite image.
 _POLE_CLEARANCE = 1e-9
+# An arc whose sagitta in the view is under half the last digit written
+# is drawn as its chord.
+_STRAIGHT = 5e-4
 # export_svg strips the NULs from a sixteenth of the tokens at a time, or
 # from this many when that is more.
 _STRIP_TOKENS = 256
@@ -278,118 +287,89 @@ def _projection_frame(t: TilingComplex, e: Embedding) -> tuple[np.ndarray, np.nd
     return e1, _cross(c, e1), c
 
 
-def _trace_edges(
-    edges: list[tuple[int, int]], e: Embedding, frame
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic Bezier pieces tracing the projected geodesic of each edge (u, v).
+def _arcs(u: np.ndarray, v: np.ndarray, e: Embedding, frame) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers each path writes, as pairs: (x, y) of each vertex's image
+    in the view, then (r, r) of each edge (u[k], v[k])'s radius in the
+    view; and each edge's flags 2 large + sweep, drawn from u[k] to v[k].
 
-    Returns an (s, 4) complex array of control points, edge after edge
-    and each edge's pieces in order from u to v, and each edge's count of
-    pieces.  Each piece is a Hermite cubic built from the analytically
-    projected endpoint tangents, starting from n = max(2, ceil(5.1 arc))
-    equal pieces per edge.  A piece whose midpoint strays from the true
-    curve by more than 2e-4 of the knots' extent (five times tighter than
-    the 1e-3 drawing tolerance) is bisected, up to depth 14, which keeps
-    arcs near the projection point (where curvature explodes) accurate.
-    Every edge is refined at once, level by level, until no piece is left
-    to split.
+    The projection z = 2 (p.e1 + i p.e2) / (1 + p.c) takes the great circle
+    with unit normal n = a e1 + b e2 + g c to the circle with centre
+    C = 2 (a + i b) / g and radius R = 2 / |g|.  It keeps orientation
+    (e1 x e2 = c), so the image of the arc from u to v turns
+    counterclockwise where g > 0: the hemisphere on its left, p.n > 0,
+    holds c, whose image 0 every such circle encloses.  So in the plane,
+    y up, its midpoint lies left of the chord, and sweep is 1, where g < 0;
+    it is large where C lies on that side too.  The view fits the
+    box of the vertex images and of each circle's points C +- R and
+    C +- iR that lie on its arc.  An arc whose sagitta in the view is under
+    _STRAIGHT gets radius 0, which SVG draws as a line; so does g = 0,
+    whose centre is at infinity.  An edge whose arc comes within
+    _POLE_CLEARANCE of the projection pole raises ValueError.
     """
     import numpy as np
+
+    def along(rows, axis):
+        return _dots(rows, np.broadcast_to(axis, rows.shape))
+
     e1, e2, c = frame
-    p0, p1 = e.positions[np.array(edges).T]
-    _, arc, tangent = geodesic_arcs(p0, p1)
+    p = e.positions
+    p0, p1 = p[u], p[v]
+    n = _cross(p0, p1)
+    n /= np.sqrt(_dots(n, n))[:, None]
+    a, b, g = along(n, e1), along(n, e2), along(n, c)
+    # 1 + p.c is least along the arc at an end, or at the circle's point
+    # nearest -c where that lies inside the arc: where p0.m <= 0 <= p1.m
+    # for m = c x n.
+    m = _cross(c, n)
+    inside = _dots(p0, m) <= 0.0
+    inside &= _dots(p1, m) >= 0.0
+    del p0, p1, n, m
+    depth = 1.0 + along(p, c)
+    least = np.minimum(depth[u], depth[v])
+    least[inside] = 1.0 - np.sqrt(1.0 - np.minimum(g[inside] ** 2, 1.0))
+    near = np.flatnonzero(~(least > _POLE_CLEARANCE))
+    if len(near):
+        raise ValueError(
+            f"edge {u[near[0]]}-{v[near[0]]} passes through the projection pole; "
+            "it has no finite image"
+        )
+    del least, inside
+    x, y = 2.0 * along(p, e1) / depth, 2.0 * along(p, e2) / depth
+    x0, y0, dx, dy = x[u], y[u], x[v] - x[u], y[v] - y[u]
+    # (z1 - z0) x g (C - z0), for x the plane's cross product: negative
+    # where C lies on the midpoint's side.  It stays finite as g goes to 0.
+    side = dx * (2.0 * b - g * y0) - dy * (2.0 * a - g * x0)
+    large = side < 0.0
+    # The small arc's sagitta: h^2 k / (1 + sqrt(1 - (h k)^2)) for the half
+    # chord h and the curvature k = |g| / 2, in plane units.
+    h2, k = (dx * dx + dy * dy) / 4.0, np.abs(g) / 2.0
+    sagitta = h2 * k / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - h2 * k * k)))
 
-    def point_and_velocity(k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        arc_k = arc[k]
-        cos, sin = np.cos(t * arc_k), np.sin(t * arc_k)
-        p, dp = np.empty((len(k), 3)), np.empty((len(k), 3))
-        for col in range(3):  # a coordinate at a time, for fewer temporaries
-            x, y = p0[k, col], tangent[k, col]
-            np.multiply(cos, x, out=p[:, col])
-            p[:, col] += sin * y
-            np.multiply(cos, y, out=dp[:, col])
-            dp[:, col] -= sin * x
-        dp *= arc_k[:, None]
-        denom = 1.0 + p @ c
-        near = ~(denom > _POLE_CLEARANCE)
-        if near.any():
-            edge = edges[k[np.argmax(near)]]
-            raise ValueError(
-                f"edge {edge[0]}-{edge[1]} passes through the projection pole; "
-                "it has no finite image"
-            )
-        u, v = p @ e1, p @ e2
-        del p
-        du, dv, dpc = dp @ e1, dp @ e2, dp @ c
-        del dp
-        for x, dx in ((u, du), (v, dv)):  # x = 2 x / denom, dx = (2 dx - x dpc) / denom
-            x *= 2.0
-            x /= denom
-            dx *= 2.0
-            dx -= x * dpc
-            dx /= denom
-        del dpc, denom
-        z, d = 1j * v, 1j * dv
-        z += u
-        d += du
-        return z, d
+    def box(xs, ys):
+        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        span = max(np.ptp(xs), np.ptp(ys), 1e-9)
+        return 0.92 * _VIEW / span, 0.5 * (xs.min() + xs.max()), 0.5 * (ys.min() + ys.max())
 
-    n = np.maximum(2, np.ceil(arc * 5.1).astype(int))
-    k = np.repeat(np.arange(len(edges)), n + 1)
-    i = _ranges(np.zeros_like(n), n + 1, 1)
-    t = i / n[k]
-    z, d = point_and_velocity(k, t)
-    tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
+    # The final box holds the vertices' box, so an arc straight in the
+    # vertices' view stays straight.  Its C and R are far out and cancel,
+    # so only the other arcs add the points C +- R and C +- iR that lie on
+    # them: P lies on the midpoint's side where (z1 - z0) x g (P - z0) < 0.
+    curved = large | ~(sagitta * box([x], [y])[0] < _STRAIGHT)
+    g_c, side_c = g[curved], side[curved]
+    radius, turn = 2.0 / np.abs(g_c), 2.0 * np.sign(g_c)  # R and g R
+    xs, ys = [x], [y]
+    for out, centre, lean in ((xs, a, -dy), (ys, b, dx)):  # lean = (z1 - z0) x the axis
+        centre, lean = 2.0 * centre[curved] / g_c, lean[curved]
+        for sign in (1.0, -1.0):
+            on = side_c + sign * turn * lean < 0.0
+            out.append(centre[on] + sign * radius[on])
+    scale, cx, cy = box(xs, ys)
 
-    def refine(level):
-        # The pieces (edge, t0, z0, d0, t1, z1, d1) of level len(done), kept
-        # or halved.  The list is emptied, so each array dies when last used,
-        # and each level's cubics are built once, in place.
-        k, t0, z0, d0, t1, z1, d1 = level
-        level.clear()
-        tm = t0 + t1
-        tm *= 0.5
-        zm, dm = point_and_velocity(k, tm)
-        cubics = np.empty((len(k), 4), complex)
-        cubics[:, 0], cubics[:, 3] = z0, z1
-        z0, z1 = cubics[:, 0], cubics[:, 3]
-        dt = t1 - t0
-        c1, c2 = np.multiply(d0, dt, out=cubics[:, 1]), np.multiply(d1, dt, out=cubics[:, 2])
-        c1 /= 3.0
-        c1 += z0
-        c2 /= 3.0
-        np.subtract(z1, c2, out=c2)
-        miss = 3.0 * c1  # (z0 + 3 c1 + 3 c2 + z1) / 8 - zm, the Bezier midpoint's miss
-        miss += z0
-        miss += 3.0 * c2
-        miss += z1
-        miss /= 8.0
-        miss -= zm
-        split = (np.abs(miss) > tol_abs) & (len(done) < 14)
-        if not split.any():
-            done.append((k, t0, cubics))
-            return []
-        halves = [
-            np.concatenate([left[split], right[split]])
-            for left, right in zip((k, t0, z0, d0, tm, zm, dm), (k, tm, zm, dm, t1, z1, d1))
-        ]
-        del d0, t1, d1, tm, zm, dm
-        done.append((k[~split], t0[~split], cubics[~split]))
-        return halves
-
-    j = np.flatnonzero(i < n[k])
-    pending, done = [k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1]], []
-    del k, i, t, z, d, j  # the knots, freed once the first pieces exist
-    while pending:
-        pending = refine(pending)
-
-    if len(done) == 1:  # one level, already in edge and t order
-        k, _, cubics = done[0]
-    else:
-        k, t0, cubics = map(np.concatenate, zip(*done))
-        done.clear()
-        cubics = cubics[np.lexsort((t0, k))]
-    return cubics, np.bincount(k, minlength=len(edges))
+    straight = ~large & (sagitta * scale < _STRAIGHT)
+    radii = np.divide(2.0, np.abs(g), out=np.zeros_like(g), where=~straight)
+    radii *= scale
+    view = np.column_stack([(x - cx) * scale, (cy - y) * scale]) + _VIEW / 2.0
+    return np.concatenate([view, np.column_stack([radii, radii])]), 2 * large + (g < 0.0)
 
 
 def _fixed3(values: np.ndarray) -> np.ndarray:
@@ -442,85 +422,47 @@ def _fixed3(values: np.ndarray) -> np.ndarray:
     return chars
 
 
-def _point_table(edges: list[tuple[int, int]], e: Embedding, frame) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of NUL-padded text, and each edge's count of pieces.  Row p is
-    point p's "x,y ": point 3j + i is control point i + 1 of piece j, point
-    3s + k starts edge k.  Row n + i is ``_GLUE[i]``."""
-    import numpy as np
-    cubics, counts = _trace_edges(edges, e, frame)
-    ends = cubics[:, ::3]
-    span = max(np.ptp(ends.real), np.ptp(ends.imag), 1e-9)
-    scale = 0.92 * _VIEW / span
-    cx = 0.5 * (ends.real.min() + ends.real.max())
-    cy = 0.5 * (ends.imag.min() + ends.imag.max())
-    s = len(cubics)
-    points = np.empty(3 * s + len(counts), complex)
-    points[: 3 * s].reshape(s, 3)[:] = cubics[:, 1:]
-    points[3 * s :] = cubics[np.cumsum(counts) - counts, 0]
-    del cubics, ends  # freed before _fixed3 makes arrays of its own
-    xy = points.view(np.float64).reshape(-1, 2)  # (x, y) per point, mapped in place
-    xy[:, 0] -= cx
-    np.subtract(cy, xy[:, 1], out=xy[:, 1])
-    xy *= scale
-    xy += _VIEW / 2.0
-    chars = _fixed3(xy.ravel())
-    n, width = len(xy), chars.shape[1]
-    del points, xy
-    table = np.zeros((n + len(_GLUE), 2 * width + 2), np.uint8)
-    table[:n, :width] = chars[0::2]
-    table[:n, width] = ord(",")
-    table[:n, width + 1 : -1] = chars[1::2]
-    table[:n, -1] = ord(" ")
-    for row, text in enumerate(_GLUE, n):
-        table[row, : len(text)] = np.frombuffer(text, np.uint8)
-    return table, counts
-
-
 def _paint_tokens(
-    t: TilingComplex, e: Embedding, c: np.ndarray, counts: np.ndarray, n: int
+    t: TilingComplex, e: Embedding, c: np.ndarray, origin: np.ndarray, head: np.ndarray, flags: np.ndarray
 ) -> np.ndarray:
-    """The table rows of the faces' paths, far to near."""
+    """The table rows of the faces' paths, far to near.  Row v is vertex v's
+    image, row V + k edge k's radius, and row V + E + i is ``_GLUE[i]``;
+    half-edge h runs from ``origin[h]`` to ``head[h]``."""
     import numpy as np
     # Mean depth along c per face; bincount adds corners in face order, as a scalar sum would.
     depth = _dots(e.positions, np.broadcast_to(c, e.positions.shape))
     he = t.half_edges
-    sizes = np.diff(he.face_start, append=len(he.origin))
-    sums = np.bincount(he.face_of, weights=depth[he.origin], minlength=len(t.faces))
+    sizes = np.diff(he.face_start, append=len(origin))
+    sums = np.bincount(he.face_of, weights=depth[origin], minlength=len(t.faces))
     order = np.argsort(sums / sizes, kind="stable")
+    sizes = sizes[order]
 
-    # The faces' half-edges in paint order, then the pieces each one draws.
-    s, first = counts.sum(), np.cumsum(counts) - counts
-    z0 = 3 * np.arange(s) - 1
-    z0[first] = 3 * s + np.arange(len(counts))
-    origin = np.array(he.origin)
-    forward = origin < origin[he.nxt]
-    edge_of = np.empty(len(origin), np.int64)
-    edge_of[forward] = np.arange(len(counts))
+    # The faces' half-edges in paint order, each drawn along its edge's arc,
+    # reversed (sweep flipped) where it runs from the higher vertex.
+    forward = origin < head
+    edge_of = np.empty(len(origin), np.int32)
+    edge_of[forward] = np.arange(len(flags))
     edge_of[~forward] = edge_of[np.array(he.twin)[~forward]]
-    h = _ranges(np.array(he.face_start)[order], sizes[order], 1)
-    k, step = edge_of[h], np.where(forward[h], 1, -1)
-    drawn = counts[k]
-    piece = _ranges(first[k] + (step < 0) * (drawn - 1), drawn, step)
-    fwd = np.repeat(step > 0, drawn)
-    # Tokens "<path d="M start" before a face's first piece, "C a b end" per
-    # drawn piece and the face's close after its last, scattered in int32.
-    j = (np.cumsum(drawn) - drawn)[np.cumsum(sizes[order]) - sizes[order]]  # faces' first pieces
-    at = np.full(len(piece), 4)
-    at[j] = 6 + _CLOSE_ROWS
-    at[0] = 2
-    at = np.cumsum(at)  # where each piece's "C" goes
-    tokens = np.empty(4 * len(piece) + (2 + _CLOSE_ROWS) * len(j), np.int32)
-    tokens[at] = n
-    row = 3 * piece  # the rows of the piece's c1 and c2, then of its z1
-    tokens[at + 1] = row + ~fwd
-    tokens[at + 2] = row + fwd
-    row += 2
-    tokens[at + 3] = np.where(fwd, row, z0[piece])
-    tokens[at[j] - 2] = n + 1
-    tokens[at[j] - 1] = np.where(fwd[j], z0[piece[j]], row[j])
-    close = np.append(at[j[1:]] - 2, len(tokens))[:, None] - _CLOSE_ROWS + np.arange(_CLOSE_ROWS)
+    h = _ranges(np.array(he.face_start)[order], sizes, 1)
+    k = edge_of[h]
+    del edge_of
+    # Tokens "<path d="M start" before a face's first half-edge, "A radius
+    # flags head" per half-edge and the face's close after its last.
+    glue = len(depth) + len(flags)
+    at = np.repeat(np.arange(len(order), dtype=np.int32) * (2 + _CLOSE_ROWS) + 2, sizes)
+    at += np.arange(0, 4 * len(h), 4, dtype=np.int32)  # where each half-edge's "A" goes
+    tokens = np.empty(4 * len(h) + (2 + _CLOSE_ROWS) * len(order), np.int32)
+    tokens[at] = glue
+    tokens[at + 1] = len(depth) + k
+    tokens[at + 2] = glue + 2 + (flags[k] ^ ~forward[h])
+    tokens[at + 3] = head[h]
+    last = np.cumsum(sizes) - 1
+    first = last + 1 - sizes
+    tokens[at[first] - 2] = glue + 1
+    tokens[at[first] - 1] = origin[h[first]]
     kind = np.array([f.kind != "mgon" for f in t.faces])[order]
-    tokens[close] = n + 2 + _CLOSE_ROWS * kind[:, None] + np.arange(_CLOSE_ROWS)
+    close = at[last][:, None] + 4 + np.arange(_CLOSE_ROWS)
+    tokens[close] = glue + 6 + _CLOSE_ROWS * kind[:, None] + np.arange(_CLOSE_ROWS)
     return tokens
 
 
@@ -529,31 +471,47 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
 
     Projection is stereographic from the point antipodal to the centroid
     of the first m-gon, so that face sits in the middle of the picture.
-    Each edge is traced once, and drawn reversed in its second face; the
-    cubics stay within 1 unit of the 1000-unit view of the true arcs.
-    Faces are painted far-to-near; the face wrapping the projection point
-    projects to the region outside its own boundary and, painted first,
-    becomes the backdrop for everything else.  An edge through the
-    projection pole, or a tiling with no m-gon, raises :class:`ValueError`.
+    Stereographic projection takes circles to circles, so each edge is
+    drawn as one exact SVG arc, ``A r,r 0 large,sweep x,y``, or as a line
+    where its sagitta is under half the last digit written (see
+    :func:`_arcs`), and drawn reversed in its second face.  Faces are
+    painted far-to-near; the face wrapping the projection point projects
+    to the region outside its own boundary and, painted first, becomes the
+    backdrop for everything else.  An edge through the projection pole, or
+    a tiling with no m-gon, raises :class:`ValueError`.
 
-    The path text is built in arrays.  A piece starts bit for bit where the
-    one before it ends, so each point is formatted once, by :func:`_fixed3`:
-    integer digits where the rounding to thousandths is certain and
-    ``format(v, ".3f")`` elsewhere, the bytes ``format`` writes.  The faces'
-    half-edges, in paint order, gather these by index: a forward half-edge
-    reads its pieces as "C c1 c2 z1", a reversed one as "C c2 c1 z0" from
-    the last piece back.  Each path's opening and its close with the fill
-    are rows of the same point table.  A ``take`` of the table's rows and a
-    NUL strip, a sixteenth of the tokens at a time, write every path into
-    one buffer between the header and the footer, and one decode makes the
-    str.  The arithmetic runs in place and each array dies once used, so
-    the peak, in the trace, is about 2.2 times the document: the buffer
-    and the str at the end, and the trace's first level at the start.
+    Each vertex image "x,y" and each edge's radius "r,r" is formatted once
+    for both faces, by :func:`_fixed3`: integer digits where the rounding
+    to thousandths is certain and ``format(v, ".3f")`` elsewhere, the bytes
+    ``format`` writes.  These are the rows of one NUL-padded byte table, with the
+    path text around them (``A``, the opening, the four flag rows and the
+    closes) as more rows; the faces' half-edges, in paint order, gather
+    them by index.  A ``take`` of the table's rows and a NUL strip, a
+    sixteenth of the tokens at a time, write every path into one buffer
+    between the header and the footer, and one decode makes the str.  So
+    the traced peak is about twice the document: the buffer and the str at
+    the end, and about as much in :func:`_arcs` at the start.
     """
     import numpy as np
     frame = _projection_frame(t, e)
-    table, counts = _point_table(t.undirected_edges(), e, frame)
-    tokens = _paint_tokens(t, e, frame[2], counts, len(table) - len(_GLUE))
+    origin = np.array(t.half_edges.origin)
+    head = origin[t.half_edges.nxt]
+    edges = np.flatnonzero(origin < head)  # in t.undirected_edges() order
+    pairs, flags = _arcs(origin[edges], head[edges], e, frame)
+    del edges
+    chars = _fixed3(pairs.ravel())
+    n, width = len(pairs), chars.shape[1]
+    del pairs
+    table = np.zeros((n + len(_GLUE), 2 * width + 2), np.uint8)
+    table[:n, :width] = chars[0::2]
+    table[:n, width] = ord(",")
+    table[:n, width + 1 : -1] = chars[1::2]
+    table[:n, -1] = ord(" ")
+    for row, text in enumerate(_GLUE, n):
+        table[row, : len(text)] = np.frombuffer(text, np.uint8)
+    del chars
+    tokens = _paint_tokens(t, e, frame[2], origin, head, flags)
+    del origin, head, flags
     lengths = np.add.reduce(table != 0, axis=1, dtype=np.uint16)  # a value's text is under 400 bytes
     svg = bytearray(len(_SVG_HEAD) + int(lengths[tokens].sum(dtype=np.int64)) + len(_SVG_FOOT))
     svg[: len(_SVG_HEAD)], svg[len(svg) - len(_SVG_FOOT) :] = _SVG_HEAD, _SVG_FOOT
@@ -562,5 +520,5 @@ def export_svg(t: TilingComplex, e: Embedding) -> str:
         text = table.take(tokens[a : a + step], axis=0).tobytes().translate(None, b"\0")
         svg[at : at + len(text)] = text
         at += len(text)
-    del table, tokens
+    del table, tokens, lengths, text
     return svg.decode("ascii")

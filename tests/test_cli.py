@@ -270,6 +270,15 @@ def test_generate_obj_implies_realize(tmp_path):
     assert obj.exists()
 
 
+def test_generate_r_implies_realize(capsys):
+    # An out-of-range radius is rejected, not dropped, without --realize.
+    assert main(["generate", "prism", "--m", "5", "--r", "99"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--r must lie in" in captured.err
+    assert main(["generate", "prism", "--m", "5", "--r", "1.2"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["coordinates"]) == 10
+
+
 def test_verify_flags_bad_labels(tmp_path, capsys):
     out = tmp_path / "prism.json"
     assert main(["generate", "prism", "--m", "5", "--out", str(out)]) == EXIT_OK

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -22,22 +23,18 @@ from spheretile.realization import (
     earth_map_solution,
     embed_generic,
     embed_prism,
-    geodesic_arcs,
     prism_default_radius,
     prism_geometric_bounds,
     prism_solution,
     sporadic_solution,
 )
 from spheretile.serialization import (
-    _GLUE,
     _POLE_CLEARANCE,
     _STRIP_TOKENS,
     SchemaError,
     _fixed3,
     _paint_tokens,
-    _point_table,
     _projection_frame,
-    _trace_edges,
     export_obj,
     export_svg,
     parse_tiling,
@@ -205,126 +202,104 @@ def test_export_obj_shape():
         assert max(indices) <= 10
 
 
-# Reference tracer in scalar Python: each face traces each of its edges on
-# its own, once in a rough pass that fixes the extent and once against the
-# deviation budget.  export_svg's batched tracer must match it byte for byte.
-
-
-def _project(p, frame):
-    """Stereographic image of p (one point or rows of points) from -c."""
-    e1, e2, c = frame
-    denom = np.maximum(1.0 + np.dot(p, c), 1e-9)
-    return (2.0 * np.dot(p, e1) + 2.0j * np.dot(p, e2)) / denom
-
-
-def _edge_cubics(p0, p1, frame, tol_abs=math.inf):
-    """Cubic Bezier chain tracing the projected geodesic from p0 to p1."""
-    cos_arc = max(-1.0, min(1.0, float(np.dot(p0, p1))))
-    arc = math.acos(cos_arc)
-    tangent = p1 - cos_arc * p0
-    tangent /= np.linalg.norm(tangent)
-    e1, e2, c = frame
-
-    def point_and_velocity(t_param):
-        a = t_param * arc
-        p = math.cos(a) * p0 + math.sin(a) * tangent
-        dp = arc * (-math.sin(a) * p0 + math.cos(a) * tangent)
-        denom = 1.0 + float(np.dot(p, c))
-        u = 2.0 * float(np.dot(p, e1)) / denom
-        v = 2.0 * float(np.dot(p, e2)) / denom
-        du = (2.0 * float(np.dot(dp, e1)) - u * float(np.dot(dp, c))) / denom
-        dv = (2.0 * float(np.dot(dp, e2)) - v * float(np.dot(dp, c))) / denom
-        return complex(u, v), complex(du, dv)
-
-    cubics = []
-
-    def emit(t0, z0, d0, t1, z1, d1, depth):
-        h = t1 - t0
-        seg = (z0, z0 + d0 * h / 3.0, z1 - d1 * h / 3.0, z1)
-        tm = 0.5 * (t0 + t1)
-        zm, dm = point_and_velocity(tm)
-        bez_mid = (seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3]) / 8.0
-        if abs(bez_mid - zm) > tol_abs and depth < 14:
-            emit(t0, z0, d0, tm, zm, dm, depth + 1)
-            emit(tm, zm, dm, t1, z1, d1, depth + 1)
-        else:
-            cubics.append(seg)
-
-    n = max(2, int(math.ceil(arc * 5.1)))
-    knots = [point_and_velocity(i / n) for i in range(n + 1)]
-    for i in range(n):
-        emit(i / n, *knots[i], (i + 1) / n, *knots[i + 1], 0)
-    return cubics
-
-
-def _oracle_trace(t, e):
-    """Each face's cubic chain and the view transform (scale, cx, cy)."""
-    frame = _projection_frame(t, e)
-
-    def chains(tol_abs):
-        out = []
-        for face in t.faces:
-            cycle = face.vertices
-            chain = []
-            for i, v in enumerate(cycle):
-                w = cycle[(i + 1) % len(cycle)]
-                chain.extend(_edge_cubics(e.positions[v], e.positions[w], frame, tol_abs))
-            out.append(chain)
-        return out
-
-    def extent(face_cubics):
-        pts = [z for chain in face_cubics for seg in chain for z in (seg[0], seg[3])]
-        xs = [z.real for z in pts]
-        ys = [z.imag for z in pts]
-        return xs, ys, max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-
-    _, _, rough_span = extent(chains(math.inf))
-    face_cubics = chains(2e-4 * rough_span)
-    xs, ys, span = extent(face_cubics)
-    view = (0.92 * 1000.0 / span, 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys)))
-    return face_cubics, view
+# Scalar arc oracle: each edge's circle from np.cross and np.dot of its own
+# rows, lower vertex first, and each face's path from format(v, ".3f").
+# export_svg's batched writer must match it byte for byte.
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle(name):
-    return _oracle_trace(*_embedded(name))
+    """The view transform (scale, cx, cy), each vertex's image in the view and,
+    per face in paint order, the face and its "A r,r 0 large,sweep" texts."""
+    t, e = _embedded(name)
+    frame = e1, e2, c = _projection_frame(t, e)
+    positions = e.positions
+
+    def plane(v):
+        depth = 1.0 + float(np.dot(positions[v], c))
+        assert depth > _POLE_CLEARANCE
+        return 2.0 * float(np.dot(positions[v], e1)) / depth, 2.0 * float(np.dot(positions[v], e2)) / depth
+
+    def arc(u, v):
+        """Edge (u, v)'s g = n.c, whether its arc is large, its sagitta, and
+        the x and y of its circle's points C +- R and C +- iR on the arc,
+        in plane units."""
+        n = np.cross(positions[u], positions[v])
+        n = n / math.sqrt(float(np.dot(n, n)))
+        a, b, g = (float(np.dot(n, axis)) for axis in frame)
+        (x0, y0), (x1, y1) = plane(u), plane(v)
+        dx, dy = x1 - x0, y1 - y0
+        side = dx * (2.0 * b - g * y0) - dy * (2.0 * a - g * x0)
+        h2, k = (dx * dx + dy * dy) / 4.0, abs(g) / 2.0
+        sagitta = h2 * k / (1.0 + math.sqrt(max(0.0, 1.0 - h2 * k * k)))
+        extremes = ([], [])
+        if g != 0.0:
+            radius, turn = 2.0 / abs(g), 2.0 * math.copysign(1.0, g)
+            for out, centre, lean in ((extremes[0], a, -dy), (extremes[1], b, dx)):
+                for sign in (1.0, -1.0):
+                    if side + sign * turn * lean < 0.0:
+                        out.append(2.0 * centre / g + sign * radius)
+        return g, side < 0.0, sagitta, extremes
+
+    def fit(xs, ys):
+        span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+        return 0.92 * 1000.0 / span, 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+
+    points = [plane(v) for v in range(t.vertex_count)]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    arcs = {(u, v): arc(u, v) for u, v in t.undirected_edges()}
+    scale0 = fit(xs, ys)[0]
+    for g, large, sagitta, (ex, ey) in arcs.values():
+        if large or not sagitta * scale0 < 5e-4:
+            xs, ys = xs + ex, ys + ey
+    scale, cx, cy = fit(xs, ys)
+    view = [((x - cx) * scale + 500.0, (cy - y) * scale + 500.0) for x, y in points]
+
+    def side_text(v, w):
+        g, large, sagitta, _ = arcs[min(v, w), max(v, w)]
+        radius = 0.0 if not large and sagitta * scale < 5e-4 else 2.0 / abs(g) * scale
+        sweep = (g < 0.0) != (v > w)
+        x, y = view[w]
+        return f"A {radius:.3f},{radius:.3f} 0 {large:d},{sweep:d} {x:.3f},{y:.3f}"
+
+    order = sorted(
+        range(len(t.faces)),
+        key=lambda fi: sum(float(np.dot(positions[v], c)) for v in t.faces[fi].vertices)
+        / t.faces[fi].size,
+    )
+    faces = []
+    for fi in order:
+        cycle = t.faces[fi].vertices
+        faces.append((t.faces[fi], [side_text(v, cycle[(i + 1) % len(cycle)]) for i, v in enumerate(cycle)]))
+    return (scale, cx, cy), view, faces
 
 
 def _oracle_svg(name):
-    t, e = _embedded(name)
-    face_cubics, (scale, cx, cy) = _oracle(name)
-
-    def pt(z):
-        return f"{(z.real - cx) * scale + 500.0:.3f},{(cy - z.imag) * scale + 500.0:.3f}"
-
-    def path_of(chain):
-        parts = [f"M {pt(chain[0][0])}"]
-        parts.extend(f"C {pt(c1)} {pt(c2)} {pt(z1)}" for _, c1, c2, z1 in chain)
-        return " ".join(parts + ["Z"])
-
-    _, _, c = _projection_frame(t, e)
-    order = sorted(
-        range(len(t.faces)),
-        key=lambda fi: sum(float(np.dot(e.positions[v], c)) for v in t.faces[fi].vertices)
-        / t.faces[fi].size,
-    )
+    _, view, faces = _oracle(name)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
         '<rect width="1000" height="1000" fill="white"/>',
     ]
-    for fi in order:
-        fill = {"mgon": "#4878a8", "rhombus": "#e8c468"}[t.faces[fi].kind]
+    for face, sides in faces:
+        fill = {"mgon": "#4878a8", "rhombus": "#e8c468"}[face.kind]
+        x, y = view[face.vertices[0]]
         lines.append(
-            f'<path d="{path_of(face_cubics[fi])}" fill="{fill}" '
+            f'<path d="M {x:.3f},{y:.3f} {" ".join(sides)} Z" fill="{fill}" '
             f'stroke="#303030" stroke-width="1.5" stroke-linejoin="round"/>'
         )
     return "\n".join(lines + ["</svg>"]) + "\n"
 
 
 def _realized(name):
-    """A shipped tiling, embedded as `generate --realize` embeds it."""
+    """A shipped tiling, embedded as `generate --realize` embeds it;
+    "prism_m<m>_at_<f>" puts the prism's radius at fraction f of its
+    geometric range."""
     if name.startswith("prism_m"):
-        m = int(name[len("prism_m"):])
+        m, _, fraction = name[len("prism_m"):].partition("_at_")
+        m = int(m)
+        if fraction:
+            lo, hi = prism_geometric_bounds(m)
+            return prism(m), prism_solution(m, lo + float(fraction) * (hi - lo))
         return prism(m), prism_solution(m, prism_default_radius(m))
     if name.startswith("earthmap_c"):
         c = int(name[len("earthmap_c"):])
@@ -363,7 +338,7 @@ def test_export_svg_matches_the_scalar_tracer_byte_for_byte(name):
 # sha256 of export_svg for earth map c = 256, then prism m = 64 at radius
 # fractions 1e-3 and 0.999 of its geometric range, concatenated: sizes and
 # shapes past the reach of the scalar oracle above.
-LARGE_SVG_SHA256 = "382cc74075a8e236830618139e0392035dbc589c3cf3a0ab750954790cd1c80d"
+LARGE_SVG_SHA256 = "1d54bcff80ff929bbf84fd8126cf775a2a9a8d9c01503e8743b02ef6aef6d54f"
 
 
 def test_export_svg_of_large_and_extreme_tilings_keeps_its_digest():
@@ -393,99 +368,31 @@ def test_export_svg_peak_memory_stays_within_two_and_a_half_times_its_output(c):
 
 
 def _token_count(name):
-    """How many point-table rows export_svg strips for a drawing."""
+    """How many table rows export_svg strips for a drawing."""
     t, e = _embedded(name)
-    frame = _projection_frame(t, e)
-    table, counts = _point_table(t.undirected_edges(), e, frame)
-    return len(_paint_tokens(t, e, frame[2], counts, len(table) - len(_GLUE)))
+    origin = np.array(t.half_edges.origin)
+    flags = np.zeros(t.edge_count, np.int64)
+    return len(_paint_tokens(t, e, _projection_frame(t, e)[2], origin, origin[t.half_edges.nxt], flags))
 
 
 def test_export_svg_stripped_in_several_slices_matches_the_scalar_tracer():
-    # 16,533 tokens: sixteen slices of 1,033 and a short seventeenth.
+    # 3,933 tokens: fifteen slices of _STRIP_TOKENS, 256, and a short
+    # sixteenth.
     count = _token_count("earthmap_c16")
     step = max(_STRIP_TOKENS, count >> 4)
-    assert (count // step, count % step) == (16, 5)
+    assert (count // step, count % step) == (15, 93)
     assert export_svg(*_embedded("earthmap_c16")) == _oracle_svg("earthmap_c16")
 
 
 @pytest.mark.parametrize("name", ["earthmap_c16", "prism_m14"])
 def test_export_svg_strip_ending_at_a_slice_boundary_matches_the_scalar_tracer(name, monkeypatch):
     # The least slice length of at least a sixteenth of the tokens that
-    # divides them: earthmap_c16 in 11 slices of 1,503, prism_m14 in 16 of 72.
+    # divides them: earthmap_c16 in 9 slices of 437, prism_m14 in 16 of 30.
     count = _token_count(name)
     step = next(d for d in range(count >> 4, count) if count % d == 0)
     monkeypatch.setattr("spheretile.serialization._STRIP_TOKENS", step)
-    assert count // step >= 11 and count % step == 0
+    assert count // step >= 9 and count % step == 0
     assert export_svg(*_embedded(name)) == _oracle_svg(name)
-
-
-def _trace_edges_reference(edges, e, frame):
-    """The batched tracer with fresh arrays for every product and every
-    level's arrays kept until the next level replaces them: the bits that
-    _trace_edges must keep, which the 3-decimal SVG text cannot show."""
-    e1, e2, c = frame
-    p0, p1 = e.positions[np.array(edges).T]
-    _, arc, tangent = geodesic_arcs(p0, p1)
-
-    def point_and_velocity(k, t):
-        a = (t * arc[k])[:, None]
-        p = np.cos(a) * p0[k] + np.sin(a) * tangent[k]
-        dp = arc[k][:, None] * (-np.sin(a) * p0[k] + np.cos(a) * tangent[k])
-        denom = 1.0 + p @ c
-        assert (denom > _POLE_CLEARANCE).all()
-        u = 2.0 * (p @ e1) / denom
-        v = 2.0 * (p @ e2) / denom
-        du = (2.0 * (dp @ e1) - u * (dp @ c)) / denom
-        dv = (2.0 * (dp @ e2) - v * (dp @ c)) / denom
-        return u + 1j * v, du + 1j * dv
-
-    n = np.maximum(2, np.ceil(arc * 5.1).astype(int))
-    k = np.repeat(np.arange(len(edges)), n + 1)
-    i = np.arange(len(k)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
-    t = i / n[k]
-    z, d = point_and_velocity(k, t)
-    tol_abs = 2e-4 * max(np.ptp(z.real), np.ptp(z.imag), 1e-9)
-
-    j = np.flatnonzero(i < n[k])
-    pending = (k[j], t[j], z[j], d[j], t[j + 1], z[j + 1], d[j + 1])
-    done = []
-    for depth in range(15):
-        k, t0, z0, d0, t1, z1, d1 = pending
-        if not len(k):
-            break
-        c1 = z0 + d0 * (t1 - t0) / 3.0
-        c2 = z1 - d1 * (t1 - t0) / 3.0
-        tm = 0.5 * (t0 + t1)
-        zm, dm = point_and_velocity(k, tm)
-        bez_mid = (z0 + 3.0 * c1 + 3.0 * c2 + z1) / 8.0
-        split = (np.abs(bez_mid - zm) > tol_abs) & (depth < 14)
-        done.append((k[~split], t0[~split], np.stack([z0, c1, c2, z1], axis=1)[~split]))
-        pending = tuple(
-            np.concatenate([left[split], right[split]])
-            for left, right in zip((k, t0, z0, d0, tm, zm, dm), (k, tm, zm, dm, t1, z1, d1))
-        )
-
-    k, t0, cubics = (np.concatenate(column) for column in zip(*done))
-    return cubics[np.lexsort((t0, k))], np.bincount(k, minlength=len(edges))
-
-
-@pytest.mark.parametrize("name", SHIPPED + ["prism_m64_at_0.001", "prism_m64_at_0.999"])
-def test_trace_edges_matches_the_reference_tracer_to_the_bit(name):
-    # Prism m = 64 near either end of its radius range splits its pieces
-    # deepest.
-    if "_at_" in name:
-        lo, hi = prism_geometric_bounds(64)
-        t = prism(64)
-        e = embed_generic(t, prism_solution(64, lo + float(name.split("_at_")[1]) * (hi - lo)))
-    else:
-        t, e = _embedded(name)
-    frame = _projection_frame(t, e)
-    edges = t.undirected_edges()
-    cubics, counts = _trace_edges(edges, e, frame)
-    expected_cubics, expected_counts = _trace_edges_reference(edges, e, frame)
-    assert cubics.dtype == expected_cubics.dtype == np.complex128
-    assert np.array_equal(cubics.view(np.float64).view(np.int64), expected_cubics.view(np.float64).view(np.int64))
-    assert np.array_equal(counts, expected_counts)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -513,66 +420,111 @@ def test_coordinates_and_obj_vertices_match_the_per_vertex_writers(name):
     assert [l for l in export_obj(t, e).splitlines() if l.startswith("v ")] == v_lines
 
 
+_NUMBER = r"-?\d+\.\d{3}"
+_PATH = re.compile(rf"M ({_NUMBER},{_NUMBER}) ((?:A {_NUMBER},{_NUMBER} 0 [01],[01] {_NUMBER},{_NUMBER} )+)Z")
+
+
 def _parse_path(d):
-    """Cubic chains from a path string 'M x,y C x,y x,y x,y ... Z'."""
-    assert d.startswith("M") and d.rstrip().endswith("Z")
-    tokens = d.replace("M", "").replace("C", "").replace("Z", "").split()
-    points = np.array([tok.split(",") for tok in tokens], dtype=float)
-    assert (len(points) - 1) % 3 == 0
-    return points[0], np.stack([points[0:-1:3], points[1::3], points[2::3], points[3::3]], axis=1)
+    """A path 'M x,y (A r,r 0 large,sweep x,y)* Z': its start, and one row
+    (from, (r, r), (large, sweep), to) of (x, y) pairs per arc."""
+    match = _PATH.fullmatch(d)
+    assert match, d
+    # Per arc: (r, r), (large, sweep) and its end.
+    pairs = [tok.split(",") for tok in match[2].split() if "," in tok]
+    pairs = np.array(pairs, dtype=float).reshape(-1, 3, 2)
+    points = np.concatenate([[match[1].split(",")], pairs[:, 2]]).astype(float)
+    return points[0], np.stack([points[:-1], pairs[:, 0], pairs[:, 1], points[1:]], axis=1)
 
 
-def _slerp(p0, p1, u):
-    """Points at fractions u (an array) along the great arc from p0 to p1."""
-    angle = math.acos(float(np.clip(np.dot(p0, p1), -1.0, 1.0)))
-    if angle < 1e-12:
-        return np.tile(p0, (len(u), 1))
-    return (
-        np.sin((1 - u) * angle)[:, None] * p0 + np.sin(u * angle)[:, None] * p1
-    ) / math.sin(angle)
+def _svg_arc(start, end, radius, large, sweep, u):
+    """Points at parameter fractions u along an SVG arc or, at radius 0, a
+    line, by the endpoint-to-centre conversion of SVG 1.1 Appendix F.6.5,
+    with an out-of-range radius scaled up as F.6.6 says."""
+    if radius == 0:
+        return start + u[:, None] * (end - start)
+    half = (start - end) / 2.0
+    radius = max(radius, math.sqrt(half @ half))
+    root = math.sqrt(max(0.0, radius**2 / (half @ half) - 1.0))
+    offset = (1.0 if large != sweep else -1.0) * root * np.array([half[1], -half[0]])
+    theta0 = math.atan2(*(half - offset)[::-1])
+    turn = (math.atan2(*(-half - offset)[::-1]) - theta0) % (2.0 * math.pi)
+    if not sweep:
+        turn -= 2.0 * math.pi
+    theta = theta0 + u * turn
+    return (start + end) / 2.0 + offset + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _drawn_arcs(name):
+    """Each drawn arc of a tiling's SVG, face by face in paint order: its
+    edge (u, v) in drawing order and its (from, (r, r), (large, sweep), to)."""
+    t, e = _embedded(name)
+    root = ET.fromstring(export_svg(t, e))
+    assert root.tag.endswith("svg")
+    paths = [el for el in root.iter() if el.tag.endswith("path")]
+    _, _, faces = _oracle(name)
+    assert len(paths) == len(faces) == t.face_count
+    out = []
+    for el, (face, _) in zip(paths, faces):
+        _, arcs = _parse_path(el.attrib["d"])
+        cycle = face.vertices
+        assert len(arcs) == len(cycle)
+        out += [((v, cycle[(i + 1) % len(cycle)]), arc) for i, (v, arc) in enumerate(zip(cycle, arcs))]
+    return out
 
 
 def test_export_svg_well_formed_and_accurate():
-    from scipy.spatial import cKDTree
-
-    for name in ("snub2", "football", "earthmap_c64", "prism_m64"):
+    # Every drawn arc, sampled at sixteenths, lies within 0.01 of the
+    # 1000-unit view of its edge's true projected great circle, between
+    # the edge's ends, and inside the 920-unit box that the view fits.
+    # The circle's image is g |z|^2 - 4 (a x + b y) - 4 g = 0 for the
+    # unit normal n = a e1 + b e2 + g c, a line where g = 0; a point's
+    # distance to it is the value over its gradient, to first order.
+    u = np.arange(1, 16) / 16.0
+    extremes = ["prism_m3_at_0.001", "prism_m3_at_0.999", "prism_m64_at_0.001", "prism_m64_at_0.999"]
+    for name in ["snub2", "football", "earthmap_c64", "prism_m3", "prism_m64", *extremes]:
         t, e = _embedded(name)
-        svg = export_svg(t, e)
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-        paths = [el for el in root.iter() if el.tag.endswith("path")]
-        assert len(paths) == t.face_count
+        frame = e1, e2, c = _projection_frame(t, e)
+        (scale, cx, cy), _, _ = _oracle(name)
+        worst, least = 0.0, math.inf
+        for (v, w), (start, (radius, _), (large, sweep), end) in _drawn_arcs(name):
+            points = _svg_arc(start, end, radius, large, sweep, u)
+            assert ((points > 40.0 - 1e-2) & (points < 960.0 + 1e-2)).all(), name
+            x, y = (points[:, 0] - 500.0) / scale + cx, cy - (points[:, 1] - 500.0) / scale
+            p, q = e.positions[v], e.positions[w]
+            n = np.cross(p, q)
+            a, b, g = (float(np.dot(n / np.linalg.norm(n), axis)) for axis in frame)
+            value = g * (x * x + y * y) - 4.0 * (a * x + b * y) - 4.0 * g
+            gradient = np.hypot(2.0 * g * x - 4.0 * a, 2.0 * g * y - 4.0 * b)
+            worst = max(worst, float(np.max(np.abs(value) / gradient)) * scale)
+            # The points' preimages s, and the turns from p to s and from s to q about n.
+            r2 = x * x + y * y
+            s = (4.0 * x[:, None] * e1 + 4.0 * y[:, None] * e2 + (4.0 - r2)[:, None] * c) / (4.0 + r2)[:, None]
+            least = min(least, float((np.cross(p, s) @ n).min()), float((np.cross(s, q) @ n).min()))
+        assert worst <= 0.01, (name, worst)
+        assert least >= 0.0, (name, least)
 
-        # The drawing transform, rebuilt from the scalar tracer: x maps up
-        # and y maps down from the projection plane into the 1000-unit viewbox.
-        frame = _projection_frame(t, e)
-        _, (scale, cx, cy) = _oracle(name)
 
-        # Dense ground truth: every edge arc, slerped and projected.
-        u = np.arange(513) / 512.0
-        z = np.concatenate(
-            [_project(_slerp(e.positions[a], e.positions[b], u), frame) for a, b in t.undirected_edges()]
-        )
-        tree = cKDTree(np.column_stack([(z.real - cx) * scale + 500.0, (cy - z.imag) * scale + 500.0]))
-
-        # Every drawn cubic, sampled at the quarter points, must stay within
-        # one part in a thousand of the viewbox (1 unit of 1000) of a true arc.
-        worst = 0.0
-        for el in paths:
-            start, cubics = _parse_path(el.attrib["d"])
-            p0, c1, c2, p3 = cubics.transpose(1, 0, 2)
-            assert np.allclose(p0[1:], p3[:-1], atol=1e-9)
-            assert np.allclose(p3[-1], start, atol=1e-9)
-            for u in (0.25, 0.5, 0.75):
-                b = (
-                    (1 - u) ** 3 * p0
-                    + 3 * (1 - u) ** 2 * u * c1
-                    + 3 * (1 - u) * u**2 * c2
-                    + u**3 * p3
-                )
-                dist, _ = tree.query(b)
-                worst = max(worst, float(dist.max()))
-        assert worst <= 1.0, name
+@pytest.mark.parametrize(
+    "name, large, straight", [("prism_m3", 3, 0), ("snub1", 0, 6), ("snub2", 0, 6), ("snub3", 0, 6)]
+)
+def test_export_svg_draws_large_arcs_and_straight_edges(name, large, straight):
+    # Prism m = 3's far triangle wraps the projection pole, so its three
+    # edges take more than half of their image circles.  Six edges of each
+    # snub fusion lie on great circles within 5e-12 of the pole, whose
+    # images are lines: they are drawn with radius 0.  Each edge is drawn
+    # alike in both its faces.
+    t, e = _embedded(name)
+    c = _projection_frame(t, e)[2]
+    drawn = {}
+    for edge, (_, (radius, _), (is_large, _), _) in _drawn_arcs(name):
+        drawn.setdefault(tuple(sorted(edge)), set()).add((radius, is_large))
+    assert len(drawn) == t.edge_count and all(len(ways) == 1 for ways in drawn.values())
+    assert sum(is_large for ((_, is_large),) in drawn.values()) == large
+    lines = [edge for edge, ((radius, _),) in drawn.items() if radius == 0]
+    assert len(lines) == straight
+    for u, v in lines:
+        n = np.cross(e.positions[u], e.positions[v])
+        assert abs(np.dot(n / np.linalg.norm(n), c)) < 5e-12
 
 
 @pytest.mark.parametrize("name", SHIPPED)
