@@ -4,9 +4,9 @@ Every family is embedded by :func:`embed_generic`: each face is a rigid
 copy of its prototile, a regular m-gon or a rhombus built in closed form
 from the angle solution, and faces are placed breadth-first, each rotated
 onto an already-embedded edge.  The walk runs one BFS layer at a time:
-the layer's faces are found in integer work, in the FIFO queue's order,
-and then placed in one array step, so the first placement of a vertex in
-queue order is the one kept.  A corner that lands on a placed vertex is
+a pass over the complex's own lists picks the layer's faces in the FIFO
+queue's order, and numpy places them in one array step, so the first
+placement of a vertex in queue order is the one kept.  A corner that lands on a placed vertex is
 checked against the stored position, so an inconsistent angle solution or
 a wrong complex surfaces as a closure defect instead of a silently
 distorted picture.  :func:`embed_prism` places prisms in closed form as a
@@ -254,17 +254,6 @@ def _ranges(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
     return np.repeat(first - step * before, count) + term_step * np.arange(count.sum())
 
 
-def _first_occurrences(values: np.ndarray) -> np.ndarray:
-    """Mask of the first occurrence of each value, in order: a stable sort
-    keeps equal values in their order, so each run's first is the one."""
-    import numpy as np
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.ones(len(values), dtype=bool)
-    first[order[1:]] = ordered[1:] != ordered[:-1]
-    return first
-
-
 def _edge_frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames, one (3, 3) block per row of a and b: a over |a|,
     the unit tangent there toward b, and their cross product.  Raises
@@ -326,15 +315,17 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
 
     The walk runs one BFS layer at a time.  A face of layer k is entered
     across an edge of a face of layer k - 1, whose ends are placed by then,
-    so every face of a layer is placed in one array step: the frames of
-    all entry edges, then the corners of each prototile as one stacked
-    product.  A corner landing on a placed vertex, the entry edge's ends
-    included, keeps the first position in queue order and the distance is
-    tracked.  Each face is placed whole, in a frame whose point row has
-    unit length, so no error compounds along the walk, and the worst
-    distance measures how far the angles are from closing; beyond
-    ``CLOSURE_TOL`` it raises :class:`ClosureDefect`, naming the first
-    vertex in queue order at that distance.
+    so every face of a layer is placed in one array step.  Which faces it
+    enters and which corner places a vertex first is found in plain Python
+    on the complex's half-edge and label lists; numpy builds the frames
+    of all entry edges, then the corners of each entry label's prototile
+    as one stacked product.  A corner landing on a placed vertex, the
+    entry edge's ends included, keeps the first position in queue order
+    and the distance is tracked.  Each face is placed whole, in a frame
+    whose point row has unit length, so no error compounds along the walk,
+    and the worst distance measures how far the angles are from closing;
+    beyond ``CLOSURE_TOL`` it raises :class:`ClosureDefect`, naming the
+    first vertex in queue order at that distance.
     """
     import numpy as np
     prototiles = _prototiles(t.gonality, s)
@@ -344,58 +335,61 @@ def embed_generic(t: TilingComplex, s: AngleSolution) -> Embedding:
     edge0 = _edge_frames(np.array([q[0] for q in shapes]), np.array([q[1] for q in shapes]))
     in_edge_frame = {lab: q @ frame.T for (lab, q), frame in zip(prototiles.items(), edge0)}
     he = t.half_edges
-    origin, nxt, twin, face_of, face_start, label = map(
-        np.asarray, (he.origin, he.nxt, he.twin, he.face_of, he.face_start, t.label)
-    )
-    size = np.diff(face_start, append=len(origin))
+    origin, nxt, twin, face_of, label = he.origin, he.nxt, he.twin, he.face_of, t.label
     best_vertex = max(range(t.vertex_count), key=lambda v: len(he.out_edges[v]))
-    seed_face = min(he.face_of[h] for h in he.out_edges[best_vertex])
+    seed_face = min(face_of[h] for h in he.out_edges[best_vertex])
 
     positions = np.full((t.vertex_count, 3), np.nan)
-    placed = np.zeros(t.vertex_count, dtype=bool)
-    entered = np.zeros(len(size), dtype=bool)
-    worst_defect = 0.0
-    worst_vertex = -1
+    placed = [False] * t.vertex_count
+    entered = [False] * t.face_count
+    worst_defect, worst_vertex = 0.0, -1
 
-    def faces_from(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half-edges of each entry's face in face order, starting at the
-        entry, face after face, and each face's size."""
-        k, start = size[face_of[entries]], face_start[face_of[entries]]
-        return np.repeat(start, k) + _ranges(entries - start, k, 1) % np.repeat(k, k), k
-
-    def place(vertices: np.ndarray, corners: np.ndarray) -> None:
-        nonlocal worst_defect, worst_vertex
-        first = ~placed[vertices] & _first_occurrences(vertices)
-        positions[vertices[first]] = corners[first]
-        placed[vertices[first]] = True
+    start = he.face_start[seed_face]
+    seed_edges = range(start, start + len(prototiles[label[start]]))
+    positions[[origin[h] for h in seed_edges]] = prototiles[label[start]]
+    for h in seed_edges:
+        placed[origin[h]] = True
+    entered[seed_face] = True
+    queue = [twin[h] for h in seed_edges]
+    while True:
+        # The layer's faces not yet entered, each at its first place in the queue.
+        entries = []
+        for h in queue:
+            if not entered[face_of[h]]:
+                entered[face_of[h]] = True
+                entries.append(h)
+        if not entries:
+            break
+        # Each face's vertices from its entry round, the rows that place a
+        # vertex first and, per entry label, its entries and their rows.
+        queue, vertices, first, groups = [], [], [], {}
+        for i, entry in enumerate(entries):
+            group, rows = groups.setdefault(label[entry], ([], []))
+            group.append(i)
+            h = entry
+            while True:
+                v = origin[h]
+                if not placed[v]:
+                    placed[v] = True
+                    first.append(len(vertices))
+                rows.append(len(vertices))
+                vertices.append(v)
+                queue.append(twin[h])
+                h = nxt[h]
+                if h == entry:
+                    break
+        frames = _edge_frames(positions[[origin[h] for h in entries]],
+                              positions[[origin[nxt[h]] for h in entries]])
+        corners = np.empty((len(vertices), 3))
+        for lab, (group, rows) in groups.items():
+            corners[rows] = (in_edge_frame[lab] @ frames[group]).reshape(-1, 3)
+        positions[[vertices[i] for i in first]] = corners[first]
         gap = positions[vertices] - corners
         distance = np.fmax(np.sqrt(_dots(gap, gap)), 0.0)  # NaN never counts as worse
         j = int(np.argmax(distance))
         if distance[j] > worst_defect:
             worst_defect = float(distance[j])
-            worst_vertex = int(vertices[j])
-
-    seed_edges, _ = faces_from(face_start[[seed_face]])
-    place(origin[seed_edges], prototiles[t.label[face_start[seed_face]]])
-    entered[seed_face] = True
-    queue = twin[seed_edges]
-    while True:
-        # The layer's faces not yet placed, each at its first place in the queue.
-        faces = face_of[queue]
-        entries = queue[~entered[faces] & _first_occurrences(faces)]
-        if not len(entries):
-            break
-        entered[face_of[entries]] = True
-        half_edges, k = faces_from(entries)
-        frames = _edge_frames(positions[origin[entries]], positions[origin[nxt[entries]]])
-        corners = np.empty((len(half_edges), 3))
-        entry_label = label[entries]
-        for lab, shape in in_edge_frame.items():
-            group = entry_label == lab
-            if group.any():
-                corners[np.repeat(group, k)] = (shape @ frames[group]).reshape(-1, 3)
-        place(origin[half_edges], corners)
-        queue = twin[half_edges]
+            worst_vertex = vertices[j]
 
     if worst_defect > CLOSURE_TOL:
         raise ClosureDefect(worst_vertex, worst_defect)

@@ -1,7 +1,9 @@
 """Angle solving for the concrete families and spherical embeddings."""
 
+import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -788,6 +790,32 @@ def test_embed_generic_matches_the_scalar_embedder(name):
     assert e.positions.shape == ref.positions.shape == (t.vertex_count, 3)
     assert np.abs(e.positions - ref.positions).max() <= 1e-14
     assert abs(e.worst_defect - ref.worst_defect) <= 1e-14
+
+
+# sha256 of every EMBEDDER_CASES placement's positions.tobytes() and
+# repr(worst_defect), in order: the walk's output pinned to the bit.
+EMBEDDINGS_SHA256 = "f24d6044cc59c871f744fbf8c99856f103a817068e7270b6ed4e00a483314c61"
+
+
+def test_embed_generic_output_is_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for name in EMBEDDER_CASES:
+        e = embed_generic(*_embedder_case(name))
+        digest.update(e.positions.tobytes())
+        digest.update(repr(e.worst_defect).encode())
+    assert digest.hexdigest() == EMBEDDINGS_SHA256
+
+
+def test_embed_generic_peak_memory_stays_within_two_and_a_half_times_its_positions():
+    # The traced peak counts the returned positions themselves.
+    t, s = earth_map(1024), earth_map_solution(1024)
+    tracemalloc.start()
+    try:
+        e = embed_generic(t, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * e.positions.nbytes, peak / e.positions.nbytes
 
 
 def test_embed_generic_names_the_defect_as_the_scalar_embedder_does():
